@@ -115,6 +115,12 @@ def _train_config(values: dict[str, str]):
     def get(key: str, default: str | None = None) -> str | None:
         return values.get(f"train.{key}", default)
 
+    known = {"epochs", "lambda_grid", "backend", "alpha", "tau", "warm_start_epochs",
+             "warm_start_objective", "lr", "batch_size", "seed", "hidden",
+             "activation", "eval_every", "eval_budgets", "step_floor", "step_cap"}
+    unknown = sorted(k for k in values if k.startswith("train.") and k[6:] not in known)
+    if unknown:
+        raise ConfigError(f"unknown train config keys: {', '.join(unknown)}")
     if get("epochs") is None:
         raise ConfigError("train.epochs is required")
     if get("lambda_grid") is None:
@@ -138,6 +144,8 @@ def _train_config(values: dict[str, str]):
             activation=get("activation", "relu"),
             eval_every=int(get("eval_every", "10")),
             eval_budgets=tuple(float(b) for b in budgets.split(",")) if budgets else (),
+            step_floor=float(get("step_floor", "1e-6")),
+            step_cap=float(get("step_cap", "0.5")),
         )
     except ValueError as exc:
         raise ConfigError(f"bad train config value: {exc}") from None

@@ -6,9 +6,9 @@ observed outcomes, reweighted by inverse assignment propensity. Under
 randomized assignment this estimates the policy's true per-capita revenue
 and cost without ever observing counterfactual outcomes.
 
-Budgeted evaluation bisects the dual multiplier until the estimated
-per-capita cost fits the per-capita budget, mirroring the allocation
-solver but on estimated instead of predicted cost.
+Budgeted evaluation picks the smallest dual multiplier whose estimated
+per-capita cost fits the per-capita budget, read off the allocation
+solver's sweep over switch points with estimated instead of predicted cost.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RctDataset
-from .exceptions import InfeasibleError, ValidationError
+from .exceptions import ValidationError
 from .losses import BudgetGrid
-from .solver import PredictionMatrix, decide_dual, lambda_upper_bound
+from .solver import PredictionMatrix, _Sweep, decide_dual, lambda_upper_bound
 
 
 @dataclass(frozen=True)
@@ -76,63 +76,50 @@ def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
     )
 
 
+def _allocator(data: RctDataset, pred: PredictionMatrix):
+    """Budget -> (multiplier, choice, estimate); every budget the ``lam = 0``
+    policy does not fit is a lookup on one shared sweep."""
+    if pred.revenue.shape != (data.n, data.num_treatments):
+        raise ValidationError("prediction shape does not cover dataset")
+    choice0 = decide_dual(pred, 0.0).choice
+    est0 = evaluate_policy(data, choice0)
+    sweep = delta = None
+
+    def allocate(budget: float) -> tuple[float, np.ndarray, OutcomeEstimate]:
+        nonlocal sweep, delta
+        if not budget >= 0:
+            raise ValidationError(f"budget must be >= 0, got {budget!r}")
+        if est0.per_capita_cost <= budget:
+            return 0.0, choice0, est0
+        if sweep is None:
+            sweep = _Sweep(pred, choice0)
+            rows, prop = sweep.rows, data.sample_propensity()
+            weighted = (data.cost / np.where(prop > 0, prop, 1.0) / data.n)[rows]
+            delta = (weighted * (sweep.new == data.treatment[rows])
+                     - weighted * (sweep.old == data.treatment[rows]))
+
+        def probe(lam):
+            choice = decide_dual(pred, lam).choice
+            est = evaluate_policy(data, choice)
+            return est.per_capita_cost, (choice, est)
+
+        lam, (choice, est) = sweep.search(est0.per_capita_cost, delta, budget, probe)
+        return lam, choice, est
+
+    return allocate
+
+
 def allocate_at_budget(data: RctDataset, pred: PredictionMatrix,
                        per_capita_budget: float, eps: float = 1e-6,
                        max_iter: int = 100
                        ) -> tuple[float, np.ndarray, OutcomeEstimate]:
-    """Multiplier, choice vector, and estimate meeting a per-capita budget.
-
-    Bisects the multiplier against the *estimated* per-capita cost and
-    returns the feasible side (never overspending by more than the
-    bisection slack ``eps``).
-    """
-    if per_capita_budget < 0:
-        raise ValidationError("budget must be >= 0")
+    """Smallest multiplier whose *estimated* per-capita cost fits the
+    budget (the estimate may rise again at larger ones), with its choice
+    and ``evaluate_policy`` estimate. Exact: ``eps`` (> 0) and ``max_iter``
+    (>= 1) are only validated."""
     if eps <= 0 or max_iter < 1:
         raise ValidationError("need eps > 0 and max_iter >= 1")
-    if pred.revenue.shape != (data.n, data.num_treatments):
-        raise ValidationError("prediction shape does not cover dataset")
-
-    choice0 = decide_dual(pred, 0.0).choice
-    est0 = evaluate_policy(data, choice0)
-    if est0.per_capita_cost <= per_capita_budget:
-        return 0.0, choice0, est0
-    hi = lambda_upper_bound(pred)
-    choice_hi = decide_dual(pred, hi).choice
-    est_hi = evaluate_policy(data, choice_hi)
-    if est_hi.per_capita_cost > per_capita_budget:
-        raise InfeasibleError(
-            f"per-capita budget {per_capita_budget} below estimated floor "
-            f"{est_hi.per_capita_cost}",
-            floor_cost=est_hi.per_capita_cost,
-        )
-    # geometric bracket shrink first: the upper bound can be astronomically
-    # large when predicted costs pass near zero
-    lo = 0.0
-    for _ in range(600):
-        cand = 0.5 * hi
-        if cand == hi or cand == 0.0:
-            break
-        choice_cand = decide_dual(pred, cand).choice
-        est_cand = evaluate_policy(data, choice_cand)
-        if est_cand.per_capita_cost <= per_capita_budget:
-            hi, choice_hi, est_hi = cand, choice_cand, est_cand
-        else:
-            lo = cand
-            break
-    for _ in range(max_iter):
-        if per_capita_budget - est_hi.per_capita_cost <= eps:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        choice_mid = decide_dual(pred, mid).choice
-        est_mid = evaluate_policy(data, choice_mid)
-        if est_mid.per_capita_cost <= per_capita_budget:
-            hi, choice_hi, est_hi = mid, choice_mid, est_mid
-        else:
-            lo = mid
-    return hi, choice_hi, est_hi
+    return _allocator(data, pred)(per_capita_budget)
 
 
 def evaluate_at_budget(data: RctDataset, pred: PredictionMatrix,
@@ -157,16 +144,13 @@ def default_budget_grid(data: RctDataset, pred: PredictionMatrix,
 
 def cost_curve(data: RctDataset, pred: PredictionMatrix,
                budgets: BudgetGrid) -> CostCurve:
-    """One outcome estimate per budget."""
+    """One outcome estimate per budget, all read off one sweep."""
+    allocate = _allocator(data, pred)
     points = []
     for b in budgets:
-        est = evaluate_at_budget(data, pred, b)
-        points.append(CurvePoint(
-            budget=float(b),
-            per_capita_cost=est.per_capita_cost,
-            per_capita_revenue=est.per_capita_revenue,
-            matched_fraction=est.matched_fraction,
-        ))
+        est = allocate(b)[2]
+        points.append(CurvePoint(float(b), est.per_capita_cost,
+                                 est.per_capita_revenue, est.matched_fraction))
     return CostCurve(tuple(points))
 
 

@@ -3,14 +3,17 @@
 The primal problem picks exactly one treatment per individual to maximize
 total revenue subject to a global cost budget. Relaxing the budget with a
 multiplier decomposes the problem per individual: each row independently
-takes ``argmax_j (revenue_ij - lam * cost_ij)``. The multiplier is found by
-bisection, exploiting that the cost of the per-row argmax allocation is
-nonincreasing in ``lam``. A brute-force enumerator serves as the exact
-oracle on small instances.
+takes ``argmax_j (revenue_ij - lam * cost_ij)``. As ``lam`` grows each row
+walks the upper envelope of these lines towards cheaper treatments; one
+sorted pass over all rows' switch points makes the allocation cost an exact
+step function of ``lam``, so the multiplier for a budget is a lookup (the
+greedy LP solution of the multiple-choice knapsack). A brute-force
+enumerator serves as the exact oracle on small instances.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +65,7 @@ class DualSolution:
     lam: float
     allocation: Allocation
     dual_value: float
-    trace: tuple[tuple[float, float], ...] | None = None  # (lam, cost) per probe
+    trace: tuple[tuple[float, float], ...] | None = None  # (lam, cost) per direct probe
 
     def __post_init__(self):
         if self.lam < 0:
@@ -95,86 +98,99 @@ def dual_value(pred: PredictionMatrix, lam: float, budget: float) -> float:
 
 
 def lambda_upper_bound(pred: PredictionMatrix) -> float:
-    """Largest useful multiplier: max revenue/cost ratio over positive costs.
+    """A multiplier past every row's last switch point (twice it, plus one,
+    so rounding cannot close the margin): ``decide_dual`` there gives the
+    minimum-cost allocation."""
+    return float(_Sweep(pred, np.argmax(pred.revenue, axis=1)).breaks[-1])
 
-    Entries with nonpositive cost are excluded from the ratio; if nothing
-    positive remains the bound falls back to 1.
-    """
-    positive = pred.cost > 0
-    if not positive.any():
-        return 1.0
-    ratios = pred.revenue[positive] / pred.cost[positive]
-    top = float(ratios.max())
-    return top if top > 0 else 1.0
+
+class _Sweep:
+    """Every row's walk along the upper envelope of ``revenue - lam * cost``.
+
+    From ``lam = 0``, each event moves a row to the cheaper line overtaking
+    its current one (at most ``m - 1`` passes). Events are sorted and grouped
+    by multiplier; group ``g``'s allocation holds on ``(breaks[g],
+    breaks[g + 1])``, the last interval ending at the upper bound."""
+
+    def __init__(self, pred: PredictionMatrix, choice0: np.ndarray):
+        # (m, n) copies: a pass reduces over treatments along contiguous rows
+        revenue = r = np.ascontiguousarray(pred.revenue.T)
+        cost = c = np.ascontiguousarray(pred.cost.T)
+        cur = np.array(choice0, dtype=np.int64)
+        at = np.zeros(pred.n)  # multiplier of each row's latest move
+        active = np.arange(pred.n)
+        events = [(np.zeros(0), active[:0], active[:0], active[:0])]
+        for _ in range(pred.num_treatments - 1):
+            j, here = cur[active], np.arange(active.size)
+            gap = c[j, here] - c
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t = r[j, here] - r
+                t /= gap  # where line k overtakes line j
+            np.maximum(t, at[active], out=t)
+            t[gap <= 0] = np.inf  # only cheaper lines overtake
+            best = t.min(axis=0)
+            # equal crossings: argmax keeps the cheaper line, then the lower index
+            k = np.argmin(np.where(t == best, c, np.inf), axis=0)
+            moved = best < np.inf
+            active = active[moved]
+            events.append((best[moved], active, cur[active], k[moved]))
+            cur[active] = k[moved]
+            at[active] = best[moved]
+            r, c = revenue.take(active, axis=1), cost.take(active, axis=1)
+        lam, rows, old, new = map(np.concatenate, zip(*events))
+        order = np.argsort(lam)
+        lam, self.rows, self.old, self.new = lam[order], rows[order], old[order], new[order]
+        self.n = pred.n
+        self.ends = np.flatnonzero(np.diff(lam, append=np.inf)) + 1  # per group
+        self.breaks = np.append(lam[self.ends - 1], 2.0 * lam.max(initial=0.0) + 1.0)
+
+    def search(self, start: float, delta: np.ndarray, budget: float, probe):
+        """(lam, result) of the smallest multiplier whose direct
+        ``probe(lam) -> (value, result)`` fits the budget, for a row-additive
+        value that is ``start`` at ``lam = 0`` and changes by ``delta[e]`` at
+        event ``e``. Prefix sums and direct sums differ by rounding only, so
+        each group that fits within that error is probed just above its
+        breakpoint, unless its value repeats; the upper bound comes last."""
+        totals = start + np.cumsum(delta)[self.ends - 1]
+        slack = (delta.size + self.n + 2) * 2.0 ** -52 * (
+            abs(start) + float(np.abs(delta).sum()))
+        fits = totals <= budget + slack
+        fits &= totals != np.concatenate(([start], totals[:-1]))
+        inside = (float(max(lo + (hi - lo) / 1024.0, np.nextafter(lo, np.inf)))
+                  for lo, hi in zip(self.breaks[:-1][fits], self.breaks[1:][fits]))
+        for lam in itertools.chain(inside, [float(self.breaks[-1])]):
+            value, result = probe(lam)
+            if value <= budget:
+                return lam, result
+        raise InfeasibleError(f"budget {budget} below the floor {value}",
+                              floor_cost=value)
 
 
 def solve_budget(pred: PredictionMatrix, budget: float, eps: float | None = None,
                  max_iter: int = 100, collect_trace: bool = False) -> DualSolution:
-    """Bisect the multiplier until the allocation cost meets the budget.
+    """Exact multiplier and allocation for a total budget: ``decide_dual``
+    just above the breakpoint where the cost first fits; never overspends.
 
-    Returns the feasible side of the bisection: the reported allocation
-    never overspends. ``eps`` is the absolute per-capita cost slack that
-    stops the search early; it defaults to 1e-6 times the per-capita cost
-    of the unconstrained allocation.
-
-    Raises InfeasibleError when even the cost at the largest useful
-    multiplier exceeds the budget; the error carries that floor cost.
+    ``eps`` (> 0) and ``max_iter`` (>= 1) are only validated. The trace
+    holds (lam, cost) of the probe at 0 and of each direct probe after it.
+    Raises InfeasibleError with the floor cost when no allocation fits.
     """
-    if budget < 0:
-        raise ValidationError("budget must be >= 0")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
-    n = max(pred.n, 1)
-    trace: list[tuple[float, float]] = []
+    if not budget >= 0 or max_iter < 1 or (eps is not None and not eps > 0):
+        raise ValidationError("need budget >= 0, eps > 0 and max_iter >= 1; got "
+                              f"{budget!r}, {eps!r}, {max_iter!r}")
+    trace = []
 
-    alloc0 = decide_dual(pred, 0.0)
-    trace.append((0.0, alloc0.total_cost))
-    if eps is None:
-        eps = 1e-6 * max(alloc0.total_cost / n, 1e-12)
-    if eps <= 0:
-        raise ValidationError("eps must be > 0")
-    if alloc0.total_cost <= budget:
-        return DualSolution(0.0, alloc0, dual_value(pred, 0.0, budget),
-                            tuple(trace) if collect_trace else None)
+    def probe(lam):
+        alloc = decide_dual(pred, lam)
+        trace.append((lam, alloc.total_cost))
+        return alloc.total_cost, alloc
 
-    hi = lambda_upper_bound(pred)
-    alloc_hi = decide_dual(pred, hi)
-    trace.append((hi, alloc_hi.total_cost))
-    if alloc_hi.total_cost > budget:
-        raise InfeasibleError(
-            f"budget {budget} below achievable floor cost {alloc_hi.total_cost}",
-            floor_cost=alloc_hi.total_cost,
-        )
-
-    # Near-zero predicted costs can push the upper bound many orders of
-    # magnitude past the useful range; shrink the bracket geometrically
-    # before arithmetic bisection so a fixed iteration budget suffices.
-    lo = 0.0
-    for _ in range(600):
-        cand = 0.5 * hi
-        if cand == hi or cand == 0.0:
-            break
-        alloc_cand = decide_dual(pred, cand)
-        trace.append((cand, alloc_cand.total_cost))
-        if alloc_cand.total_cost <= budget:
-            hi, alloc_hi = cand, alloc_cand
-        else:
-            lo = cand
-            break
-
-    for _ in range(max_iter):
-        if budget - alloc_hi.total_cost <= eps * n:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # float interval exhausted
-            break
-        alloc_mid = decide_dual(pred, mid)
-        trace.append((mid, alloc_mid.total_cost))
-        if alloc_mid.total_cost <= budget:
-            hi, alloc_hi = mid, alloc_mid
-        else:
-            lo = mid
-    return DualSolution(hi, alloc_hi, dual_value(pred, hi, budget),
+    lam, alloc = 0.0, probe(0.0)[1]
+    if alloc.total_cost > budget:
+        sweep = _Sweep(pred, alloc.choice)
+        delta = pred.cost[sweep.rows, sweep.new] - pred.cost[sweep.rows, sweep.old]
+        lam, alloc = sweep.search(alloc.total_cost, delta, budget, probe)
+    return DualSolution(lam, alloc, dual_value(pred, lam, budget),
                         tuple(trace) if collect_trace else None)
 
 

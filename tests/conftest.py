@@ -57,6 +57,57 @@ def random_instance(rng, n=None, m=None, min_gap=0.0):
             return data, pred
 
 
+def tie_heavy_instance(rng, n, m):
+    """Few distinct values, duplicate rows, zero and negative costs: many
+    rows switch at the same multiplier and many lines coincide."""
+    revenue = rng.integers(0, 4, (n, m)) / 2.0
+    cost = rng.integers(-1, 3, (n, m)) / 2.0
+    revenue[n // 2:] = revenue[:n - n // 2]
+    cost[n // 2:] = cost[:n - n // 2]
+    return PredictionMatrix(revenue, cost)
+
+
+def instances(rng, count):
+    """Random, dyadic and tie-heavy instances of varying size."""
+    for i in range(count):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(2, 5))
+        kind = i % 3
+        if kind == 0:
+            yield PredictionMatrix(rng.uniform(0, 5, (n, m)),
+                                   rng.uniform(0, 2, (n, m)))
+        elif kind == 1:  # all small sums exact in float64
+            yield PredictionMatrix(rng.integers(0, 2 ** 23, (n, m)) / 2 ** 20,
+                                   rng.integers(0, 2 ** 22, (n, m)) / 2 ** 20)
+        else:
+            yield tie_heavy_instance(rng, n, m)
+
+
+def interval_points(pred):
+    """Zero, then one multiplier inside every interval between consecutive
+    candidate switch points (every pairwise line crossing), ascending.
+    Derived without the sweep."""
+    r, c = pred.revenue, pred.cost
+    cross = [0.0]
+    for k in range(pred.num_treatments):
+        for j in range(k):
+            dc = c[:, j] - c[:, k]
+            ok = dc != 0
+            cross.extend(((r[ok, j] - r[ok, k]) / dc[ok]).tolist())
+    cross = np.unique([x for x in cross if x >= 0])
+    mids = 0.5 * (cross[1:] + cross[:-1])
+    return np.concatenate(([0.0], mids, [2.0 * cross[-1] + 1.0]))
+
+
+def replay(sweep, pred, groups):
+    """Choice vector after the first ``groups`` groups of sweep events."""
+    choice = np.argmax(pred.revenue, axis=1)
+    stop = sweep.ends[groups - 1] if groups else 0
+    for row, old, new in zip(sweep.rows[:stop], sweep.old[:stop], sweep.new[:stop]):
+        assert choice[row] == old
+        choice[row] = new
+    return choice
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -209,6 +209,52 @@ class TestPipeline:
                     "a=" + p(workdir / "c1.csv"), "b=" + p(workdir / "c2.csv")]) == 2
 
 
+class TestSolveAndTrainInputs:
+    @pytest.fixture
+    def generated(self, workdir):
+        assert run(["generate", "--config", p(workdir / "gen.cfg"),
+                    "--out", p(workdir / "d.csv"), "--truth", p(workdir / "t.csv"),
+                    "n=300"]) == 0
+        return workdir
+
+    def solve(self, workdir, budget, *extra):
+        return run(["solve", "--data", p(workdir / "d.csv"),
+                    "--predictions", p(workdir / "t.csv"), "--budget", budget,
+                    "--out", p(workdir / "alloc.csv"), *extra])
+
+    def test_nan_budget_exit_code(self, generated, capsys):
+        assert self.solve(generated, "nan") == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (generated / "alloc.csv").exists()
+
+    def test_solve_log_starts_at_zero(self, generated):
+        assert self.solve(generated, "20", "--log", p(generated / "solve.log")) == 0
+        lines = (generated / "solve.log").read_text().splitlines()
+        assert lines[0].startswith("lam=0.0 cost=")
+        assert 2 <= len(lines) <= 3
+
+    def train(self, workdir, *overrides):
+        return run(["train", "--data", p(workdir / "d.csv"),
+                    "--config", p(workdir / "train.cfg"),
+                    "--checkpoint", p(workdir / "m.ckpt"), "train.epochs=6",
+                    *overrides])
+
+    def test_train_step_keys_reach_config(self, generated):
+        from treatalloc.model import load_checkpoint
+
+        assert self.train(generated, "train.step_floor=0.05",
+                          "train.step_cap=0.25") == 0
+        _, extra = load_checkpoint(generated / "m.ckpt")
+        assert extra["train_config"]["step_floor"] == 0.05
+        assert extra["train_config"]["step_cap"] == 0.25
+
+    def test_unknown_train_key_exit_code(self, generated, capsys):
+        assert self.train(generated, "train.step_floor=0.05",
+                          "train.no_such_key=1") == 2
+        assert "no_such_key" in capsys.readouterr().err
+        assert not (generated / "m.ckpt").exists()
+
+
 def test_usage_errors_exit_one():
     assert run(["solve", "--data", "x.csv"]) == 1  # missing required args
     assert run([]) == 1

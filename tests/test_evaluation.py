@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic
-from treatalloc.evaluation import (CostCurve, CurvePoint, aucc,
-                                   bootstrap_policy_se, cost_curve,
+from treatalloc.evaluation import (CostCurve, CurvePoint, allocate_at_budget,
+                                   aucc, bootstrap_policy_se, cost_curve,
                                    default_budget_grid, evaluate_at_budget,
                                    evaluate_policy)
 from treatalloc.exceptions import InfeasibleError, ValidationError
 from treatalloc.losses import BudgetGrid
-from treatalloc.solver import PredictionMatrix, decide_dual, solve_budget
+from treatalloc.solver import PredictionMatrix, _Sweep, decide_dual, solve_budget
 
-from conftest import make_dataset
+from conftest import instances, interval_points, make_dataset, replay
 
 
 class TestEvaluatePolicy:
@@ -220,3 +220,89 @@ def test_bootstrap_se_positive_and_shrinks(rng):
     se_big = bootstrap_policy_se(big, big.treatment, n_boot=100, seed=1)
     assert se_small > 0
     assert se_big < se_small
+
+
+class TestExactBudgetSearch:
+    def nonmonotone(self):
+        # rows leave treatment 1 at lam = 0.5, 1 and 3; the estimated cost
+        # over the four intervals is 4/3, 2/3, 6/5 and 8/15
+        pred = PredictionMatrix([[0.0, 0.5], [0.0, 1.0], [0.0, 3.0]],
+                                [[0.0, 1.0]] * 3)
+        data = make_dataset(treatment=[1, 0, 1], revenue=[1.0] * 3,
+                            cost=[1.0, 0.8, 1.0], num_treatments=2,
+                            propensities=[0.5, 0.5])
+        return data, pred
+
+    def test_smallest_multiplier_that_fits(self):
+        data, pred = self.nonmonotone()
+        lam, choice, est = allocate_at_budget(data, pred, 0.7)
+        assert 0.5 < lam < 1.0
+        assert choice.tolist() == [0, 1, 1]
+        assert est == evaluate_policy(data, choice)
+        assert est.per_capita_cost == pytest.approx(2.0 / 3.0)
+
+    def test_matches_scan_over_intervals(self, rng):
+        for pred in instances(rng, 45):
+            n, m = pred.revenue.shape
+            data = make_dataset(treatment=rng.integers(0, m, n),
+                                revenue=rng.uniform(0, 3, n),
+                                cost=rng.integers(0, 3, n) / 2.0,
+                                num_treatments=m)
+            choices = [decide_dual(pred, lam).choice for lam in interval_points(pred)]
+            scan = [evaluate_policy(data, choice) for choice in choices]
+            costs = sorted({e.per_capita_cost for e in scan})
+            for budget in costs + [float(rng.uniform(costs[0], costs[-1]))]:
+                first = next(i for i, e in enumerate(scan) if e.per_capita_cost <= budget)
+                lam, choice, est = allocate_at_budget(data, pred, budget)
+                assert est == scan[first]
+                assert est.per_capita_cost <= budget
+                assert (choice == decide_dual(pred, lam).choice).all()
+
+    def test_sweep_estimate_matches_direct_evaluation(self, rng):
+        for pred in instances(rng, 45):
+            n, m = pred.revenue.shape
+            data = make_dataset(treatment=rng.integers(0, m, n),
+                                revenue=rng.uniform(0, 3, n),
+                                cost=rng.uniform(0, 2, n), num_treatments=m)
+            sweep = _Sweep(pred, np.argmax(pred.revenue, axis=1))
+            treated = data.treatment[sweep.rows]
+            prop = data.sample_propensity()[sweep.rows]
+            delta = data.cost[sweep.rows] / prop / n * (
+                (sweep.new == treated).astype(float) - (sweep.old == treated))
+            start = evaluate_policy(data, decide_dual(pred, 0.0).choice)
+            totals = start.per_capita_cost + np.cumsum(delta)[sweep.ends - 1]
+            for g in range(len(sweep.ends)):
+                lam = 0.5 * (sweep.breaks[g] + sweep.breaks[g + 1])
+                direct = evaluate_policy(data, decide_dual(pred, lam).choice)
+                assert (replay(sweep, pred, g + 1)
+                        == decide_dual(pred, lam).choice).all()
+                assert totals[g] == pytest.approx(direct.per_capita_cost,
+                                                  rel=1e-12, abs=1e-12)
+
+    def test_curve_equals_separate_allocations(self, rng):
+        data, truth = generate_synthetic(
+            GeneratorConfig(n=3000, m=4, d=3, noise=0.2), seed=8)
+        pred = PredictionMatrix(truth.revenue + 0.3 * rng.standard_normal(
+            truth.revenue.shape), truth.cost)
+        budgets = BudgetGrid((0.1, 0.2, 0.3, 10.0))
+        curve = cost_curve(data, pred, budgets)
+        for point in curve.points:
+            est = evaluate_at_budget(data, pred, point.budget)
+            assert (point.per_capita_cost, point.per_capita_revenue,
+                    point.matched_fraction) == (est.per_capita_cost,
+                                                est.per_capita_revenue,
+                                                est.matched_fraction)
+
+    def test_nan_budget_rejected(self):
+        data, pred = self.nonmonotone()
+        with pytest.raises(ValidationError):
+            allocate_at_budget(data, pred, float("nan"))
+        with pytest.raises(ValidationError):
+            evaluate_at_budget(data, pred, float("nan"))
+        with pytest.raises(ValidationError):
+            cost_curve(data, pred, BudgetGrid((float("nan"),)))
+
+    def test_infinite_budget_is_unconstrained(self):
+        data, pred = self.nonmonotone()
+        lam, choice, _ = allocate_at_budget(data, pred, float("inf"))
+        assert lam == 0.0 and choice.tolist() == [1, 1, 1]

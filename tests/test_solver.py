@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from treatalloc.exceptions import InfeasibleError, SizeError, ValidationError
-from treatalloc.solver import (PredictionMatrix, brute_force_oracle, decide_dual,
-                               dual_value, lambda_upper_bound, solve_budget)
+from treatalloc.solver import (PredictionMatrix, _Sweep, brute_force_oracle,
+                               decide_dual, dual_value, lambda_upper_bound,
+                               solve_budget)
+
+from conftest import instances, interval_points, replay
 
 
 def pm(revenue, cost):
@@ -194,3 +197,83 @@ class TestDualitySandwich:
             assert sol.allocation.objective <= star.objective
             assert star.objective <= sol.dual_value
             assert sol.dual_value <= sol.allocation.objective + pred.revenue.max()
+
+
+class TestBudgetValues:
+    def test_nan_budget_rejected(self):
+        pred = pm([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValidationError):
+            solve_budget(pred, float("nan"))
+
+    def test_infinite_budget_is_unconstrained(self):
+        pred = pm([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]])
+        sol = solve_budget(pred, float("inf"))
+        assert sol.lam == 0.0
+        assert sol.allocation.choice.tolist() == [1, 1]
+
+
+class TestUpperBound:
+    def test_switch_past_max_revenue_cost_ratio(self):
+        # max r/c is 5000, but the row only drops to the cheaper treatment
+        # above lam = 10 / 0.001 = 10000
+        pred = pm([[0.0, 10.0]], [[0.001, 0.002]])
+        assert lambda_upper_bound(pred) > 10000.0
+        sol = solve_budget(pred, 0.0015)
+        assert sol.allocation.choice.tolist() == [0]
+        assert sol.allocation.total_cost == 0.001
+
+    def test_bound_gives_minimum_cost_allocation(self, rng):
+        for pred in instances(rng, 60):
+            alloc = decide_dual(pred, lambda_upper_bound(pred))
+            rows = np.arange(pred.n)
+            cheapest = pred.cost.min(axis=1)
+            assert alloc.total_cost == float(cheapest.sum())
+            # among equally cheap treatments the highest revenue, then the
+            # lowest index
+            best_rev = np.where(pred.cost == cheapest[:, None], pred.revenue,
+                                -np.inf).max(axis=1)
+            want = np.argmax((pred.cost == cheapest[:, None])
+                             & (pred.revenue == best_rev[:, None]), axis=1)
+            assert alloc.choice.tolist() == want.tolist()
+            assert (pred.cost[rows, alloc.choice] == cheapest).all()
+
+
+class TestSweep:
+    def test_replayed_choices_match_decide_dual(self, rng):
+        for pred in instances(rng, 60):
+            sweep = _Sweep(pred, np.argmax(pred.revenue, axis=1))
+            breaks = sweep.breaks
+            start = decide_dual(pred, 0.0)
+            delta = (pred.cost[sweep.rows, sweep.new]
+                     - pred.cost[sweep.rows, sweep.old])
+            totals = start.total_cost + np.cumsum(delta)[sweep.ends - 1]
+            # before the first breakpoint, then inside every later interval
+            points = [(0, 0.5 * breaks[0])] if breaks[0] > 0 else []
+            points += [(g + 1, 0.5 * (breaks[g] + breaks[g + 1]))
+                       for g in range(len(sweep.ends))]
+            for groups, lam in points:
+                alloc = decide_dual(pred, lam)
+                assert replay(sweep, pred, groups).tolist() == alloc.choice.tolist()
+                value = totals[groups - 1] if groups else start.total_cost
+                assert value == pytest.approx(alloc.total_cost, rel=1e-12, abs=1e-12)
+            assert (np.diff(breaks) > 0).all()
+
+    def test_solve_matches_scan_over_intervals(self, rng):
+        for pred in instances(rng, 45):
+            scan = [decide_dual(pred, lam) for lam in interval_points(pred)]
+            costs = sorted({a.total_cost for a in scan})
+            budgets = costs + [float(rng.uniform(costs[0], costs[-1]))]
+            for budget in (b for b in budgets if b >= 0):
+                want = next(a for a in scan if a.total_cost <= budget)
+                sol = solve_budget(pred, budget)
+                assert sol.allocation.choice.tolist() == want.choice.tolist()
+                assert (sol.allocation.choice
+                        == decide_dual(pred, sol.lam).choice).all()
+
+    def test_trace_starts_at_zero_then_direct_probes(self, rng):
+        pred = dyadic_instance(rng, 40, 4)
+        budget = 0.5 * float(pred.cost.max(axis=1).sum())
+        sol = solve_budget(pred, budget, collect_trace=True)
+        assert sol.trace[0] == (0.0, decide_dual(pred, 0.0).total_cost)
+        assert sol.trace[-1] == (sol.lam, sol.allocation.total_cost)
+        assert len(sol.trace) <= 3
