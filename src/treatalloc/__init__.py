@@ -23,7 +23,6 @@ _EXPORTS = {
     "brute_force_oracle": "solver",
     "LambdaGrid": "losses",
     "BudgetGrid": "losses",
-    "LossBreakdown": "losses",
     "prediction_loss": "losses",
     "full_mse": "losses",
     "policy_learning_loss": "losses",
@@ -32,11 +31,9 @@ _EXPORTS = {
     "oracle_dual_losses": "losses",
     "GradientPair": "gradients",
     "ips_dual_loss": "gradients",
-    "fd_gradient": "gradients",
     "flip_fd_gradient": "gradients",
     "dual_flip_gradient": "gradients",
     "gradient_inner_loss": "gradients",
-    "softmax_flip_loss": "gradients",
     "softmax_flip_gradient": "gradients",
     "OutcomeEstimate": "evaluation",
     "CostCurve": "evaluation",

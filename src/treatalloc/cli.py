@@ -6,10 +6,12 @@ Verbs: ``generate`` (synthetic dataset plus outcome matrix), ``train``
 (comparison table over several evaluations).
 
 Configuration files are flat ``key=value`` text with section prefixes
-(``train.alpha=1.0``, ``eval.budgets=1,2,3``); trailing ``key=value``
-arguments override file entries. Exit codes: 0 success, 1 usage error,
-2 validation/config error, 3 numeric or infeasibility error. Outputs never
-overwrite existing files unless ``--force`` is given.
+(``train.alpha=1.0``, ``eval.budgets=1,2,3``; generator keys carry no
+prefix); trailing ``key=value`` arguments override file entries. Each verb
+rejects unknown keys of its own section and ignores other sections. Exit
+codes: 0 success, 1 usage error, 2 validation/config error, 3 numeric or
+infeasibility error. Outputs never overwrite existing files unless
+``--force`` is given.
 
 Heavy imports happen inside ``run`` so ``--threads`` can cap the worker
 pool before numpy initializes its thread pools.
@@ -78,28 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_kv(path: str | None, overrides: list[str]) -> dict[str, str]:
-    from .exceptions import ConfigError, ParseError
-
-    values: dict[str, str] = {}
-    if path:
-        for lineno, raw in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        values[key.strip()] = val.strip()
-    return values
-
-
 def _check_clobber(path: str, force: bool) -> None:
     from .exceptions import ValidationError
 
@@ -108,19 +88,15 @@ def _check_clobber(path: str, force: bool) -> None:
 
 
 def _train_config(values: dict[str, str]):
+    from .data import config_section
     from .exceptions import ConfigError
     from .losses import LambdaGrid
     from .training import TrainConfig
 
-    def get(key: str, default: str | None = None) -> str | None:
-        return values.get(f"train.{key}", default)
-
-    known = {"epochs", "lambda_grid", "backend", "alpha", "tau", "warm_start_epochs",
-             "warm_start_objective", "lr", "batch_size", "seed", "hidden",
-             "activation", "eval_every", "eval_budgets", "step_floor", "step_cap"}
-    unknown = sorted(k for k in values if k.startswith("train.") and k[6:] not in known)
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {', '.join(unknown)}")
+    get = config_section(values, "train", (
+        "epochs", "lambda_grid", "backend", "alpha", "tau", "warm_start_epochs",
+        "warm_start_objective", "lr", "batch_size", "seed", "hidden",
+        "activation", "eval_every", "eval_budgets", "step_floor", "step_cap")).get
     if get("epochs") is None:
         raise ConfigError("train.epochs is required")
     if get("lambda_grid") is None:
@@ -179,34 +155,12 @@ def _predictions_for(args, data):
 
 
 def _cmd_generate(args) -> None:
-    from .data import (generate_synthetic, load_generator_config,
+    from .data import (generate_synthetic, generator_config, read_config,
                        write_counterfactual_csv, write_csv)
 
     _check_clobber(args.out, args.force)
     _check_clobber(args.truth, args.force)
-    config, seed = load_generator_config(args.config)
-    if args.overrides:
-        import dataclasses
-
-        from .data import GeneratorConfig
-        from .exceptions import ConfigError
-
-        raw = {f.name: getattr(config, f.name) for f in dataclasses.fields(GeneratorConfig)}
-        for item in args.overrides:
-            if "=" not in item:
-                raise ConfigError(f"override must be key=value, got {item!r}")
-            key, _, val = item.partition("=")
-            if key == "seed":
-                seed = int(val)
-            elif key in ("n", "m", "d"):
-                raw[key] = int(val)
-            elif key == "noise":
-                raw[key] = float(val)
-            elif key == "family":
-                raw[key] = val
-            else:
-                raise ConfigError(f"unknown generator key {key!r}")
-        config = GeneratorConfig(**raw)
+    config, seed = generator_config(read_config(args.config, args.overrides))
     data, truth = generate_synthetic(config, seed)
     write_csv(args.out, data)
     write_counterfactual_csv(args.truth, data.ids, truth)
@@ -215,7 +169,7 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    from .data import load_csv
+    from .data import load_csv, read_config
     from .model import save_checkpoint
     from .training import train, write_training_log
 
@@ -224,8 +178,7 @@ def _cmd_train(args) -> None:
         _check_clobber(args.log, args.force)
     if args.dump_gradients:
         _check_clobber(args.dump_gradients, args.force)
-    values = _parse_kv(args.config, args.overrides)
-    config = _train_config(values)
+    config = _train_config(read_config(args.config, args.overrides))
     data = load_csv(args.data)
     eval_data = load_csv(args.eval_data) if args.eval_data else None
     params, records = train(data, config, eval_data=eval_data)
@@ -275,16 +228,16 @@ def _cmd_solve(args) -> None:
 def _cmd_evaluate(args) -> None:
     import csv as _csv
 
-    from .data import load_csv
+    from .data import config_section, load_csv, read_config
     from .evaluation import aucc, cost_curve, default_budget_grid
     from .exceptions import ValidationError
     from .losses import BudgetGrid
 
     _check_clobber(args.out, args.force)
-    values = _parse_kv(args.config, args.overrides)
+    values = config_section(read_config(args.config, args.overrides), "eval", ("budgets",))
     data = load_csv(args.data)
     pred = _predictions_for(args, data)
-    raw_budgets = values.get("eval.budgets")
+    raw_budgets = values.get("budgets")
     if raw_budgets:
         try:
             budgets = BudgetGrid(tuple(float(b) for b in raw_budgets.split(",")))

@@ -13,6 +13,7 @@ separator. Counterfactual matrices use ``id, r0..r{M-1}, c0..c{M-1}``.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,18 +120,6 @@ class RctDataset:
             num_treatments=self.num_treatments,
         )
 
-    def with_treatment(self, treatment: np.ndarray, revenue: np.ndarray,
-                       cost: np.ndarray) -> "RctDataset":
-        """Same individuals under a different assignment (re-randomization)."""
-        return RctDataset(
-            ids=self.ids.copy(),
-            features=self.features.copy(),
-            treatment=np.asarray(treatment, dtype=np.int64).copy(),
-            revenue=np.asarray(revenue, dtype=np.float64).copy(),
-            cost=np.asarray(cost, dtype=np.float64).copy(),
-            num_treatments=self.num_treatments,
-        )
-
     def equals(self, other: "RctDataset") -> bool:
         return (
             self.num_treatments == other.num_treatments
@@ -218,8 +207,8 @@ class GeneratorConfig:
             raise ConfigError("generator needs m >= 2")
         if self.d < 1:
             raise ConfigError("generator needs d >= 1")
-        if self.noise < 0:
-            raise ConfigError("noise level must be >= 0")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError("noise level must be finite and >= 0")
         if self.family not in GENERATOR_FAMILIES:
             raise ConfigError(
                 f"unknown family {self.family!r}; choose from {GENERATOR_FAMILIES}"
@@ -227,7 +216,9 @@ class GeneratorConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    """Logistic function; shared with the model's cross-entropy warm start."""
+    with np.errstate(over="ignore"):  # exp(-z) is inf below z = -709; 1/inf = 0 is exact
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int
@@ -371,6 +362,9 @@ def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
     treatment = np.asarray(ts, dtype=np.int64)
     if treatment.size == 0:
         raise ParseError("no data rows", line=2)
+    uniq, seen = np.unique(ids, return_counts=True)
+    if (seen > 1).any():
+        raise ValidationError(f"id {int(uniq[np.argmax(seen > 1)])} appears more than once")
     m = int(num_treatments) if num_treatments is not None else int(treatment.max()) + 1
     if treatment.max() >= m:
         bad = int(np.argmax(treatment >= m))
@@ -474,10 +468,21 @@ def write_counterfactual_csv(path: str | Path, ids: np.ndarray,
             )
 
 
-def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, int]:
-    """Read a flat key=value generator file; returns (config, seed)."""
+# ---------------------------------------------------------------------------
+# key=value configuration
+
+
+def read_config(path: str | Path | None, overrides: Iterable[str] = ()
+                ) -> dict[str, str]:
+    """Flat ``key=value`` entries of a config file, then of ``overrides``.
+
+    Blank lines and ``#`` comments are skipped and later entries win. A file
+    line without ``=`` raises ``ParseError`` with its line number, an
+    override without one ``ConfigError``.
+    """
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -485,17 +490,50 @@ def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, int]:
             raise ParseError(f"expected key=value, got {line!r}", line=lineno)
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"override must be key=value, got {item!r}")
+        key, _, val = item.partition("=")
+        values[key.strip()] = val.strip()
+    return values
+
+
+def config_section(values: dict[str, str], section: str, known: Iterable[str]
+                   ) -> dict[str, str]:
+    """Entries of one section with its prefix stripped; unknown keys raise.
+
+    Section ``""`` holds the keys without a prefix (the generator's). Keys
+    of other sections are left to their own readers.
+    """
+    prefix = f"{section}." if section else ""
+    own = {k[len(prefix):]: v for k, v in values.items()
+           if (k.startswith(prefix) if section else "." not in k)}
+    unknown = sorted(set(own) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {section or 'generator'} config keys: "
+                          + ", ".join(prefix + k for k in unknown))
+    return own
+
+
+def generator_config(values: dict[str, str]) -> tuple[GeneratorConfig, int]:
+    """Generator config and seed from the unprefixed keys of ``values``."""
+    own = config_section(values, "", ("n", "m", "d", "noise", "family", "seed"))
     try:
         config = GeneratorConfig(
-            n=int(values["n"]),
-            m=int(values["m"]),
-            d=int(values["d"]),
-            noise=float(values.get("noise", "0.1")),
-            family=values.get("family", "saturating"),
+            n=int(own["n"]),
+            m=int(own["m"]),
+            d=int(own["d"]),
+            noise=float(own.get("noise", "0.1")),
+            family=own.get("family", "saturating"),
         )
-        seed = int(values.get("seed", "0"))
+        seed = int(own.get("seed", "0"))
     except KeyError as exc:
         raise ConfigError(f"generator config missing key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ConfigError(f"bad generator config value: {exc}") from None
     return config, seed
+
+
+def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, int]:
+    """Read a flat key=value generator file; returns (config, seed)."""
+    return generator_config(read_config(path))

@@ -5,18 +5,24 @@ whose observed treatment equals the allocation's choice contribute their
 inverse-propensity-weighted reward ``r - lam * c``. The loss is piecewise
 constant in the predictions, so gradients come from perturbation analysis.
 
-Three estimators live here:
+Two estimators live here:
 
-- ``fd_gradient``: plain one-at-a-time forward differences with a fixed
-  step. Quadratic cost; reference only.
 - ``flip_fd_gradient``: forward differences where each entry is perturbed
   by the smallest signed step that flips that row's argmax, re-evaluating
-  the loss from scratch. The reference oracle for the fast estimator.
+  the loss from scratch. Quadratic cost; the reference oracle for the fast
+  estimators, and deliberately shares no code with them.
 - ``dual_flip_gradient``: the fast estimator. Because rows decide
   independently, the loss change of any single-entry perturbation is known
   in closed form: the sample either leaves or joins the matched set. The
   gradient is that jump divided by the signed flip step, floored to bound
   magnitudes near ties. Linear cost; scales to millions of rows.
+
+``softmax_flip_gradient`` runs the same analysis on row-softmax scores with
+clipped steps and chains the result back through the softmax. Both fast
+estimators share one kernel (``_flip_gaps``: top-2 search plus the
+leave/join bookkeeping), which returns the gaps a score must move; each
+caller turns gaps into steps its own way (Vlastelica et al. 2020 describe
+this jump-over-step structure).
 
 Perturbing the chosen column of a matched row can only remove its
 contribution; perturbing the argmax column of a mismatched row joins the
@@ -37,12 +43,13 @@ uses this centred form (see ``losses``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import RctDataset
 from .exceptions import SizeError, ValidationError
-from .losses import LambdaGrid, observed_rewards, row_softmax
+from .losses import LambdaGrid, _check_cover, observed_rewards, row_softmax
 from .solver import PredictionMatrix, decide_dual
 
 
@@ -63,11 +70,7 @@ class GradientPair:
 
 
 def _check_pair(data: RctDataset, pred: PredictionMatrix) -> None:
-    if pred.revenue.shape != (data.n, data.num_treatments):
-        raise ValidationError(
-            f"prediction shape {pred.revenue.shape} does not cover dataset "
-            f"({data.n}, {data.num_treatments})"
-        )
+    _check_cover(data, pred)
     if data.num_treatments < 2:
         raise ValidationError("gradient analysis needs at least 2 treatments")
 
@@ -98,37 +101,6 @@ def _loss_arrays(data: RctDataset, revenue: np.ndarray, cost: np.ndarray,
         reward, baseline = observed_rewards(data, lam, centered=True)
         return -float(np.sum(w * reward)) - baseline
     return -(float(np.sum(w * data.revenue)) - lam * float(np.sum(w * data.cost)))
-
-
-def fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
-                h: float, max_cells: int = 4096) -> GradientPair:
-    """Forward differences with a fixed step ``+h`` on every entry.
-
-    O((n*m)^2) evaluations; guarded by ``max_cells`` because this is a
-    reference routine, not a training path.
-    """
-    _check_pair(data, pred)
-    if h <= 0:
-        raise ValidationError("step must be > 0")
-    n, m = pred.revenue.shape
-    if n * m > max_cells:
-        raise SizeError(f"{n * m} cells exceed fd cap {max_cells}")
-    rev = pred.revenue.copy()
-    cost = pred.cost.copy()
-    base = sum(_loss_arrays(data, rev, cost, lam) for lam in grid)
-    d_rev = np.zeros((n, m))
-    d_cost = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            keep = rev[i, j]
-            rev[i, j] = keep + h
-            d_rev[i, j] = (sum(_loss_arrays(data, rev, cost, lam) for lam in grid) - base) / h
-            rev[i, j] = keep
-            keep = cost[i, j]
-            cost[i, j] = keep + h
-            d_cost[i, j] = (sum(_loss_arrays(data, rev, cost, lam) for lam in grid) - base) / h
-            cost[i, j] = keep
-    return GradientPair(d_rev, d_cost)
 
 
 def _nominal_step(a: np.ndarray, i: int, j: int, jstar: int,
@@ -188,6 +160,67 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
     return GradientPair(d_rev, d_cost)
 
 
+class _Flips(NamedTuple):
+    """Where a single score change moves a row across the matched set.
+
+    ``leave`` rows have their observed treatment ``own`` as the argmax;
+    ``leave_gap[k, j]`` is the rise that makes column j the winner, and at
+    the own column the drop that hands the win to the runner-up. The other
+    rows, ``join``, enter the set when the observed column ``join_col``
+    rises by ``join_gap``; where it is the runner-up (``runner_up``, a mask
+    over ``join``) they also enter when the winner drops by the same gap.
+    """
+
+    leave: np.ndarray
+    own: np.ndarray
+    leave_gap: np.ndarray
+    join: np.ndarray
+    join_col: np.ndarray
+    join_gap: np.ndarray
+    runner_up: np.ndarray
+    winner: np.ndarray  # argmax column of the runner-up rows
+
+
+def _flip_gaps(a: np.ndarray, t: np.ndarray) -> _Flips:
+    """Top-2 search of scores ``a`` (n, m) against observed treatments ``t``."""
+    rows = np.arange(a.shape[0])
+    jstar = np.argmax(a, axis=1)
+    amax = a[rows, jstar]
+    masked = a.copy()
+    masked[rows, jstar] = -np.inf
+    second_idx = np.argmax(masked, axis=1)
+    match = jstar == t
+
+    leave = np.where(match)[0]
+    own = t[leave]
+    leave_gap = amax[leave, None] - a[leave]
+    leave_gap[np.arange(leave.size), own] = amax[leave] - a[leave, second_idx[leave]]
+    join = np.where(~match)[0]
+    join_col = t[join]
+    runner_up = second_idx[join] == join_col
+    return _Flips(leave, own, leave_gap, join, join_col,
+                  amax[join] - a[join, join_col], runner_up, jstar[join[runner_up]])
+
+
+def _add_flip_grad(out: np.ndarray, f: _Flips, jump: np.ndarray,
+                   step: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Add loss jump over signed flip step for every flipping entry.
+
+    ``jump`` is each row's loss change on leaving the matched set (joining
+    is ``-jump``) and ``step`` turns gaps into step sizes; drops divide by
+    the negated step. No entry is listed twice, so the fancy-indexed
+    updates below lose nothing.
+    """
+    g = jump[f.leave, None] / step(f.leave_gap)
+    k = np.arange(f.leave.size)
+    g[k, f.own] = -g[k, f.own]
+    out[f.leave] += g
+    h = step(f.join_gap)
+    out[f.join, f.join_col] -= jump[f.join] / h
+    sub = f.join[f.runner_up]
+    out[sub, f.winner] += jump[sub] / h[f.runner_up]
+
+
 def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                        step_floor: float = 1e-6,
                        diagnostics: dict | None = None,
@@ -196,65 +229,27 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
 
     Per multiplier and sample, the loss jump of leaving/joining the matched
     set is divided by the signed flip step of each entry; steps are floored
-    at ``step_floor`` so near-ties cannot blow up the quotient. Matches
+    at ``step_floor`` so near-ties cannot blow up the quotient. A cost
+    entry moves its score ``lam`` times as fast and the other way, so its
+    step is the gap over ``lam``, floored in cost space. Matches
     ``flip_fd_gradient`` (with the same ``centered``) entrywise on tie-free
     instances.
     """
     _check_pair(data, pred)
     if step_floor <= 0:
         raise ValidationError("step_floor must be > 0")
-    n, m = pred.revenue.shape
-    rows = np.arange(n)
-    t = data.treatment
-    inv_np = 1.0 / (n * data.sample_propensity())
-    d_rev = np.zeros((n, m))
-    d_cost = np.zeros((n, m))
+    inv_np = 1.0 / (data.n * data.sample_propensity())
+    d_rev = np.zeros_like(pred.revenue)
+    d_cost = np.zeros_like(pred.cost)
     skipped: list[float] = []
     for lam in grid:
-        a = pred.revenue - lam * pred.cost
-        jstar = np.argmax(a, axis=1)
-        amax = a[rows, jstar]
-        masked = a.copy()
-        masked[rows, jstar] = -np.inf
-        second_idx = np.argmax(masked, axis=1)
-        second_val = a[rows, second_idx]
+        flips = _flip_gaps(pred.revenue - lam * pred.cost, data.treatment)
         xt = observed_rewards(data, lam, centered)[0] * inv_np
-
-        match = jstar == t
-        if match.any():
-            mr = np.where(match)[0]
-            delta = xt[mr]                      # loss jump when leaving the set
-            gap_other = amax[mr, None] - a[mr]  # >= 0, zero at the own column
-            gap_own = amax[mr] - second_val[mr]
-            own = t[mr]
-            k = np.arange(mr.size)
-
-            g = delta[:, None] / np.maximum(gap_other, step_floor)
-            g[k, own] = delta / (-np.maximum(gap_own, step_floor))
-            d_rev[mr] += g
-            if lam > 0:
-                gc = -delta[:, None] / np.maximum(gap_other / lam, step_floor)
-                gc[k, own] = delta / np.maximum(gap_own / lam, step_floor)
-                d_cost[mr] += gc
-
-        if (~match).any():
-            wr = np.where(~match)[0]
-            delta = -xt[wr]                     # loss jump when joining the set
-            gap = a[wr, jstar[wr]] - a[wr, t[wr]]
-            h = np.maximum(gap, step_floor)
-            d_rev[wr, t[wr]] += delta / h
-            if lam > 0:
-                d_cost[wr, t[wr]] += delta / (-np.maximum(gap / lam, step_floor))
-            # lowering the winner joins the sample only if t is the runner-up
-            sub = wr[second_idx[wr] == t[wr]]
-            if sub.size:
-                gj = np.maximum(a[sub, jstar[sub]] - a[sub, t[sub]], step_floor)
-                d_rev[sub, jstar[sub]] += xt[sub] / gj
-                if lam > 0:
-                    d_cost[sub, jstar[sub]] += -xt[sub] / np.maximum(
-                        (a[sub, jstar[sub]] - a[sub, t[sub]]) / lam, step_floor
-                    )
-        if lam == 0:
+        _add_flip_grad(d_rev, flips, xt, lambda gap: np.maximum(gap, step_floor))
+        if lam > 0:
+            _add_flip_grad(d_cost, flips, -xt,
+                           lambda gap: np.maximum(gap / lam, step_floor))
+        else:
             skipped.append(lam)
     if diagnostics is not None:
         diagnostics["skipped_cost_lambdas"] = skipped
@@ -278,34 +273,10 @@ def _softmax_flip_scores(data: RctDataset, a: np.ndarray, lam: float,
                          step_floor: float, step_cap: float,
                          centered: bool = False) -> np.ndarray:
     """Flip gradients treating the softmax scores themselves as the inputs."""
-    n, m = a.shape
-    rows = np.arange(n)
-    t = data.treatment
-    jstar = np.argmax(a, axis=1)
-    masked = a.copy()
-    masked[rows, jstar] = -np.inf
-    second_idx = np.argmax(masked, axis=1)
-    second_val = a[rows, second_idx]
-    xt = observed_rewards(data, lam, centered)[0] / (n * data.sample_propensity())
-
-    def clip(steps: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(steps, step_floor), step_cap)
-
-    g = np.zeros((n, m))
-    match = jstar == t
-    if match.any():
-        mr = np.where(match)[0]
-        delta = xt[mr]
-        g_m = delta[:, None] / clip(a[mr, jstar[mr], None] - a[mr])
-        g_m[np.arange(mr.size), t[mr]] = delta / (-clip(a[mr, jstar[mr]] - second_val[mr]))
-        g[mr] = g_m
-    if (~match).any():
-        wr = np.where(~match)[0]
-        gap = clip(a[wr, jstar[wr]] - a[wr, t[wr]])
-        g[wr, t[wr]] = -xt[wr] / gap
-        sub = wr[second_idx[wr] == t[wr]]
-        if sub.size:
-            g[sub, jstar[sub]] = xt[sub] / clip(a[sub, jstar[sub]] - a[sub, t[sub]])
+    xt = observed_rewards(data, lam, centered)[0] / (data.n * data.sample_propensity())
+    g = np.zeros(a.shape)
+    _add_flip_grad(g, _flip_gaps(a, data.treatment), xt,
+                   lambda gap: np.minimum(np.maximum(gap, step_floor), step_cap))
     return g
 
 
@@ -337,12 +308,6 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
         d_rev += ds
         d_cost += -lam * ds
     return loss, GradientPair(d_rev, d_cost)
-
-
-def softmax_flip_loss(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
-                      step_floor: float = 1e-6, step_cap: float = 0.5) -> float:
-    loss, _ = softmax_flip_gradient(data, pred, grid, step_floor, step_cap)
-    return loss
 
 
 def write_gradient_csv(path, ids: np.ndarray, grad: GradientPair) -> None:

@@ -45,6 +45,8 @@ class LambdaGrid:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValidationError("multiplier grid must be nonempty")
+        if not np.isfinite(vals).all():
+            raise ValidationError("multipliers must be finite")
         if any(v < 0 for v in vals):
             raise ValidationError("multipliers must be >= 0")
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -79,21 +81,6 @@ class BudgetGrid:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Prediction and decision parts of one composite loss evaluation."""
-
-    prediction: float
-    decision: float
-    total: float
-    alpha: float
-
-    @classmethod
-    def combine(cls, alpha: float, prediction: float, decision: float) -> "LossBreakdown":
-        return cls(prediction=prediction, decision=decision,
-                   total=alpha * prediction + decision, alpha=alpha)
 
 
 def _check_cover(data: RctDataset, pred) -> None:
@@ -173,17 +160,7 @@ def tempered_policy_loss(data: RctDataset, pred: PredictionMatrix,
     predicted scores, divided by N. ``centered`` weights the reward less its
     row mean and adds that mean back (see the module docstring).
     """
-    if tau <= 0:
-        raise ConfigError("temperature must be > 0")
-    _check_cover(data, pred)
-    rows = np.arange(data.n)
-    weight = 1.0 / (data.n * data.sample_propensity())
-    total = 0.0
-    for lam in grid:
-        w = row_softmax((pred.revenue - lam * pred.cost) / tau)[rows, data.treatment]
-        reward, baseline = observed_rewards(data, lam, centered)
-        total += -float(np.sum(weight * reward * w)) - baseline
-    return total
+    return tempered_policy_loss_grad(data, pred, grid, tau, centered)[0]
 
 
 def policy_learning_loss(data: RctDataset, pred: PredictionMatrix,

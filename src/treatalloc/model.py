@@ -6,6 +6,12 @@ route externally estimated gradient matrices (which autodiff cannot
 produce for piecewise-constant losses) straight into the output layer.
 Updates use adaptive moments with bias correction.
 
+One private epoch loop (``_fit_epoch``) serves every kind of training: the
+prediction-only warm start here and the decision-aware epochs of
+``training.train``. It orders and batches the rows, runs forward, backward
+and the optimizer step, and averages the batch losses; callers supply only
+the gradient of their loss with respect to the predictions.
+
 Checkpoint layout (versioned flat binary): 8-byte magic ``TACKPT01``, a
 4-byte little-endian header length, a JSON header echoing the model config,
 layer shapes and any extra metadata, then the raw little-endian float64
@@ -15,15 +21,17 @@ the same information is written next to the binary.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .data import RctDataset
+from .data import RctDataset, _sigmoid
 from .exceptions import ConfigError, NumericError, ValidationError
 from .gradients import GradientPair
 from .losses import prediction_loss_grad
@@ -85,18 +93,6 @@ class ModelParams:
     def num_parameters(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            step=self.step,
-            m_w=[a.copy() for a in self.m_w],
-            v_w=[a.copy() for a in self.v_w],
-            m_b=[a.copy() for a in self.m_b],
-            v_b=[a.copy() for a in self.v_b],
-        )
-
 
 @dataclass(eq=False)
 class ParamGrads:
@@ -106,16 +102,6 @@ class ParamGrads:
     def is_finite(self) -> bool:
         return all(np.isfinite(g).all() for g in self.d_weights) and \
             all(np.isfinite(g).all() for g in self.d_biases)
-
-    def scaled(self, factor: float) -> "ParamGrads":
-        return ParamGrads([factor * g for g in self.d_weights],
-                          [factor * g for g in self.d_biases])
-
-    def add(self, other: "ParamGrads") -> "ParamGrads":
-        return ParamGrads(
-            [a + b for a, b in zip(self.d_weights, other.d_weights)],
-            [a + b for a, b in zip(self.d_biases, other.d_biases)],
-        )
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -213,31 +199,54 @@ def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float,
     t = params.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for w, m, v, g in zip(params.weights, params.m_w, params.v_w, grads.d_weights):
+    for p, m, v, g in zip(params.weights + params.biases, params.m_w + params.m_b,
+                          params.v_w + params.v_b, grads.d_weights + grads.d_biases):
         m *= beta1
         m += (1 - beta1) * g
         v *= beta2
         v += (1 - beta2) * g * g
-        w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    for b, m, v, g in zip(params.biases, params.m_b, params.v_b, grads.d_biases):
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        b -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     for w in params.weights:
         if not np.isfinite(w).all():
             raise NumericError("non-finite parameters after update")
     return True
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+BatchGrad = Callable[[RctDataset, PredictionMatrix],
+                     tuple[GradientPair, tuple[float, ...]]]
+
+
+def _fit_epoch(params: ModelParams, data: RctDataset, batch_grad: BatchGrad,
+               lr: float, rng: np.random.Generator, batch_size: int | None,
+               step: Callable[[ModelParams, ParamGrads, float], bool]
+               ) -> tuple[float, ...]:
+    """One pass over ``data``, updating ``params`` in place once per batch.
+
+    Full batch (``batch_size`` unset) is ``data`` itself in index order and
+    draws nothing from ``rng``; otherwise ``rng`` permutes the rows and
+    consecutive slices of the permutation form the batches.
+    ``batch_grad(batch, pred)`` returns the upstream gradient of the
+    predictions and the batch's losses. ``step`` applies the update; each
+    caller passes the ``optimizer_step`` bound in its own module, so a
+    wrapper installed there (instrumentation, a patched update) stays in
+    force. Returns the losses as computed on a full batch, and their
+    batch-size-weighted means over mini-batches.
+    """
+    if batch_size:
+        order = rng.permutation(data.n)
+        batches = (data.take(order[lo:lo + batch_size])
+                   for lo in range(0, data.n, batch_size))
+    else:
+        batches = (data,)
+    sums: list[float] = []
+    for batch in batches:
+        pred = forward(params, batch.features)
+        upstream, losses = batch_grad(batch, pred)
+        step(params, backward(params, batch.features, upstream), lr)
+        if not batch_size:
+            return losses
+        sums = [s + batch.n * v for s, v in zip(sums or [0.0] * len(losses), losses)]
+    return tuple(s / data.n for s in sums)
 
 
 def warm_start(params: ModelParams, data: RctDataset, epochs: int,
@@ -259,30 +268,25 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
             np.isin(data.cost, (0.0, 1.0)).all()
         if not binary:
             raise ConfigError("cross-entropy warm start needs 0/1 outcomes")
+
+    def batch_grad(batch: RctDataset, pred: PredictionMatrix):
+        if objective == "squared-error":
+            return GradientPair(*prediction_loss_grad(batch, pred)), ()
+        rows = np.arange(batch.n)
+        w = 1.0 / (batch.n * batch.num_treatments * batch.sample_propensity())
+        d_rev = np.zeros_like(pred.revenue)
+        d_cost = np.zeros_like(pred.cost)
+        d_rev[rows, batch.treatment] = w * (
+            _sigmoid(pred.revenue[rows, batch.treatment]) - batch.revenue
+        )
+        d_cost[rows, batch.treatment] = w * (
+            _sigmoid(pred.cost[rows, batch.treatment]) - batch.cost
+        )
+        return GradientPair(d_rev, d_cost), ()
+
     rng = np.random.default_rng(shuffle_seed)
-    n = data.n
     for _ in range(epochs):
-        order = rng.permutation(n) if batch_size else np.arange(n)
-        splits = range(0, n, batch_size) if batch_size else [0]
-        for start in splits:
-            idx = order[start:start + batch_size] if batch_size else order
-            batch = data.take(idx) if batch_size else data
-            pred = forward(params, batch.features)
-            if objective == "squared-error":
-                d_rev, d_cost = prediction_loss_grad(batch, pred)
-            else:
-                rows = np.arange(batch.n)
-                w = 1.0 / (batch.n * batch.num_treatments * batch.sample_propensity())
-                d_rev = np.zeros_like(pred.revenue)
-                d_cost = np.zeros_like(pred.cost)
-                d_rev[rows, batch.treatment] = w * (
-                    _sigmoid(pred.revenue[rows, batch.treatment]) - batch.revenue
-                )
-                d_cost[rows, batch.treatment] = w * (
-                    _sigmoid(pred.cost[rows, batch.treatment]) - batch.cost
-                )
-            grads = backward(params, batch.features, GradientPair(d_rev, d_cost))
-            optimizer_step(params, grads, lr)
+        _fit_epoch(params, data, batch_grad, lr, rng, batch_size, optimizer_step)
     return params
 
 
@@ -294,16 +298,9 @@ def save_checkpoint(path: str | Path, params: ModelParams,
                     extra: dict | None = None) -> None:
     """Atomic write (temp file + rename) of params plus a text manifest."""
     path = Path(path)
-    cfg = params.config
     header = {
         "version": 1,
-        "config": {
-            "layer_widths": list(cfg.layer_widths),
-            "num_treatments": cfg.num_treatments,
-            "input_dim": cfg.input_dim,
-            "activation": cfg.activation,
-            "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(params.config),
         "layers": [
             {"w": list(w.shape), "b": list(b.shape)}
             for w, b in zip(params.weights, params.biases)
@@ -333,32 +330,37 @@ def save_checkpoint(path: str | Path, params: ModelParams,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint; returns params (fresh optimizer state) and extras."""
+    """Read a checkpoint; returns params (fresh optimizer state) and extras.
+
+    The file must be exactly as long as its header implies: a file cut short
+    or carrying trailing bytes raises ``ValidationError``.
+    """
     raw = Path(path).read_bytes()
     if raw[:8] != _MAGIC:
         raise ValidationError(f"{path}: not a checkpoint (bad magic)")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    cfg = ModelConfig(
-        layer_widths=tuple(header["config"]["layer_widths"]),
-        num_treatments=header["config"]["num_treatments"],
-        input_dim=header["config"]["input_dim"],
-        activation=header["config"]["activation"],
-        seed=header["config"]["seed"],
-    )
+    hlen = int.from_bytes(raw[8:12], "little")
+    if len(raw) < 12 + hlen:
+        raise ValidationError(f"{path}: checkpoint header cut short")
+    try:
+        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+        cfg = ModelConfig(**header["config"])
+        shapes = [(tuple(layer["w"]), tuple(layer["b"])) for layer in header["layers"]]
+        sizes = [(int(np.prod(w)), int(np.prod(b))) for w, b in shapes]
+        extra = header["extra"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: unreadable checkpoint header: {exc}") from None
+    expected = 12 + hlen + 8 * sum(wn + bn for wn, bn in sizes)
+    if len(raw) != expected:
+        raise ValidationError(
+            f"{path}: {len(raw)} bytes, but its header implies {expected}"
+        )
     offset = 12 + hlen
     weights, biases = [], []
-    for layer in header["layers"]:
-        wn = int(np.prod(layer["w"]))
-        weights.append(
-            np.frombuffer(raw, dtype="<f8", count=wn, offset=offset)
-            .reshape(layer["w"]).copy()
-        )
+    for (w_shape, b_shape), (wn, bn) in zip(shapes, sizes):
+        weights.append(np.frombuffer(raw, dtype="<f8", count=wn, offset=offset)
+                       .reshape(w_shape).copy())
         offset += 8 * wn
-        bn = int(np.prod(layer["b"]))
-        biases.append(
-            np.frombuffer(raw, dtype="<f8", count=bn, offset=offset)
-            .reshape(layer["b"]).copy()
-        )
+        biases.append(np.frombuffer(raw, dtype="<f8", count=bn, offset=offset)
+                      .reshape(b_shape).copy())
         offset += 8 * bn
-    return ModelParams(config=cfg, weights=weights, biases=biases), header["extra"]
+    return ModelParams(config=cfg, weights=weights, biases=biases), extra

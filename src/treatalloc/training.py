@@ -12,8 +12,12 @@ backend:
   through the softmax Jacobian.
 
 The softmax backends support mini-batches with batch-local normalization;
-the perturbation backends always run full-dataset passes because the
-matched-set statistics degrade on small batches.
+the perturbation backends need full-dataset passes or large batches because
+the matched-set statistics degrade on small ones.
+
+Epochs run on the model's shared loop (``model._fit_epoch``), the same one
+the warm start uses: ``train`` supplies the composite loss and its gradient
+per batch, checks the loss is finite, and keeps the log.
 
 Every decision backend trains on the centred estimates (``centered=True``
 in ``losses`` and ``gradients``): the mean observed reward of the batch is
@@ -26,6 +30,7 @@ small fraction of the variance.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +44,7 @@ from .gradients import GradientPair, dual_flip_gradient, ips_dual_loss, \
     softmax_flip_gradient
 from .losses import BudgetGrid, LambdaGrid, prediction_loss, prediction_loss_grad, \
     tempered_policy_loss_grad
-from .model import ModelConfig, ModelParams, backward, forward, init_params, \
+from .model import ModelConfig, ModelParams, _fit_epoch, forward, init_params, \
     load_checkpoint, optimizer_step, warm_start
 
 BACKENDS = ("two-stage", "policy", "entropy", "perturb", "perturb-softmax")
@@ -69,10 +74,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}")
+        for name in ("alpha", "tau", "lr", "step_floor", "step_cap"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
         if self.tau <= 0:
             raise ConfigError("tau must be > 0")
+        if not 0 < self.step_floor <= self.step_cap:
+            raise ConfigError("need 0 < step_floor <= step_cap")
         if self.epochs < 0 or self.warm_start_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.warm_start_epochs > self.epochs:
@@ -89,24 +99,10 @@ class TrainConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "lambda_grid": list(self.lambda_grid.values),
-            "backend": self.backend,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "warm_start_epochs": self.warm_start_epochs,
-            "warm_start_objective": self.warm_start_objective,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "hidden_widths": list(self.hidden_widths),
-            "activation": self.activation,
-            "eval_every": self.eval_every,
-            "eval_budgets": list(self.eval_budgets),
-            "step_floor": self.step_floor,
-            "step_cap": self.step_cap,
-        }
+        return {**dataclasses.asdict(self),
+                "lambda_grid": list(self.lambda_grid.values),
+                "hidden_widths": list(self.hidden_widths),
+                "eval_budgets": list(self.eval_budgets)}
 
 
 @dataclass(frozen=True)
@@ -127,21 +123,18 @@ def _decision_loss_and_grad(data: RctDataset, pred, config: TrainConfig
     grid = config.lambda_grid
     if config.backend == "two-stage":
         return 0.0, np.zeros_like(pred.revenue), np.zeros_like(pred.cost)
-    if config.backend == "policy":
-        return tempered_policy_loss_grad(data, pred, grid, tau=1.0, centered=True)
-    if config.backend == "entropy":
-        return tempered_policy_loss_grad(data, pred, grid, tau=config.tau,
-                                         centered=True)
+    if config.backend in ("policy", "entropy"):
+        tau = 1.0 if config.backend == "policy" else config.tau
+        return tempered_policy_loss_grad(data, pred, grid, tau=tau, centered=True)
     if config.backend == "perturb":
         grad = dual_flip_gradient(data, pred, grid, step_floor=config.step_floor,
                                   centered=True)
-        value = sum(ips_dual_loss(data, pred, lam) for lam in grid)
-        return value, grad.d_revenue, grad.d_cost
-    # perturb-softmax: record the same matched dual loss; gradients come
-    # from the smoothed score perturbation
-    _, grad = softmax_flip_gradient(data, pred, grid,
-                                    step_floor=config.step_floor,
-                                    step_cap=config.step_cap, centered=True)
+    else:
+        # perturb-softmax: gradients come from the smoothed score
+        # perturbation; the recorded loss is the same matched dual loss
+        _, grad = softmax_flip_gradient(data, pred, grid,
+                                        step_floor=config.step_floor,
+                                        step_cap=config.step_cap, centered=True)
     value = sum(ips_dual_loss(data, pred, lam) for lam in grid)
     return value, grad.d_revenue, grad.d_cost
 
@@ -173,51 +166,24 @@ def train(data: RctDataset, config: TrainConfig,
                    batch_size=config.batch_size,
                    shuffle_seed=config.seed)
 
+    def batch_grad(batch: RctDataset, pred):
+        p_loss = prediction_loss(batch, pred)
+        pg_rev, pg_cost = prediction_loss_grad(batch, pred)
+        d_loss, dg_rev, dg_cost = _decision_loss_and_grad(batch, pred, config)
+        if not np.isfinite(config.alpha * p_loss + d_loss):
+            raise NumericError(
+                f"non-finite loss at epoch {epoch}: "
+                f"prediction={p_loss} decision={d_loss}"
+            )
+        upstream = GradientPair(config.alpha * pg_rev + dg_rev,
+                                config.alpha * pg_cost + dg_cost)
+        return upstream, (p_loss, d_loss)
+
     records: list[EpochRecord] = []
-    n = data.n
     for epoch in range(config.epochs - config.warm_start_epochs):
         start = time.perf_counter()
-        if config.batch_size:
-            order = rng.permutation(n)
-            pred_sum = dec_sum = 0.0
-            for lo in range(0, n, config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                batch = data.take(idx)
-                pred = forward(params, batch.features)
-                p_loss = prediction_loss(batch, pred)
-                pg_rev, pg_cost = prediction_loss_grad(batch, pred)
-                d_loss, dg_rev, dg_cost = _decision_loss_and_grad(batch, pred, config)
-                upstream = GradientPair(
-                    config.alpha * pg_rev + dg_rev,
-                    config.alpha * pg_cost + dg_cost,
-                )
-                total = config.alpha * p_loss + d_loss
-                if not np.isfinite(total):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}: "
-                        f"prediction={p_loss} decision={d_loss}"
-                    )
-                grads = backward(params, batch.features, upstream)
-                optimizer_step(params, grads, config.lr)
-                pred_sum += idx.size * p_loss
-                dec_sum += idx.size * d_loss
-            p_epoch, d_epoch = pred_sum / n, dec_sum / n
-        else:
-            pred = forward(params, data.features)
-            p_epoch = prediction_loss(data, pred)
-            pg_rev, pg_cost = prediction_loss_grad(data, pred)
-            d_epoch, dg_rev, dg_cost = _decision_loss_and_grad(data, pred, config)
-            if not np.isfinite(config.alpha * p_epoch + d_epoch):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}: "
-                    f"prediction={p_epoch} decision={d_epoch}"
-                )
-            upstream = GradientPair(
-                config.alpha * pg_rev + dg_rev,
-                config.alpha * pg_cost + dg_cost,
-            )
-            grads = backward(params, data.features, upstream)
-            optimizer_step(params, grads, config.lr)
+        p_epoch, d_epoch = _fit_epoch(params, data, batch_grad, config.lr, rng,
+                                      config.batch_size, optimizer_step)
 
         snapshot = None
         if (eval_data is not None and config.eval_budgets

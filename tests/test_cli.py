@@ -65,6 +65,21 @@ class TestGenerate:
                     "--out", p(workdir / "x.csv"), "--truth", p(workdir / "y.csv")])
         assert code == 2
 
+    def test_misspelt_key_in_file_exit_code(self, workdir, capsys):
+        write(workdir / "typo.cfg", "n=50\nm=3\nd=4\nnosie=5\n")
+        code = run(["generate", "--config", p(workdir / "typo.cfg"),
+                    "--out", p(workdir / "x.csv"), "--truth", p(workdir / "y.csv")])
+        assert code == 2
+        assert "nosie" in capsys.readouterr().err
+        assert not (workdir / "x.csv").exists()
+
+    def test_non_integer_override_exit_code(self, workdir, capsys):
+        code = run(["generate", "--config", p(workdir / "gen.cfg"),
+                    "--out", p(workdir / "x.csv"), "--truth", p(workdir / "y.csv"),
+                    "n=abc"])
+        assert code == 2
+        assert "abc" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, workdir):
         code = run(["generate", "--config", p(workdir / "nope.cfg"),
                     "--out", p(workdir / "x.csv"), "--truth", p(workdir / "y.csv")])
@@ -253,6 +268,23 @@ class TestSolveAndTrainInputs:
                           "train.no_such_key=1") == 2
         assert "no_such_key" in capsys.readouterr().err
         assert not (generated / "m.ckpt").exists()
+
+    def test_unknown_eval_key_exit_code(self, generated, capsys):
+        code = run(["evaluate", "--data", p(generated / "d.csv"),
+                    "--predictions", p(generated / "t.csv"),
+                    "--out", p(generated / "curve.csv"), "eval.budget=0.1"])
+        assert code == 2
+        assert "eval.budget" in capsys.readouterr().err
+        assert not (generated / "curve.csv").exists()
+
+    def test_truncated_checkpoint_exit_code(self, generated, capsys):
+        assert self.train(generated) == 0
+        ckpt = generated / "m.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:30])
+        code = run(["solve", "--data", p(generated / "d.csv"), "--checkpoint", p(ckpt),
+                    "--budget", "20", "--out", p(generated / "alloc.csv")])
+        assert code == 2
+        assert "header" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one():

@@ -124,6 +124,20 @@ def test_generate_config_errors():
         GeneratorConfig(n=10, m=2, d=3, family="nope")
 
 
+def test_generate_config_rejects_nan_noise():
+    with pytest.raises(ConfigError, match="noise"):
+        GeneratorConfig(n=10, m=2, d=3, noise=float("nan"))
+
+
+def test_load_csv_rejects_duplicate_ids(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("id,f0,treatment,revenue,cost\n"
+                 "1,0.5,0,1.0,0.0\n"
+                 "1,0.2,1,2.0,1.0\n")
+    with pytest.raises(ValidationError, match="id 1 "):
+        load_csv(f)
+
+
 def test_split_sizes_and_partition():
     data, _ = generate_synthetic(GeneratorConfig(n=10, m=2, d=2), seed=1)
     a, b = split(data, 0.7, seed=9)
@@ -164,6 +178,16 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(ids, data.ids)
     assert np.array_equal(matrix.revenue, truth.revenue)
     assert np.array_equal(matrix.cost, truth.cost)
+
+
+def test_generator_config_rejects_unknown_keys_ignores_other_sections(tmp_path):
+    f = tmp_path / "gen.cfg"
+    f.write_text("n=100\nm=3\nd=4\ntrain.epochs=5\n")
+    config, _ = load_generator_config(f)
+    assert config.n == 100
+    f.write_text("n=100\nm=3\nd=4\nnosie=5\n")
+    with pytest.raises(ConfigError, match="nosie"):
+        load_generator_config(f)
 
 
 def test_generator_config_file(tmp_path):

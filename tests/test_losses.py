@@ -4,7 +4,7 @@ import pytest
 from treatalloc.data import CounterfactualMatrix, GeneratorConfig, RctDataset, \
     generate_synthetic
 from treatalloc.exceptions import ConfigError, ValidationError
-from treatalloc.losses import (BudgetGrid, LambdaGrid, LossBreakdown, full_mse,
+from treatalloc.losses import (BudgetGrid, LambdaGrid, full_mse,
                                max_entropy_loss, oracle_dual_losses,
                                policy_learning_loss, prediction_loss,
                                prediction_loss_grad, row_softmax,
@@ -41,9 +41,10 @@ class TestGrids:
         with pytest.raises(ValidationError):
             BudgetGrid((2.0, 1.0))
 
-    def test_loss_breakdown_invariant(self):
-        b = LossBreakdown.combine(alpha=2.5, prediction=0.3, decision=-1.2)
-        assert b.total == 2.5 * 0.3 + -1.2
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_lambda_grid_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            LambdaGrid((0.1, bad))
 
 
 class TestPredictionLoss:

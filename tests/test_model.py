@@ -259,6 +259,27 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="magic"):
             load_checkpoint(path)
 
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(tiny_config(seed=2)), extra={"k": 1})
+        return path
+
+    def test_header_cut_short_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes()[:40])
+        with pytest.raises(ValidationError, match="header"):
+            load_checkpoint(saved)
+
+    def test_body_cut_short_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-8])
+        with pytest.raises(ValidationError, match="implies"):
+            load_checkpoint(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00")
+        with pytest.raises(ValidationError, match="implies"):
+            load_checkpoint(saved)
+
     def test_deterministic_bytes(self, tmp_path):
         params = init_params(tiny_config(seed=2))
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,13 @@ def tiny_data():
     return data
 
 
+@pytest.fixture(scope="module")
+def wide_data():
+    """Enough rows for three mini-batches of the perturbation backends."""
+    data, _ = generate_synthetic(GeneratorConfig(n=5000, m=3, d=4, noise=0.2), seed=2)
+    return data
+
+
 class TestTrainConfig:
     def test_backend_validation(self):
         with pytest.raises(ConfigError):
@@ -45,6 +54,20 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             small_config(backend="perturb", batch_size=64)
         assert small_config(backend="perturb", batch_size=4096).batch_size == 4096
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")),
+        ("alpha", float("nan")),
+        ("tau", float("nan")),
+        ("step_floor", 0.0),
+        ("step_floor", -1.0),
+        ("step_floor", float("nan")),
+        ("step_cap", float("nan")),
+        ("step_cap", 1e-7),  # below the default step_floor
+    ])
+    def test_rejects_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ConfigError):
+            small_config(**{field: value})
 
     def test_round_trips_through_dict(self):
         config = small_config(backend="entropy", tau=0.7, eval_budgets=(0.1, 0.2))
@@ -75,12 +98,24 @@ class TestTrainLoop:
         _, records = train(data, config)
         assert records[-1].prediction < 1e-3
 
-    def test_loss_accounting_exact(self, tiny_data):
-        for backend in ("two-stage", "policy", "entropy"):
-            config = small_config(backend=backend, alpha=1.7, batch_size=128)
-            _, records = train(tiny_data, config)
+    def test_loss_accounting_exact(self, tiny_data, wide_data):
+        for backend in BACKENDS:
+            perturb = backend.startswith("perturb")
+            config = small_config(backend=backend, alpha=1.7,
+                                  batch_size=2048 if perturb else 128)
+            _, records = train(wide_data if perturb else tiny_data, config)
             for rec in records:
                 assert rec.total == config.alpha * rec.prediction + rec.decision
+
+    @pytest.mark.parametrize("batch_size", [None, 96, 400, 1000])
+    @pytest.mark.parametrize("warm", [0, 3])
+    def test_one_optimizer_step_per_batch(self, tiny_data, batch_size, warm):
+        config = small_config(backend="policy", epochs=5, warm_start_epochs=warm,
+                              batch_size=batch_size)
+        params, records = train(tiny_data, config)
+        per_epoch = math.ceil(tiny_data.n / batch_size) if batch_size else 1
+        assert params.step == config.epochs * per_epoch
+        assert len(records) == config.epochs - warm
 
     def test_two_stage_decision_term_is_zero(self, tiny_data):
         _, records = train(tiny_data, small_config())
@@ -278,3 +313,9 @@ def test_format_epoch_record_includes_snapshot():
                       wall_seconds=0.01, snapshot=(1.25,))
     line = format_epoch_record(rec)
     assert "eval=1.25" in line
+
+
+def test_every_package_export_resolves():
+    import treatalloc
+
+    assert [name for name in treatalloc.__all__ if not hasattr(treatalloc, name)] == []
