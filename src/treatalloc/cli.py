@@ -186,14 +186,19 @@ def _cmd_train(args) -> None:
     if args.log:
         write_training_log(args.log, records)
     if args.dump_gradients:
-        from .gradients import GradientPair, write_gradient_csv
+        import numpy as np
+
+        from .data import _write_table
+        from .gradients import GradientPair
         from .model import forward
         from .training import _decision_loss_and_grad
 
         pred = forward(params, data.features)
-        _, dg_rev, dg_cost = _decision_loss_and_grad(data, pred, config)
-        write_gradient_csv(args.dump_gradients, data.ids,
-                           GradientPair(dg_rev, dg_cost))
+        grad = GradientPair(*_decision_loss_and_grad(data, pred, config)[1:])
+        n, m = grad.d_revenue.shape
+        _write_table(args.dump_gradients, ["id", "treatment", "d_revenue", "d_cost"],
+                     [np.repeat(data.ids, m), np.tile(np.arange(m), n),
+                      grad.d_revenue.ravel(), grad.d_cost.ravel()])
     last = records[-1] if records else None
     if last is not None:
         print(f"trained {config.epochs} epochs; final total loss {last.total:.6g}")
@@ -202,9 +207,7 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_solve(args) -> None:
-    import csv as _csv
-
-    from .data import load_csv
+    from .data import _write_table, load_csv
     from .solver import solve_budget
 
     _check_clobber(args.out, args.force)
@@ -213,11 +216,7 @@ def _cmd_solve(args) -> None:
     data = load_csv(args.data)
     pred = _predictions_for(args, data)
     solution = solve_budget(pred, args.budget, collect_trace=bool(args.log))
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["id", "choice"])
-        for i in range(data.n):
-            writer.writerow([int(data.ids[i]), int(solution.allocation.choice[i])])
+    _write_table(args.out, ["id", "choice"], [data.ids, solution.allocation.choice])
     if args.log:
         lines = [f"lam={lam!r} cost={cost!r}" for lam, cost in solution.trace]
         Path(args.log).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -226,9 +225,9 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    import csv as _csv
+    import numpy as np
 
-    from .data import config_section, load_csv, read_config
+    from .data import CURVE_COLUMNS, _write_table, config_section, load_csv, read_config
     from .evaluation import aucc, cost_curve, default_budget_grid
     from .exceptions import ValidationError
     from .losses import BudgetGrid
@@ -246,21 +245,15 @@ def _cmd_evaluate(args) -> None:
     else:
         budgets = default_budget_grid(data, pred)
     curve = cost_curve(data, pred, budgets)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["budget", "per_capita_cost", "per_capita_revenue",
-                         "matched_fraction"])
-        for p in curve.points:
-            writer.writerow([repr(p.budget), repr(p.per_capita_cost),
-                             repr(p.per_capita_revenue), repr(p.matched_fraction)])
+    _write_table(args.out, CURVE_COLUMNS,
+                 [np.array([getattr(p, name) for p in curve.points]) for name in CURVE_COLUMNS])
     if data.num_treatments == 2:
         print(f"aucc={aucc(data, pred):.6f}")
     print(f"wrote {len(curve.points)} curve points -> {args.out}")
 
 
 def _cmd_report(args) -> None:
-    import csv as _csv
-
+    from .data import CURVE_COLUMNS, _read_table
     from .exceptions import ValidationError
 
     _check_clobber(args.out, args.force)
@@ -270,12 +263,9 @@ def _cmd_report(args) -> None:
         if "=" not in item:
             raise ValidationError(f"expected label=path, got {item!r}")
         label, _, path = item.partition("=")
-        budgets, revenues = [], []
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = _csv.DictReader(fh)
-            for row in reader:
-                budgets.append(float(row["budget"]))
-                revenues.append(float(row["per_capita_revenue"]))
+        _, (budgets, _, revenues, _) = _read_table(
+            path, lambda header: header == CURVE_COLUMNS, ", ".join(CURVE_COLUMNS))
+        budgets, revenues = budgets.tolist(), revenues.tolist()
         if columns is None:
             columns = budgets
         elif budgets != columns:

@@ -5,15 +5,26 @@ plus per-treatment assignment propensities. Synthetic datasets additionally
 come with a full counterfactual outcome matrix covering every treatment,
 which downstream modules use as a ground-truth oracle.
 
-CSV layout: header row, columns ``id, f0..f{d-1}, treatment, revenue, cost``
-with an optional trailing ``propensity`` column, UTF-8, ``.`` decimal
-separator. Counterfactual matrices use ``id, r0..r{M-1}, c0..c{M-1}``.
+Every CSV file of the package is read by ``_read_table`` and written by
+``_write_table``: UTF-8, a header row, CRLF line ends, ints in decimal and
+floats as their shortest round-trip text (``repr``). Readers want the exact
+header of their layout (surrounding spaces aside). The layouts:
+
+- dataset: ``id, f0..f{d-1}, treatment, revenue, cost[, propensity]``
+  (``write_csv`` always adds ``propensity``);
+- outcome matrix (truth or predictions): ``id, r0..r{M-1}, c0..c{M-1}``;
+- allocation (``treatalloc solve``): ``id, choice``;
+- cost curve (``treatalloc evaluate``, read by ``report``): ``CURVE_COLUMNS``,
+  ``budget, per_capita_cost, per_capita_revenue, matched_fraction``;
+- gradient dump (``treatalloc train --dump-gradients``):
+  ``id, treatment, d_revenue, d_cost``, one row per individual and treatment.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
+import warnings
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -307,12 +318,94 @@ def split(data: RctDataset, fraction: float, seed: int
 # ---------------------------------------------------------------------------
 # CSV input/output
 
+CSV_BLOCK_ROWS = 4096  # rows formatted per write, so the text never holds a whole file
+CURVE_COLUMNS = ["budget", "per_capita_cost", "per_capita_revenue", "matched_fraction"]
 
-def _feature_columns(header: list[str]) -> int:
-    d = 0
-    while f"f{d}" in header:
-        d += 1
-    return d
+
+def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: str
+                ) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns of a CSV table, ``id`` and ``treatment`` as int64
+    and the rest as float64; ``accepts`` judges the whitespace-stripped header.
+
+    The body is parsed in bulk. Should that fail, the row loop below is what
+    the codec accepts: it returns the same columns for what the bulk parse
+    refuses (quoted fields, CR-only line ends, ``1_000``) or raises
+    ``ParseError`` at the first bad row. Blank lines are skipped.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise ParseError("empty file", line=1) from None
+        if not accepts(header):
+            raise ParseError(f"unexpected header {header!r}; want {want}", line=1)
+        types = [np.int64 if h in ("id", "treatment") else np.float64 for h in header]
+        if _bulk_safe(path):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # an empty body only warns
+                    table = np.loadtxt(fh, dtype=list(zip(header, types)), delimiter=",",
+                                       comments=None, ndmin=1)
+            except (ValueError, Warning):
+                pass
+            else:
+                return header, [table[h].copy() for h in header]
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        parsers = [(lambda v: np.int64(int(v))) if t is np.int64 else float for t in types]
+        columns: list[list] = [[] for _ in header]
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, found {len(row)}",
+                                 line=lineno)
+            try:
+                for column, parse, value in zip(columns, parsers, row):
+                    column.append(parse(value))
+            except (ValueError, OverflowError) as exc:  # no number, or past int64
+                raise ParseError(str(exc), line=lineno) from None
+    return header, [np.asarray(c, dtype=t) for c, t in zip(columns, types)]
+
+
+def _bulk_safe(path: str | Path) -> bool:
+    """Whether loadtxt reads the file as ``int()`` and ``float()`` would: it
+    strips bytes 0x1c..0x1f around a number, and its int parser takes some
+    non-ASCII letters for digits."""
+    raw = Path(path).read_bytes()
+    return raw.isascii() and not any(byte in raw for byte in b"\x1c\x1d\x1e\x1f")
+
+
+def _write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns under ``header``: ints in decimal, floats
+    as ``repr`` (the shortest text that reads back to the same float),
+    CRLF line ends, ``CSV_BLOCK_ROWS`` rows formatted at a time."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = [map(repr if c.dtype.kind == "f" else str,
+                         c[start:start + CSV_BLOCK_ROWS].tolist()) for c in columns]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+
+
+def _numbered(header: list[str], prefix: str) -> list[str]:
+    """``prefix0, prefix1, ...`` for as long as ``header`` holds them."""
+    k = 0
+    while f"{prefix}{k}" in header:
+        k += 1
+    return [f"{prefix}{j}" for j in range(k)]
+
+
+def _dataset_header(header: list[str]) -> bool:
+    expected = ["id", *_numbered(header, "f"), "treatment", "revenue", "cost"]
+    return header in (expected, expected + ["propensity"])
+
+
+def _matrix_header(header: list[str]) -> bool:
+    revenues = _numbered(header, "r")
+    costs = [f"c{j}" for j in range(len(revenues))]
+    return bool(revenues) and header == ["id", *revenues, *costs]
 
 
 def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
@@ -323,43 +416,10 @@ def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
     treatment shares unless the file has a ``propensity`` column, in which
     case all rows of a treatment must agree on its value.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        d = _feature_columns(header)
-        expected = ["id"] + [f"f{k}" for k in range(d)] + ["treatment", "revenue", "cost"]
-        has_prop = header == expected + ["propensity"]
-        if not has_prop and header != expected:
-            raise ParseError(
-                f"unexpected header {header!r}; want id, f0..f{{d-1}}, treatment, "
-                "revenue, cost[, propensity]",
-                line=1,
-            )
-        ids, feats, ts, rs, cs, ps = [], [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, found {len(row)}", line=lineno
-                )
-            try:
-                ids.append(int(row[0]))
-                feats.append([float(v) for v in row[1:1 + d]])
-                ts.append(int(row[1 + d]))
-                rs.append(float(row[2 + d]))
-                cs.append(float(row[3 + d]))
-                if has_prop:
-                    ps.append(float(row[4 + d]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-
-    treatment = np.asarray(ts, dtype=np.int64)
+    header, columns = _read_table(
+        path, _dataset_header, "id, f0..f{d-1}, treatment, revenue, cost[, propensity]")
+    d = header.index("treatment") - 1
+    ids, treatment = columns[0], columns[1 + d]
     if treatment.size == 0:
         raise ParseError("no data rows", line=2)
     uniq, seen = np.unique(ids, return_counts=True)
@@ -379,8 +439,8 @@ def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
         )
 
     propensities = None
-    if has_prop:
-        pvals = np.asarray(ps, dtype=np.float64)
+    if len(header) > 4 + d:
+        pvals = columns[4 + d]
         propensities = np.zeros(m)
         for j in range(m):
             vals = np.unique(pvals[treatment == j])
@@ -391,11 +451,11 @@ def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
             propensities[j] = vals[0]
 
     return RctDataset(
-        ids=np.asarray(ids, dtype=np.int64),
-        features=np.asarray(feats, dtype=np.float64).reshape(len(ids), d),
+        ids=ids,
+        features=np.stack(columns[1:1 + d], axis=1) if d else np.zeros((ids.size, 0)),
         treatment=treatment,
-        revenue=np.asarray(rs, dtype=np.float64),
-        cost=np.asarray(cs, dtype=np.float64),
+        revenue=columns[2 + d],
+        cost=columns[3 + d],
         num_treatments=m,
         propensities=propensities,
     )
@@ -403,69 +463,27 @@ def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
 
 def write_csv(path: str | Path, data: RctDataset) -> None:
     """Write a dataset CSV (always including the propensity column)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        d = data.num_features
-        writer.writerow(
-            ["id"] + [f"f{k}" for k in range(d)] + ["treatment", "revenue", "cost", "propensity"]
-        )
-        prop = data.sample_propensity()
-        for i in range(data.n):
-            writer.writerow(
-                [int(data.ids[i])]
-                + [repr(float(v)) for v in data.features[i]]
-                + [int(data.treatment[i]), repr(float(data.revenue[i])),
-                   repr(float(data.cost[i])), repr(float(prop[i]))]
-            )
+    features = [f"f{k}" for k in range(data.num_features)]
+    _write_table(path, ["id", *features, "treatment", "revenue", "cost", "propensity"],
+                 [data.ids, *data.features.T, data.treatment, data.revenue, data.cost,
+                  data.sample_propensity()])
 
 
 def load_counterfactual_csv(path: str | Path) -> tuple[np.ndarray, CounterfactualMatrix]:
     """Parse an outcome-matrix CSV; returns (ids, matrix)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        m = 0
-        while f"r{m}" in header:
-            m += 1
-        expected = ["id"] + [f"r{j}" for j in range(m)] + [f"c{j}" for j in range(m)]
-        if m == 0 or header != expected:
-            raise ParseError(
-                f"unexpected header {header!r}; want id, r0..r{{M-1}}, c0..c{{M-1}}", line=1
-            )
-        ids, rev, cost = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1 + 2 * m:
-                raise ParseError(f"expected {1 + 2 * m} fields, found {len(row)}", line=lineno)
-            try:
-                ids.append(int(row[0]))
-                rev.append([float(v) for v in row[1:1 + m]])
-                cost.append([float(v) for v in row[1 + m:]])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-    return (
-        np.asarray(ids, dtype=np.int64),
-        CounterfactualMatrix(np.asarray(rev), np.asarray(cost)),
-    )
+    header, columns = _read_table(path, _matrix_header, "id, r0..r{M-1}, c0..c{M-1}")
+    m = len(header) // 2
+    if columns[0].size == 0:
+        raise ValidationError("outcome matrix has no data rows")
+    return columns[0], CounterfactualMatrix(np.stack(columns[1:1 + m], axis=1),
+                                            np.stack(columns[1 + m:], axis=1))
 
 
 def write_counterfactual_csv(path: str | Path, ids: np.ndarray,
                              truth: CounterfactualMatrix) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        m = truth.num_treatments
-        writer.writerow(["id"] + [f"r{j}" for j in range(m)] + [f"c{j}" for j in range(m)])
-        for i in range(truth.n):
-            writer.writerow(
-                [int(ids[i])]
-                + [repr(float(v)) for v in truth.revenue[i]]
-                + [repr(float(v)) for v in truth.cost[i]]
-            )
+    m = truth.num_treatments
+    _write_table(path, ["id"] + [f"r{j}" for j in range(m)] + [f"c{j}" for j in range(m)],
+                 [np.asarray(ids), *truth.revenue.T, *truth.cost.T])
 
 
 # ---------------------------------------------------------------------------

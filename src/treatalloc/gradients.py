@@ -309,18 +309,3 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
         d_cost += -lam * ds
     return loss, GradientPair(d_rev, d_cost)
 
-
-def write_gradient_csv(path, ids: np.ndarray, grad: GradientPair) -> None:
-    """Debug dump: one row per (individual, treatment) gradient entry."""
-    import csv
-    from pathlib import Path
-
-    n, m = grad.d_revenue.shape
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "treatment", "d_revenue", "d_cost"])
-        for i in range(n):
-            for j in range(m):
-                writer.writerow([int(ids[i]), j,
-                                 repr(float(grad.d_revenue[i, j])),
-                                 repr(float(grad.d_cost[i, j]))])

@@ -40,6 +40,7 @@ from .solver import PredictionMatrix
 _MAGIC = b"TACKPT01"
 
 ACTIVATIONS = ("relu", "tanh")
+WARM_START_OBJECTIVES = ("squared-error", "cross-entropy")
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
     """
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
-    if objective not in ("squared-error", "cross-entropy"):
+    if objective not in WARM_START_OBJECTIVES:
         raise ConfigError(f"unknown warm-start objective {objective!r}")
     if objective == "cross-entropy":
         binary = np.isin(data.revenue, (0.0, 1.0)).all() and \

@@ -44,8 +44,8 @@ from .gradients import GradientPair, dual_flip_gradient, ips_dual_loss, \
     softmax_flip_gradient
 from .losses import BudgetGrid, LambdaGrid, prediction_loss, prediction_loss_grad, \
     tempered_policy_loss_grad
-from .model import ModelConfig, ModelParams, _fit_epoch, forward, init_params, \
-    load_checkpoint, optimizer_step, warm_start
+from .model import WARM_START_OBJECTIVES, ModelConfig, ModelParams, _fit_epoch, forward, \
+    init_params, load_checkpoint, optimizer_step, warm_start
 
 BACKENDS = ("two-stage", "policy", "entropy", "perturb", "perturb-softmax")
 
@@ -85,6 +85,11 @@ class TrainConfig:
             raise ConfigError("need 0 < step_floor <= step_cap")
         if self.epochs < 0 or self.warm_start_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
+        if self.warm_start_objective not in WARM_START_OBJECTIVES:
+            raise ConfigError(f"unknown warm-start objective {self.warm_start_objective!r}; "
+                              f"choose from {WARM_START_OBJECTIVES}")
+        if not all(b >= 0 for b in self.eval_budgets):  # NaN fails too
+            raise ConfigError(f"eval_budgets must be >= 0, got {self.eval_budgets}")
         if self.warm_start_epochs > self.epochs:
             raise ConfigError("warm_start_epochs must not exceed epochs")
         if self.lr <= 0:

@@ -223,6 +223,21 @@ class TestPipeline:
         assert run(["report", "--out", p(workdir / "table.txt"),
                     "a=" + p(workdir / "c1.csv"), "b=" + p(workdir / "c2.csv")]) == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("budget,per_capita_cost,per_capita_revenue,matched_fraction\n"
+         "0.1,0.09,1.5,0.33\n0.2,0.19,oops,0.34\n", 3),
+        ("budget,per_capita_cost,matched_fraction\n0.1,0.09,0.33\n", 1),
+        ("0.1,0.09,1.5,0.33\n0.2,0.19,1.75,0.34\n", 1),
+        ("per_capita_cost,budget,per_capita_revenue,matched_fraction\n"
+         "0.09,0.1,1.5,0.33\n", 1),
+    ], ids=["non-numeric-value", "column-missing", "no-header", "columns-reordered"])
+    def test_report_rejects_malformed_curve(self, workdir, capsys, text, line):
+        write(workdir / "c.csv", text)
+        assert run(["report", "--out", p(workdir / "table.txt"),
+                    "a=" + p(workdir / "c.csv")]) == 2
+        assert f"error: line {line}: " in capsys.readouterr().err
+        assert not (workdir / "table.txt").exists()
+
 
 class TestSolveAndTrainInputs:
     @pytest.fixture
@@ -267,6 +282,30 @@ class TestSolveAndTrainInputs:
         assert self.train(generated, "train.step_floor=0.05",
                           "train.no_such_key=1") == 2
         assert "no_such_key" in capsys.readouterr().err
+        assert not (generated / "m.ckpt").exists()
+
+    def test_nan_eval_budget_exit_code_before_training(self, generated, capsys,
+                                                       monkeypatch):
+        import treatalloc.training
+
+        epochs = []
+        fit_epoch = treatalloc.training._fit_epoch
+        monkeypatch.setattr(treatalloc.training, "_fit_epoch",
+                            lambda *a, **kw: epochs.append(1) or fit_epoch(*a, **kw))
+        code = run(["train", "--data", p(generated / "d.csv"),
+                    "--eval-data", p(generated / "d.csv"),
+                    "--config", p(generated / "train.cfg"),
+                    "--checkpoint", p(generated / "m.ckpt"),
+                    "train.epochs=12", "train.eval_every=10", "train.eval_budgets=nan"])
+        assert code == 2
+        assert "eval_budgets" in capsys.readouterr().err
+        assert epochs == []
+        assert not (generated / "m.ckpt").exists()
+
+    def test_unknown_warm_start_objective_exit_code(self, generated, capsys):
+        assert self.train(generated, "train.warm_start_epochs=0",
+                          "train.warm_start_objective=bogus") == 2
+        assert "bogus" in capsys.readouterr().err
         assert not (generated / "m.ckpt").exists()
 
     def test_unknown_eval_key_exit_code(self, generated, capsys):

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from treatalloc.data import (CounterfactualMatrix, GeneratorConfig, RctDataset,
+from treatalloc.data import (CSV_BLOCK_ROWS, CURVE_COLUMNS, CounterfactualMatrix,
+                             GeneratorConfig, RctDataset, _write_table,
                              generate_synthetic, load_csv, load_counterfactual_csv,
                              load_generator_config, split, validate_counterfactual,
                              write_counterfactual_csv, write_csv)
@@ -202,3 +205,124 @@ def test_generator_config_file(tmp_path):
 def test_counterfactual_matrix_validation():
     with pytest.raises(ValidationError):
         CounterfactualMatrix(np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+DATASET = "id,f0,treatment,revenue,cost\n0,0.5,0,1.0,0.25\n1,-1.5,1,2.0,0.5\n"
+MATRIX = "id,r0,r1,c0,c1\n0,1.0,2.0,0.0,0.5\n1,1.5,2.5,0.0,0.75\n"
+DATASET_ROWS = [[0.5, 0, 1.0, 0.25], [-1.5, 1, 2.0, 0.5]]
+MATRIX_ROWS = [[1.0, 2.0, 0.0, 0.5], [1.5, 2.5, 0.0, 0.75]]
+
+
+def _reader_cases():
+    """(id, layout, file text, outcome): the values read, as (ids, rows of the
+    other columns), or the exception type and its line (None without one)."""
+    cases = []
+    for layout, text, rows in (("dataset", DATASET, DATASET_ROWS),
+                               ("matrix", MATRIX, MATRIX_ROWS)):
+        header, first, second = text.splitlines()
+        value = first.split(",")[1]  # a feature or an outcome, not the id
+        same = ([0, 1], rows)
+        empty_error = (ParseError, 2) if layout == "dataset" else (ValidationError, None)
+        for name, body, outcome in [
+            ("empty-file", "", (ParseError, 1)),
+            ("header-only", header + "\n", empty_error),
+            ("blank-line", f"{header}\n{first}\n\n{second}\n", same),
+            ("whitespace-line", f"{header}\n{first}\n  \n{second}\n", (ParseError, 3)),
+            ("hash-line", f"{header}\n# note\n{first}\n{second}\n", (ParseError, 2)),
+            ("trailing-comma", f"{header}\n{first},\n{second}\n", (ParseError, 2)),
+            ("int-underscores", text.replace("\n1,", "\n1_000,"), ([0, 1000], rows)),
+            ("int-exponent", text.replace("\n1,", "\n1e3,"), (ParseError, 3)),
+            ("int-fraction", text.replace("\n1,", "\n1.5,"), (ParseError, 3)),
+            ("int-non-ascii-letter", text.replace("\n1,", "\n\u01fe1,"), (ParseError, 3)),
+            ("unit-separator", text.replace(first, first.replace(value, value + "\x1f", 1)),
+             (ParseError, 2)),
+            ("quoted-field", text.replace(",1.5,", ',"1.5",').replace(",-1.5,", ',"-1.5",'),
+             same),
+            ("quoted-id-and-blank-line", f'{header}\n"0"{first[1:]}\n\n{second}\n', same),
+            ("cr-line-ends", text.replace("\n", "\r"), same),
+            ("crlf-line-ends", text.replace("\n", "\r\n"), same),
+            ("no-final-newline", text.rstrip("\n"), same),
+            ("nan-value", text.replace(first, first.replace(value, "nan", 1)),
+             (ValidationError, None)),
+            ("inf-value", text.replace(first, first.replace(value, "inf", 1)),
+             (ValidationError, None)),
+        ]:
+            cases.append(pytest.param(layout, body, outcome, id=f"{layout}-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("layout, text, outcome", _reader_cases())
+def test_reader_contract(tmp_path, layout, text, outcome):
+    f = tmp_path / "t.csv"
+    f.write_bytes(text.encode("utf-8"))
+    load = load_csv if layout == "dataset" else load_counterfactual_csv
+    if isinstance(outcome[0], type):
+        kind, line = outcome
+        with pytest.raises(kind) as info:
+            load(f)
+        assert getattr(info.value, "line", None) == line
+        return
+    loaded = load(f)
+    if layout == "dataset":
+        ids = loaded.ids
+        rows = np.column_stack([loaded.features, loaded.treatment, loaded.revenue,
+                                loaded.cost])
+    else:
+        ids, matrix = loaded
+        rows = np.hstack([matrix.revenue, matrix.cost])
+    assert ids.dtype == np.int64 and ids.tolist() == outcome[0]
+    assert rows.tolist() == outcome[1]
+
+
+def _odd_floats(rng, shape):
+    """Floats across the exponent range, with signed zeros and subnormals."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    x.flat[:4] = [-0.0, 5e-324, 1e16, 0.1][:x.size]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 7])
+@pytest.mark.parametrize("layout", ["dataset", "matrix", "allocation", "curve", "gradients"])
+def test_writer_matches_csv_writer(tmp_path, layout, n):
+    """Each layout's file equals ``csv.writer`` fed ``int`` and ``repr(float)``
+    cells row by row, which is how these files used to be written."""
+    rng = np.random.default_rng(n)
+    ids = rng.permutation(10 * n)[:n].astype(np.int64)
+    out = tmp_path / "out.csv"
+    if layout == "dataset":
+        data, _ = generate_synthetic(GeneratorConfig(n=n, m=3, d=2), seed=n)
+        write_csv(out, data)
+        header = ["id", "f0", "f1", "treatment", "revenue", "cost", "propensity"]
+        prop = data.sample_propensity()
+        rows = [[int(data.ids[i])] + [repr(float(v)) for v in data.features[i]]
+                + [int(data.treatment[i]), repr(float(data.revenue[i])),
+                   repr(float(data.cost[i])), repr(float(prop[i]))] for i in range(n)]
+    elif layout == "matrix":
+        truth = CounterfactualMatrix(_odd_floats(rng, (n, 3)), _odd_floats(rng, (n, 3)))
+        write_counterfactual_csv(out, ids, truth)
+        header = ["id", "r0", "r1", "r2", "c0", "c1", "c2"]
+        rows = [[int(ids[i])] + [repr(float(v)) for v in truth.revenue[i]]
+                + [repr(float(v)) for v in truth.cost[i]] for i in range(n)]
+    elif layout == "allocation":
+        choice = rng.integers(0, 4, size=n)
+        _write_table(out, ["id", "choice"], [ids, choice])
+        header = ["id", "choice"]
+        rows = [[int(ids[i]), int(choice[i])] for i in range(n)]
+    elif layout == "curve":
+        values = _odd_floats(rng, (n, 4))
+        _write_table(out, CURVE_COLUMNS, list(values.T))
+        header = CURVE_COLUMNS
+        rows = [[repr(float(v)) for v in values[i]] for i in range(n)]
+    else:
+        d_rev, d_cost = _odd_floats(rng, (n, 3)), _odd_floats(rng, (n, 3))
+        header = ["id", "treatment", "d_revenue", "d_cost"]
+        _write_table(out, header, [np.repeat(ids, 3), np.tile(np.arange(3), n),
+                                   d_rev.ravel(), d_cost.ravel()])
+        rows = [[int(ids[i]), j, repr(float(d_rev[i, j])), repr(float(d_cost[i, j]))]
+                for i in range(n) for j in range(3)]
+    ref = tmp_path / "ref.csv"
+    with ref.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert out.read_bytes() == ref.read_bytes()

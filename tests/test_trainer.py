@@ -69,6 +69,16 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("budgets", [(float("nan"),), (0.1, -0.2)])
+    def test_rejects_nan_or_negative_eval_budgets(self, budgets):
+        # evaluate_at_budget rejects these too, but only at the first snapshot
+        with pytest.raises(ConfigError, match="eval_budgets"):
+            small_config(eval_budgets=budgets)
+
+    def test_rejects_unknown_warm_start_objective_without_warm_start(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            small_config(warm_start_epochs=0, warm_start_objective="bogus")
+
     def test_round_trips_through_dict(self):
         config = small_config(backend="entropy", tau=0.7, eval_budgets=(0.1, 0.2))
         echo = config.to_dict()
