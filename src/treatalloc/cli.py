@@ -215,7 +215,7 @@ def _cmd_solve(args) -> None:
         _check_clobber(args.log, args.force)
     data = load_csv(args.data)
     pred = _predictions_for(args, data)
-    solution = solve_budget(pred, args.budget, collect_trace=bool(args.log))
+    solution = solve_budget(pred, args.budget)
     _write_table(args.out, ["id", "choice"], [data.ids, solution.allocation.choice])
     if args.log:
         lines = [f"lam={lam!r} cost={cost!r}" for lam, cost in solution.trace]

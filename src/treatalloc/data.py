@@ -336,9 +336,9 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
-            raise ParseError("empty file", line=1) from None
+            raise ParseError("empty file", line=1, path=path) from None
         if not accepts(header):
-            raise ParseError(f"unexpected header {header!r}; want {want}", line=1)
+            raise ParseError(f"unexpected header {header!r}; want {want}", 1, path)
         types = [np.int64 if h in ("id", "treatment") else np.float64 for h in header]
         if _bulk_safe(path):
             try:
@@ -360,12 +360,12 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
                 continue
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, found {len(row)}",
-                                 line=lineno)
+                                 line=lineno, path=path)
             try:
                 for column, parse, value in zip(columns, parsers, row):
                     column.append(parse(value))
             except (ValueError, OverflowError) as exc:  # no number, or past int64
-                raise ParseError(str(exc), line=lineno) from None
+                raise ParseError(str(exc), line=lineno, path=path) from None
     return header, [np.asarray(c, dtype=t) for c, t in zip(columns, types)]
 
 
@@ -421,15 +421,16 @@ def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
     d = header.index("treatment") - 1
     ids, treatment = columns[0], columns[1 + d]
     if treatment.size == 0:
-        raise ParseError("no data rows", line=2)
+        raise ParseError("no data rows", line=2, path=path)
     uniq, seen = np.unique(ids, return_counts=True)
     if (seen > 1).any():
         raise ValidationError(f"id {int(uniq[np.argmax(seen > 1)])} appears more than once")
     m = int(num_treatments) if num_treatments is not None else int(treatment.max()) + 1
-    if treatment.max() >= m:
-        bad = int(np.argmax(treatment >= m))
+    outside = (treatment < 0) | (treatment >= m)
+    if outside.any():
+        bad = int(np.argmax(outside))
         raise ValidationError(
-            f"row id {ids[bad]}: treatment {int(treatment[bad])} >= declared M={m}"
+            f"row id {ids[bad]}: treatment {int(treatment[bad])} outside [0, {m})"
         )
     counts = np.bincount(treatment, minlength=m)
     if (counts == 0).any():
@@ -505,7 +506,7 @@ def read_config(path: str | Path | None, overrides: Iterable[str] = ()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+            raise ParseError(f"expected key=value, got {line!r}", line=lineno, path=path)
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
     for item in overrides:

@@ -9,6 +9,8 @@ and cost without ever observing counterfactual outcomes.
 Budgeted evaluation picks the smallest dual multiplier whose estimated
 per-capita cost fits the per-capita budget, read off the allocation
 solver's sweep over switch points with estimated instead of predicted cost.
+The sweep is cached on the prediction matrix, so every budget evaluated
+against one matrix shares it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .data import RctDataset
 from .exceptions import ValidationError
-from .losses import BudgetGrid
-from .solver import PredictionMatrix, _Sweep, decide_dual, lambda_upper_bound
+from .losses import BudgetGrid, _check_cover
+from .solver import PredictionMatrix, decide_dual, lambda_upper_bound
 
 
 @dataclass(frozen=True)
@@ -78,21 +80,21 @@ def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
 
 def _allocator(data: RctDataset, pred: PredictionMatrix):
     """Budget -> (multiplier, choice, estimate); every budget the ``lam = 0``
-    policy does not fit is a lookup on one shared sweep."""
-    if pred.revenue.shape != (data.n, data.num_treatments):
-        raise ValidationError("prediction shape does not cover dataset")
+    policy does not fit is a lookup on the matrix's sweep, with the
+    estimated-cost change of each event computed once, on first use."""
+    _check_cover(data, pred)
     choice0 = decide_dual(pred, 0.0).choice
     est0 = evaluate_policy(data, choice0)
-    sweep = delta = None
+    delta = None
 
     def allocate(budget: float) -> tuple[float, np.ndarray, OutcomeEstimate]:
-        nonlocal sweep, delta
+        nonlocal delta
         if not budget >= 0:
             raise ValidationError(f"budget must be >= 0, got {budget!r}")
         if est0.per_capita_cost <= budget:
             return 0.0, choice0, est0
-        if sweep is None:
-            sweep = _Sweep(pred, choice0)
+        sweep = pred._sweep
+        if delta is None:
             rows, prop = sweep.rows, data.sample_propensity()
             weighted = (data.cost / np.where(prop > 0, prop, 1.0) / data.n)[rows]
             delta = (weighted * (sweep.new == data.treatment[rows])
@@ -110,24 +112,19 @@ def _allocator(data: RctDataset, pred: PredictionMatrix):
 
 
 def allocate_at_budget(data: RctDataset, pred: PredictionMatrix,
-                       per_capita_budget: float, eps: float = 1e-6,
-                       max_iter: int = 100
+                       per_capita_budget: float
                        ) -> tuple[float, np.ndarray, OutcomeEstimate]:
     """Smallest multiplier whose *estimated* per-capita cost fits the
     budget (the estimate may rise again at larger ones), with its choice
-    and ``evaluate_policy`` estimate. Exact: ``eps`` (> 0) and ``max_iter``
-    (>= 1) are only validated."""
-    if eps <= 0 or max_iter < 1:
-        raise ValidationError("need eps > 0 and max_iter >= 1")
+    and ``evaluate_policy`` estimate. Exact; the matrix's sweep is shared
+    by every budget and dataset evaluated against it."""
     return _allocator(data, pred)(per_capita_budget)
 
 
 def evaluate_at_budget(data: RctDataset, pred: PredictionMatrix,
-                       per_capita_budget: float, eps: float = 1e-6,
-                       max_iter: int = 100) -> OutcomeEstimate:
+                       per_capita_budget: float) -> OutcomeEstimate:
     """Estimated outcomes of the dual policy tuned to a per-capita budget."""
-    _, _, est = allocate_at_budget(data, pred, per_capita_budget, eps, max_iter)
-    return est
+    return allocate_at_budget(data, pred, per_capita_budget)[2]
 
 
 def default_budget_grid(data: RctDataset, pred: PredictionMatrix,
@@ -144,7 +141,7 @@ def default_budget_grid(data: RctDataset, pred: PredictionMatrix,
 
 def cost_curve(data: RctDataset, pred: PredictionMatrix,
                budgets: BudgetGrid) -> CostCurve:
-    """One outcome estimate per budget, all read off one sweep."""
+    """One outcome estimate per budget, all read off the matrix's sweep."""
     allocate = _allocator(data, pred)
     points = []
     for b in budgets:
@@ -183,27 +180,20 @@ def aucc(data: RctDataset, pred: PredictionMatrix) -> float:
     """
     if data.num_treatments != 2:
         raise ValidationError("this metric applies to binary treatments only")
-    if pred.revenue.shape != (data.n, 2):
-        raise ValidationError("prediction shape does not cover dataset")
+    _check_cover(data, pred)
     order = _roi_order(pred)
-    prop = data.sample_propensity()
-    n = data.n
+    t, prop, n = data.treatment[order], data.sample_propensity()[order], data.n
 
-    t = data.treatment[order]
-    r_w = np.where(t == 1, data.revenue[order] / prop[order], 0.0) / n
-    r_c = np.where(t == 0, data.revenue[order] / prop[order], 0.0) / n
-    c_w = np.where(t == 1, data.cost[order] / prop[order], 0.0) / n
-    c_c = np.where(t == 0, data.cost[order] / prop[order], 0.0) / n
+    def incremental(outcome: np.ndarray) -> np.ndarray:
+        """Matched per-capita outcome with prefix k treated, less prefix 0's:
+        the treated part accumulates, the control part sheds."""
+        treated = np.where(t == 1, outcome[order] / prop, 0.0) / n
+        control = np.where(t == 0, outcome[order] / prop, 0.0) / n
+        curve = np.concatenate(([0.0], np.cumsum(treated))) + (
+            float(control.sum()) - np.concatenate(([0.0], np.cumsum(control))))
+        return curve - curve[0]
 
-    # prefix k treated: treated part accumulates, control part sheds
-    rev_k = np.concatenate(([0.0], np.cumsum(r_w))) + (
-        float(r_c.sum()) - np.concatenate(([0.0], np.cumsum(r_c)))
-    )
-    cost_k = np.concatenate(([0.0], np.cumsum(c_w))) + (
-        float(c_c.sum()) - np.concatenate(([0.0], np.cumsum(c_c)))
-    )
-    d_rev = rev_k - rev_k[0]
-    d_cost = cost_k - cost_k[0]
+    d_rev, d_cost = incremental(data.revenue), incremental(data.cost)
 
     total_r, total_c = d_rev[-1], d_cost[-1]
     if abs(total_r) < 1e-12 or abs(total_c) < 1e-12:

@@ -10,11 +10,14 @@ class TreatallocError(Exception):
 
 
 class ParseError(TreatallocError):
-    """A file could not be parsed; message carries the 1-based line number."""
+    """A file could not be parsed; message carries the file and the 1-based
+    line number (``<path>: line N: ...``)."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -82,8 +82,7 @@ def ips_dual_loss(data: RctDataset, pred: PredictionMatrix, lam: float) -> float
     whose observed treatment equals the allocation choice at ``lam``; ``cbar``
     likewise for cost. Empty matched set gives 0.
     """
-    if pred.revenue.shape != (data.n, data.num_treatments):
-        raise ValidationError("prediction shape does not cover dataset")
+    _check_cover(data, pred)
     choice = decide_dual(pred, lam).choice
     match = choice == data.treatment
     w = match / (data.n * data.sample_propensity())

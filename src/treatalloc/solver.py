@@ -7,34 +7,41 @@ takes ``argmax_j (revenue_ij - lam * cost_ij)``. As ``lam`` grows each row
 walks the upper envelope of these lines towards cheaper treatments; one
 sorted pass over all rows' switch points makes the allocation cost an exact
 step function of ``lam``, so the multiplier for a budget is a lookup (the
-greedy LP solution of the multiple-choice knapsack). A brute-force
-enumerator serves as the exact oracle on small instances.
+greedy LP solution of the multiple-choice knapsack). Switch points depend on
+the predictions only: a (read-only) prediction matrix builds its sweep once.
+A brute-force enumerator serves as the exact oracle on small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .data import _freeze
 from .exceptions import InfeasibleError, SizeError, ValidationError
 
 
 @dataclass(eq=False)
 class PredictionMatrix:
-    """Predicted revenue and cost for every individual x treatment."""
+    """Predicted revenue and cost for every individual x treatment, read-only."""
 
     revenue: np.ndarray  # (n, m)
     cost: np.ndarray     # (n, m)
 
     def __post_init__(self):
-        self.revenue = np.asarray(self.revenue, dtype=np.float64)
-        self.cost = np.asarray(self.cost, dtype=np.float64)
+        self.revenue = _freeze(np.asarray(self.revenue, dtype=np.float64))
+        self.cost = _freeze(np.asarray(self.cost, dtype=np.float64))
         if self.revenue.ndim != 2 or self.revenue.shape != self.cost.shape:
             raise ValidationError("revenue and cost must share shape (n, m)")
         if not (np.isfinite(self.revenue).all() and np.isfinite(self.cost).all()):
             raise ValidationError("prediction matrices must be finite")
+
+    @cached_property
+    def _sweep(self) -> _Sweep:
+        return _Sweep(self)
 
     @property
     def n(self) -> int:
@@ -65,7 +72,7 @@ class DualSolution:
     lam: float
     allocation: Allocation
     dual_value: float
-    trace: tuple[tuple[float, float], ...] | None = None  # (lam, cost) per direct probe
+    trace: tuple[tuple[float, float], ...] = ()  # (lam, cost) per direct probe
 
     def __post_init__(self):
         if self.lam < 0:
@@ -101,7 +108,7 @@ def lambda_upper_bound(pred: PredictionMatrix) -> float:
     """A multiplier past every row's last switch point (twice it, plus one,
     so rounding cannot close the margin): ``decide_dual`` there gives the
     minimum-cost allocation."""
-    return float(_Sweep(pred, np.argmax(pred.revenue, axis=1)).breaks[-1])
+    return float(pred._sweep.breaks[-1])
 
 
 class _Sweep:
@@ -110,13 +117,14 @@ class _Sweep:
     From ``lam = 0``, each event moves a row to the cheaper line overtaking
     its current one (at most ``m - 1`` passes). Events are sorted and grouped
     by multiplier; group ``g``'s allocation holds on ``(breaks[g],
-    breaks[g + 1])``, the last interval ending at the upper bound."""
+    breaks[g + 1])``, the last interval ending at the upper bound.
+    ``cost_delta[e]`` is the predicted-cost change of event ``e``."""
 
-    def __init__(self, pred: PredictionMatrix, choice0: np.ndarray):
+    def __init__(self, pred: PredictionMatrix):
         # (m, n) copies: a pass reduces over treatments along contiguous rows
         revenue = r = np.ascontiguousarray(pred.revenue.T)
         cost = c = np.ascontiguousarray(pred.cost.T)
-        cur = np.array(choice0, dtype=np.int64)
+        cur = np.argmax(pred.revenue, axis=1)  # the lam = 0 choice
         at = np.zeros(pred.n)  # multiplier of each row's latest move
         active = np.arange(pred.n)
         events = [(np.zeros(0), active[:0], active[:0], active[:0])]
@@ -143,6 +151,7 @@ class _Sweep:
         self.n = pred.n
         self.ends = np.flatnonzero(np.diff(lam, append=np.inf)) + 1  # per group
         self.breaks = np.append(lam[self.ends - 1], 2.0 * lam.max(initial=0.0) + 1.0)
+        self.cost_delta = cost[self.new, self.rows] - cost[self.old, self.rows]
 
     def search(self, start: float, delta: np.ndarray, budget: float, probe):
         """(lam, result) of the smallest multiplier whose direct
@@ -166,18 +175,17 @@ class _Sweep:
                               floor_cost=value)
 
 
-def solve_budget(pred: PredictionMatrix, budget: float, eps: float | None = None,
-                 max_iter: int = 100, collect_trace: bool = False) -> DualSolution:
+def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
     """Exact multiplier and allocation for a total budget: ``decide_dual``
     just above the breakpoint where the cost first fits; never overspends.
 
-    ``eps`` (> 0) and ``max_iter`` (>= 1) are only validated. The trace
-    holds (lam, cost) of the probe at 0 and of each direct probe after it.
-    Raises InfeasibleError with the floor cost when no allocation fits.
+    A budget below the ``lam = 0`` cost is a lookup on the matrix's sweep.
+    The trace holds (lam, cost) of the probe at 0 and of each direct probe
+    after it. Raises InfeasibleError with the floor cost when no allocation
+    fits.
     """
-    if not budget >= 0 or max_iter < 1 or (eps is not None and not eps > 0):
-        raise ValidationError("need budget >= 0, eps > 0 and max_iter >= 1; got "
-                              f"{budget!r}, {eps!r}, {max_iter!r}")
+    if not budget >= 0:
+        raise ValidationError(f"budget must be >= 0, got {budget!r}")
     trace = []
 
     def probe(lam):
@@ -187,11 +195,9 @@ def solve_budget(pred: PredictionMatrix, budget: float, eps: float | None = None
 
     lam, alloc = 0.0, probe(0.0)[1]
     if alloc.total_cost > budget:
-        sweep = _Sweep(pred, alloc.choice)
-        delta = pred.cost[sweep.rows, sweep.new] - pred.cost[sweep.rows, sweep.old]
-        lam, alloc = sweep.search(alloc.total_cost, delta, budget, probe)
-    return DualSolution(lam, alloc, dual_value(pred, lam, budget),
-                        tuple(trace) if collect_trace else None)
+        sweep = pred._sweep
+        lam, alloc = sweep.search(alloc.total_cost, sweep.cost_delta, budget, probe)
+    return DualSolution(lam, alloc, dual_value(pred, lam, budget), tuple(trace))
 
 
 def brute_force_oracle(truth, budget: float, max_assignments: int = 2_000_000

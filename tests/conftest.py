@@ -98,6 +98,20 @@ def interval_points(pred):
     return np.concatenate(([0.0], mids, [2.0 * cross[-1] + 1.0]))
 
 
+def central_differences(pred, fields, h, loss):
+    """``(field, i, j, (loss(up) - loss(down)) / (2 h))`` for every entry of
+    each named array, ``up`` and ``down`` being copies of the read-only
+    ``pred`` with that entry moved by ``+h`` and ``-h``."""
+    for field in fields:
+        for i, j in np.ndindex(pred.revenue.shape):
+            values = []
+            for step in (h, -h):
+                arrays = {"revenue": pred.revenue.copy(), "cost": pred.cost.copy()}
+                arrays[field][i, j] += step
+                values.append(loss(PredictionMatrix(**arrays)))
+            yield field, i, j, (values[0] - values[1]) / (2 * h)
+
+
 def replay(sweep, pred, groups):
     """Choice vector after the first ``groups`` groups of sweep events."""
     choice = np.argmax(pred.revenue, axis=1)

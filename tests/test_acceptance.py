@@ -59,7 +59,7 @@ def test_01_duality_sandwich():
         floor = decide_dual(pred, lambda_upper_bound(pred)).total_cost
         top = float(pred.cost.max(axis=1).sum())
         budget = float(rng.uniform(floor, max(top, floor) + 0.25))
-        sol = solve_budget(pred, budget, eps=1e-12, max_iter=200)
+        sol = solve_budget(pred, budget)
         star = brute_force_oracle(pred, budget)
         assert sol.allocation.objective <= star.objective
         assert star.objective <= sol.dual_value
@@ -76,8 +76,7 @@ def test_02_multiplier_monotone_in_budget():
     floor = decide_dual(pred, lambda_upper_bound(pred)).total_cost
     top = float(pred.cost.max(axis=1).sum())
     budgets = np.linspace(floor + 0.02 * (top - floor), top, 20)
-    lams = [solve_budget(pred, float(b), eps=1e-12, max_iter=200).lam
-            for b in budgets]
+    lams = [solve_budget(pred, float(b)).lam for b in budgets]
     violations = sum(1 for a, b in zip(lams, lams[1:]) if a < b)
     report("02 multiplier-monotone", violations == 0,
            f"20 nested budgets, {violations} violations")

@@ -235,7 +235,18 @@ class TestPipeline:
         write(workdir / "c.csv", text)
         assert run(["report", "--out", p(workdir / "table.txt"),
                     "a=" + p(workdir / "c.csv")]) == 2
-        assert f"error: line {line}: " in capsys.readouterr().err
+        assert f"error: {workdir / 'c.csv'}: line {line}: " in capsys.readouterr().err
+        assert not (workdir / "table.txt").exists()
+
+    def test_report_names_the_malformed_curve(self, workdir, capsys):
+        header = "budget,per_capita_cost,per_capita_revenue,matched_fraction\n"
+        write(workdir / "c1.csv", header + "0.1,0.09,1.5,0.33\n0.2,0.19,1.75,0.34\n")
+        write(workdir / "c2.csv", header + "0.1,0.1,1.6,0.31\n0.2,0.2,oops,0.35\n")
+        assert run(["report", "--out", p(workdir / "table.txt"),
+                    "a=" + p(workdir / "c1.csv"), "b=" + p(workdir / "c2.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {workdir / 'c2.csv'}: line 3: " in err
+        assert "c1.csv" not in err
         assert not (workdir / "table.txt").exists()
 
 
@@ -268,6 +279,16 @@ class TestSolveAndTrainInputs:
                     "--config", p(workdir / "train.cfg"),
                     "--checkpoint", p(workdir / "m.ckpt"), "train.epochs=6",
                     *overrides])
+
+    def test_negative_treatment_exit_code(self, generated, capsys):
+        lines = (generated / "d.csv").read_text().splitlines(keepends=True)
+        row = lines[5].split(",")
+        row[-4] = "-1"  # id, features, treatment, revenue, cost, propensity
+        lines[5] = ",".join(row)
+        write(generated / "d.csv", "".join(lines))
+        assert self.train(generated) == 2
+        assert f"row id {row[0]}: treatment -1" in capsys.readouterr().err
+        assert not (generated / "m.ckpt").exists()
 
     def test_train_step_keys_reach_config(self, generated):
         from treatalloc.model import load_checkpoint

@@ -34,6 +34,17 @@ def test_load_csv_treatment_out_of_declared_range(tmp_path):
         load_csv(f, num_treatments=2)
 
 
+@pytest.mark.parametrize("num_treatments", [2, None], ids=["declared-m", "inferred-m"])
+def test_load_csv_negative_treatment_names_row(tmp_path, num_treatments):
+    f = tmp_path / "d.csv"
+    f.write_text(
+        "id,f0,treatment,revenue,cost\n7,0.0,0,1.0,0.0\n8,0.0,-1,1.0,0.0\n"
+        "9,0.0,1,1.0,0.0\n"
+    )
+    with pytest.raises(ValidationError, match="row id 8: treatment -1"):
+        load_csv(f, num_treatments=num_treatments)
+
+
 def test_load_csv_malformed_row_reports_line(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text(

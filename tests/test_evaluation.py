@@ -8,7 +8,8 @@ from treatalloc.evaluation import (CostCurve, CurvePoint, allocate_at_budget,
                                    evaluate_policy)
 from treatalloc.exceptions import InfeasibleError, ValidationError
 from treatalloc.losses import BudgetGrid
-from treatalloc.solver import PredictionMatrix, _Sweep, decide_dual, solve_budget
+from treatalloc.solver import (PredictionMatrix, _Sweep, decide_dual,
+                               lambda_upper_bound, solve_budget)
 
 from conftest import instances, interval_points, make_dataset, replay
 
@@ -75,9 +76,9 @@ class TestEvaluateAtBudget:
         data = make_dataset(treatment=[1, 0], revenue=[1.0, 0.2], cost=[1.0, 0.0],
                             num_treatments=2, propensities=[0.5, 0.5])
         # estimated costs: [1,1] -> 1.0, [1,0] -> 1.0, [0,0] -> 0.0 per capita
-        full = evaluate_at_budget(data, pred, per_capita_budget=1.0, eps=1e-9)
+        full = evaluate_at_budget(data, pred, per_capita_budget=1.0)
         assert full == evaluate_policy(data, decide_dual(pred, 0.0).choice)
-        tight = evaluate_at_budget(data, pred, per_capita_budget=0.99, eps=1e-9)
+        tight = evaluate_at_budget(data, pred, per_capita_budget=0.99)
         assert tight == evaluate_policy(data, np.array([0, 0]))
 
     def test_zero_budget_with_free_control(self):
@@ -115,9 +116,8 @@ class TestCostCurve:
         rows = np.arange(data.n)
         for b in (0.35, 0.5, 0.7):
             # score both allocations with the counterfactual matrix
-            kw = dict(eps=1e-9)
-            a_or = solve_budget(oracle_pred, b * data.n, **kw).allocation.choice
-            a_rn = solve_budget(random_pred, b * data.n, **kw).allocation.choice
+            a_or = solve_budget(oracle_pred, b * data.n).allocation.choice
+            a_rn = solve_budget(random_pred, b * data.n).allocation.choice
             rev_or = truth.revenue[rows, a_or].mean()
             rev_rn = truth.revenue[rows, a_rn].mean()
             assert rev_or >= rev_rn
@@ -264,7 +264,7 @@ class TestExactBudgetSearch:
             data = make_dataset(treatment=rng.integers(0, m, n),
                                 revenue=rng.uniform(0, 3, n),
                                 cost=rng.uniform(0, 2, n), num_treatments=m)
-            sweep = _Sweep(pred, np.argmax(pred.revenue, axis=1))
+            sweep = _Sweep(pred)
             treated = data.treatment[sweep.rows]
             prop = data.sample_propensity()[sweep.rows]
             delta = data.cost[sweep.rows] / prop / n * (
@@ -306,3 +306,42 @@ class TestExactBudgetSearch:
         data, pred = self.nonmonotone()
         lam, choice, _ = allocate_at_budget(data, pred, float("inf"))
         assert lam == 0.0 and choice.tolist() == [1, 1, 1]
+
+
+class TestOneSweepPerMatrix:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counted = []
+        init = _Sweep.__init__
+
+        def counting_init(self, *args):
+            counted.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(_Sweep, "__init__", counting_init)
+        return counted
+
+    @staticmethod
+    def noisy(seed):
+        data, truth = generate_synthetic(
+            GeneratorConfig(n=2000, m=4, d=3, noise=0.2), seed=seed)
+        noise = np.random.default_rng(seed).standard_normal(truth.revenue.shape)
+        return data, PredictionMatrix(truth.revenue + 0.3 * noise, truth.cost)
+
+    def test_default_grid_then_curve_builds_one_sweep(self, builds):
+        data, pred = self.noisy(3)
+        budgets = default_budget_grid(data, pred)
+        curve = cost_curve(data, pred, budgets)
+        assert len(curve.points) == len(budgets) > 1
+        assert len(builds) == 1
+
+    def test_every_search_on_one_matrix_shares_its_sweep(self, builds):
+        data, pred = self.noisy(8)
+        top = decide_dual(pred, 0.0).total_cost
+        for share in (0.3, 0.5, 0.7):
+            assert solve_budget(pred, share * top).lam > 0.0
+        assert lambda_upper_bound(pred) > 0.0
+        cost_curve(data, pred, default_budget_grid(data, pred))
+        for budget in (0.1, 0.2, 0.3):
+            assert allocate_at_budget(data, pred, budget)[0] > 0.0
+        assert len(builds) == 1

@@ -9,7 +9,7 @@ from treatalloc.gradients import (GradientPair, dual_flip_gradient,
 from treatalloc.losses import LambdaGrid, row_softmax
 from treatalloc.solver import PredictionMatrix, decide_dual
 
-from conftest import make_dataset, random_instance
+from conftest import central_differences, make_dataset, random_instance
 
 
 class TestIpsDualLoss:
@@ -212,18 +212,10 @@ class TestSoftmaxFlip:
         a = row_softmax(pred.revenue - lam * pred.cost)
         g_fixed = _softmax_flip_scores(data, a, lam, 1e-6, 0.5)
         _, grad = softmax_flip_gradient(data, pred, grid)
-        h = 1e-7
-        for i in range(5):
-            for j in range(3):
-                keep = pred.revenue[i, j]
-                pred.revenue[i, j] = keep + h
-                up = float(np.sum(g_fixed * row_softmax(pred.revenue - lam * pred.cost)))
-                pred.revenue[i, j] = keep - h
-                down = float(np.sum(g_fixed * row_softmax(pred.revenue - lam * pred.cost)))
-                pred.revenue[i, j] = keep
-                assert grad.d_revenue[i, j] == pytest.approx(
-                    (up - down) / (2 * h), rel=1e-4, abs=1e-7
-                )
+        for _, i, j, fd in central_differences(
+                pred, ("revenue",), 1e-7,
+                lambda p: float(np.sum(g_fixed * row_softmax(p.revenue - lam * p.cost)))):
+            assert grad.d_revenue[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 def test_gradient_pair_validation():

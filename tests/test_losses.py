@@ -11,7 +11,7 @@ from treatalloc.losses import (BudgetGrid, LambdaGrid, full_mse,
                                tempered_policy_loss, tempered_policy_loss_grad)
 from treatalloc.solver import PredictionMatrix
 
-from conftest import make_dataset, random_instance
+from conftest import central_differences, make_dataset, random_instance
 
 
 def resampled_dataset(truth, rng):
@@ -80,17 +80,10 @@ class TestPredictionLoss:
     def test_gradient_matches_finite_differences(self, rng):
         data, pred = random_instance(rng, n=6, m=3)
         d_rev, d_cost = prediction_loss_grad(data, pred)
-        h = 1e-6
-        for i in range(6):
-            for j in range(3):
-                for mat, grad in ((pred.revenue, d_rev), (pred.cost, d_cost)):
-                    keep = mat[i, j]
-                    mat[i, j] = keep + h
-                    up = prediction_loss(data, pred)
-                    mat[i, j] = keep - h
-                    down = prediction_loss(data, pred)
-                    mat[i, j] = keep
-                    assert grad[i, j] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+        grads = {"revenue": d_rev, "cost": d_cost}
+        for field, i, j, fd in central_differences(
+                pred, grads, 1e-6, lambda p: prediction_loss(data, p)):
+            assert grads[field][i, j] == pytest.approx(fd, abs=1e-5)
 
 
 class TestFullMse:
@@ -196,17 +189,10 @@ class TestTemperedLoss:
         tau = 0.7
         value, d_rev, d_cost = tempered_policy_loss_grad(data, pred, grid, tau)
         assert value == pytest.approx(tempered_policy_loss(data, pred, grid, tau))
-        h = 1e-6
-        for i in range(5):
-            for j in range(3):
-                for mat, grad in ((pred.revenue, d_rev), (pred.cost, d_cost)):
-                    keep = mat[i, j]
-                    mat[i, j] = keep + h
-                    up = tempered_policy_loss(data, pred, grid, tau)
-                    mat[i, j] = keep - h
-                    down = tempered_policy_loss(data, pred, grid, tau)
-                    mat[i, j] = keep
-                    assert grad[i, j] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+        grads = {"revenue": d_rev, "cost": d_cost}
+        for field, i, j, fd in central_differences(
+                pred, grads, 1e-6, lambda p: tempered_policy_loss(data, p, grid, tau)):
+            assert grads[field][i, j] == pytest.approx(fd, abs=1e-5)
 
 
 class TestCenteredPolicyLoss:
@@ -234,17 +220,11 @@ class TestCenteredPolicyLoss:
             tempered_policy_loss(data, pred, grid, tau, centered=True))
         _, plain_rev, _ = tempered_policy_loss_grad(data, pred, grid, tau)
         assert not np.allclose(d_rev, plain_rev)
-        h = 1e-6
-        for i in range(5):
-            for j in range(3):
-                for mat, grad in ((pred.revenue, d_rev), (pred.cost, d_cost)):
-                    keep = mat[i, j]
-                    mat[i, j] = keep + h
-                    up = tempered_policy_loss(data, pred, grid, tau, centered=True)
-                    mat[i, j] = keep - h
-                    down = tempered_policy_loss(data, pred, grid, tau, centered=True)
-                    mat[i, j] = keep
-                    assert grad[i, j] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+        grads = {"revenue": d_rev, "cost": d_cost}
+        for field, i, j, fd in central_differences(
+                pred, grads, 1e-6,
+                lambda p: tempered_policy_loss(data, p, grid, tau, centered=True)):
+            assert grads[field][i, j] == pytest.approx(fd, abs=1e-5)
 
     def test_unbiased_for_softmax_oracle_loss(self):
         # the acceptance check's instance and 1% bound for the plain loss

@@ -64,6 +64,12 @@ class TestForward:
         with pytest.raises(NumericError, match="layer 0"):
             forward(params, np.ones((1, 3)))
 
+    def test_outputs_are_read_only(self, rng):
+        pred = forward(init_params(tiny_config()), rng.standard_normal((4, 3)))
+        for arr in (pred.revenue, pred.cost):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
     def test_feature_width_checked(self):
         params = init_params(tiny_config())
         with pytest.raises(ValidationError):

@@ -57,7 +57,7 @@ class TestSolveBudget:
         # holds at lam=0.5, so any returned lam in [0.5, 1] is the analytic
         # feasible region for budget 1
         pred = pm([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]])
-        sol = solve_budget(pred, budget=1.0, eps=1e-12, max_iter=200)
+        sol = solve_budget(pred, budget=1.0)
         assert 0.5 <= sol.lam <= 1.0
         assert sol.allocation.choice.tolist() == [1, 0]
         assert sol.allocation.total_cost == 1.0
@@ -96,14 +96,24 @@ class TestSolveBudget:
         lo = float(pred.cost.min(axis=1).sum())
         hi = float(pred.cost.max(axis=1).sum())
         budgets = np.linspace(lo + 0.05 * (hi - lo), hi, 12)
-        lams = [solve_budget(pred, b, eps=1e-9).lam for b in budgets]
+        lams = [solve_budget(pred, b).lam for b in budgets]
         assert all(a >= b for a, b in zip(lams, lams[1:]))
 
     def test_trace_collection(self):
         pred = pm([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]])
-        sol = solve_budget(pred, budget=1.0, collect_trace=True)
+        sol = solve_budget(pred, budget=1.0)
         assert sol.trace is not None and len(sol.trace) >= 2
         assert sol.trace[0][0] == 0.0
+
+
+class TestReadOnly:
+    def test_arrays_refuse_writes(self):
+        revenue, cost = np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]])
+        pred = PredictionMatrix(revenue, cost)
+        for arr in (pred.revenue, pred.cost, revenue, cost):
+            with pytest.raises(ValueError):
+                arr[0, 1] = 5.0
+        assert pred.revenue.tolist() == pred.cost.tolist() == [[0.0, 1.0]]
 
 
 class TestDualValue:
@@ -192,7 +202,7 @@ class TestDualitySandwich:
             lo = floor_alloc.total_cost
             hi = float(pred.cost.max(axis=1).sum())
             budget = float(rng.uniform(lo, max(hi, lo) + 0.25))
-            sol = solve_budget(pred, budget, eps=1e-12, max_iter=200)
+            sol = solve_budget(pred, budget)
             star = brute_force_oracle(pred, budget)
             assert sol.allocation.objective <= star.objective
             assert star.objective <= sol.dual_value
@@ -241,11 +251,12 @@ class TestUpperBound:
 class TestSweep:
     def test_replayed_choices_match_decide_dual(self, rng):
         for pred in instances(rng, 60):
-            sweep = _Sweep(pred, np.argmax(pred.revenue, axis=1))
+            sweep = _Sweep(pred)
             breaks = sweep.breaks
             start = decide_dual(pred, 0.0)
             delta = (pred.cost[sweep.rows, sweep.new]
                      - pred.cost[sweep.rows, sweep.old])
+            assert np.array_equal(sweep.cost_delta, delta)
             totals = start.total_cost + np.cumsum(delta)[sweep.ends - 1]
             # before the first breakpoint, then inside every later interval
             points = [(0, 0.5 * breaks[0])] if breaks[0] > 0 else []
@@ -273,7 +284,7 @@ class TestSweep:
     def test_trace_starts_at_zero_then_direct_probes(self, rng):
         pred = dyadic_instance(rng, 40, 4)
         budget = 0.5 * float(pred.cost.max(axis=1).sum())
-        sol = solve_budget(pred, budget, collect_trace=True)
+        sol = solve_budget(pred, budget)
         assert sol.trace[0] == (0.0, decide_dual(pred, 0.0).total_cost)
         assert sol.trace[-1] == (sol.lam, sol.allocation.total_cost)
         assert len(sol.trace) <= 3
