@@ -36,6 +36,11 @@ GENERATOR_FAMILIES = ("saturating", "linear", "hetero")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` marked read-only in place; a view whose base can still be
+    written is copied first, so no write through the base reaches it."""
+    base = arr.base
+    if base is not None and (not isinstance(base, np.ndarray) or base.flags.writeable):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -123,11 +128,11 @@ class RctDataset:
         """Subset by row index; counts and propensities are recomputed."""
         idx = np.asarray(indices, dtype=np.int64)
         return RctDataset(
-            ids=self.ids[idx].copy(),
-            features=self.features[idx].copy(),
-            treatment=self.treatment[idx].copy(),
-            revenue=self.revenue[idx].copy(),
-            cost=self.cost[idx].copy(),
+            ids=self.ids[idx],
+            features=self.features[idx],
+            treatment=self.treatment[idx],
+            revenue=self.revenue[idx],
+            cost=self.cost[idx],
             num_treatments=self.num_treatments,
         )
 
@@ -168,7 +173,7 @@ class CounterfactualMatrix:
 
     def take(self, indices: np.ndarray) -> "CounterfactualMatrix":
         idx = np.asarray(indices, dtype=np.int64)
-        return CounterfactualMatrix(self.revenue[idx].copy(), self.cost[idx].copy())
+        return CounterfactualMatrix(self.revenue[idx], self.cost[idx])
 
 
 def validate_counterfactual(data: RctDataset, truth: CounterfactualMatrix) -> None:

@@ -18,18 +18,25 @@ Two estimators live here:
   magnitudes near ties. Linear cost; scales to millions of rows.
 
 ``softmax_flip_gradient`` runs the same analysis on row-softmax scores with
-clipped steps and chains the result back through the softmax. Both fast
-estimators share one kernel (``_flip_gaps``: top-2 search plus the
-leave/join bookkeeping), which returns the gaps a score must move; each
-caller turns gaps into steps its own way (Vlastelica et al. 2020 describe
-this jump-over-step structure).
+clipped steps and chains the result back through the softmax.
 
-Perturbing the chosen column of a matched row can only remove its
-contribution; perturbing the argmax column of a mismatched row joins the
-sample only when its observed treatment is the runner-up, otherwise a third
-column takes over and the loss is unchanged (zero gradient). At ``lam = 0``
-cost perturbations cannot move any score, so cost gradients are zero there
-and the skip is reported through ``diagnostics``.
+Both fast estimators share one kernel, ``_flip_gaps``, which maps a score
+matrix to two (n, m) arrays. ``gap`` is how far each score must move to flip
+its row's argmax: a losing entry rises to the winner, the winner drops to the
+runner-up. ``sign`` is what that flip does to the loss, relative to ``jump /
+gap``, where ``jump`` is the row's loss rise on leaving the matched set:
+
+- a matched row leaves along every entry: +1 for a rise, -1 for the drop of
+  its own (winning) column;
+- a mismatched row joins by raising its observed column (-1), or by dropping
+  the winner when the observed column is the runner-up (+1);
+- 0 elsewhere: a third column takes over and the loss is unchanged.
+
+Each head is then one line, ``jump / step(gap) * sign``, where the caller
+turns gaps into steps its own way: floored for revenue, over ``lam`` and
+floored for cost, clipped for softmax scores (Vlastelica et al. 2020 describe
+this jump-over-step structure). At ``lam = 0`` cost perturbations cannot
+move any score, so cost gradients are zero there.
 
 ``dual_flip_gradient``, ``softmax_flip_gradient`` and ``flip_fd_gradient``
 take ``centered``: the loss jump of a row is then its reward less the mean
@@ -43,7 +50,6 @@ uses this centred form (see ``losses``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -159,70 +165,27 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
     return GradientPair(d_rev, d_cost)
 
 
-class _Flips(NamedTuple):
-    """Where a single score change moves a row across the matched set.
-
-    ``leave`` rows have their observed treatment ``own`` as the argmax;
-    ``leave_gap[k, j]`` is the rise that makes column j the winner, and at
-    the own column the drop that hands the win to the runner-up. The other
-    rows, ``join``, enter the set when the observed column ``join_col``
-    rises by ``join_gap``; where it is the runner-up (``runner_up``, a mask
-    over ``join``) they also enter when the winner drops by the same gap.
-    """
-
-    leave: np.ndarray
-    own: np.ndarray
-    leave_gap: np.ndarray
-    join: np.ndarray
-    join_col: np.ndarray
-    join_gap: np.ndarray
-    runner_up: np.ndarray
-    winner: np.ndarray  # argmax column of the runner-up rows
-
-
-def _flip_gaps(a: np.ndarray, t: np.ndarray) -> _Flips:
-    """Top-2 search of scores ``a`` (n, m) against observed treatments ``t``."""
+def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(gap, sign)`` of scores ``a`` (n, m) against observed treatments
+    ``t``, as the module docstring defines them; ties go to the lower index."""
     rows = np.arange(a.shape[0])
     jstar = np.argmax(a, axis=1)
     amax = a[rows, jstar]
-    masked = a.copy()
-    masked[rows, jstar] = -np.inf
-    second_idx = np.argmax(masked, axis=1)
+    gap = a.copy()  # first the scores without each row's winner
+    gap[rows, jstar] = -np.inf
+    second = np.argmax(gap, axis=1)
+    np.subtract(amax[:, None], a, out=gap)
+    gap[rows, jstar] = amax - a[rows, second]
     match = jstar == t
-
-    leave = np.where(match)[0]
-    own = t[leave]
-    leave_gap = amax[leave, None] - a[leave]
-    leave_gap[np.arange(leave.size), own] = amax[leave] - a[leave, second_idx[leave]]
-    join = np.where(~match)[0]
-    join_col = t[join]
-    runner_up = second_idx[join] == join_col
-    return _Flips(leave, own, leave_gap, join, join_col,
-                  amax[join] - a[join, join_col], runner_up, jstar[join[runner_up]])
-
-
-def _add_flip_grad(out: np.ndarray, f: _Flips, jump: np.ndarray,
-                   step: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Add loss jump over signed flip step for every flipping entry.
-
-    ``jump`` is each row's loss change on leaving the matched set (joining
-    is ``-jump``) and ``step`` turns gaps into step sizes; drops divide by
-    the negated step. No entry is listed twice, so the fancy-indexed
-    updates below lose nothing.
-    """
-    g = jump[f.leave, None] / step(f.leave_gap)
-    k = np.arange(f.leave.size)
-    g[k, f.own] = -g[k, f.own]
-    out[f.leave] += g
-    h = step(f.join_gap)
-    out[f.join, f.join_col] -= jump[f.join] / h
-    sub = f.join[f.runner_up]
-    out[sub, f.winner] += jump[sub] / h[f.runner_up]
+    sign = np.broadcast_to(match[:, None], a.shape).astype(np.int8)
+    sign[rows, t] = -1
+    runner_up = np.flatnonzero(~match & (second == t))
+    sign[runner_up, jstar[runner_up]] = 1
+    return gap, sign
 
 
 def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                        step_floor: float = 1e-6,
-                       diagnostics: dict | None = None,
                        centered: bool = False) -> GradientPair:
     """Fast closed-form flip gradients of the summed dual decision loss.
 
@@ -240,18 +203,12 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     inv_np = 1.0 / (data.n * data.sample_propensity())
     d_rev = np.zeros_like(pred.revenue)
     d_cost = np.zeros_like(pred.cost)
-    skipped: list[float] = []
     for lam in grid:
-        flips = _flip_gaps(pred.revenue - lam * pred.cost, data.treatment)
-        xt = observed_rewards(data, lam, centered)[0] * inv_np
-        _add_flip_grad(d_rev, flips, xt, lambda gap: np.maximum(gap, step_floor))
+        gap, sign = _flip_gaps(pred.revenue - lam * pred.cost, data.treatment)
+        xt = (observed_rewards(data, lam, centered)[0] * inv_np)[:, None]
+        d_rev += xt / np.maximum(gap, step_floor) * sign
         if lam > 0:
-            _add_flip_grad(d_cost, flips, -xt,
-                           lambda gap: np.maximum(gap / lam, step_floor))
-        else:
-            skipped.append(lam)
-    if diagnostics is not None:
-        diagnostics["skipped_cost_lambdas"] = skipped
+            d_cost -= xt / np.maximum(gap / lam, step_floor) * sign
     return GradientPair(d_rev, d_cost)
 
 
@@ -272,11 +229,9 @@ def _softmax_flip_scores(data: RctDataset, a: np.ndarray, lam: float,
                          step_floor: float, step_cap: float,
                          centered: bool = False) -> np.ndarray:
     """Flip gradients treating the softmax scores themselves as the inputs."""
+    gap, sign = _flip_gaps(a, data.treatment)
     xt = observed_rewards(data, lam, centered)[0] / (data.n * data.sample_propensity())
-    g = np.zeros(a.shape)
-    _add_flip_grad(g, _flip_gaps(a, data.treatment), xt,
-                   lambda gap: np.minimum(np.maximum(gap, step_floor), step_cap))
-    return g
+    return xt[:, None] / np.clip(gap, step_floor, step_cap) * sign
 
 
 def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,

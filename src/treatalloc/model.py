@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import RctDataset, _sigmoid
+from .data import RctDataset, _freeze, _sigmoid
 from .exceptions import ConfigError, NumericError, ValidationError
 from .gradients import GradientPair
 from .losses import prediction_loss_grad
@@ -152,7 +152,7 @@ def forward_cached(params: ModelParams, features: np.ndarray
 
 def forward(params: ModelParams, features: np.ndarray) -> PredictionMatrix:
     """Predicted revenue and cost matrices for a feature batch."""
-    out, _ = forward_cached(params, features)
+    out = _freeze(forward_cached(params, features)[0])  # its views need no copy
     m = params.config.num_treatments
     return PredictionMatrix(revenue=out[:, :m], cost=out[:, m:])
 

@@ -147,7 +147,11 @@ class _Sweep:
             r, c = revenue.take(active, axis=1), cost.take(active, axis=1)
         lam, rows, old, new = map(np.concatenate, zip(*events))
         order = np.argsort(lam)
-        lam, self.rows, self.old, self.new = lam[order], rows[order], old[order], new[order]
+        lam = lam[order]
+        # the cached indices live as long as the matrix: smallest int types
+        self.rows = rows[order].astype(np.min_scalar_type(pred.n))
+        self.old, self.new = (j[order].astype(np.min_scalar_type(pred.num_treatments))
+                              for j in (old, new))
         self.n = pred.n
         self.ends = np.flatnonzero(np.diff(lam, append=np.inf)) + 1  # per group
         self.breaks = np.append(lam[self.ends - 1], 2.0 * lam.max(initial=0.0) + 1.0)

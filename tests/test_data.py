@@ -218,6 +218,21 @@ def test_counterfactual_matrix_validation():
         CounterfactualMatrix(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
+def test_views_of_a_writeable_base_are_copied():
+    base = np.arange(12.0).reshape(2, 6)
+    data = RctDataset(ids=np.arange(2), features=base[:, :2], treatment=np.arange(2),
+                      revenue=base[:, 2], cost=base[:, 3], num_treatments=2)
+    truth = CounterfactualMatrix(base[:, 4:5], base[:, 5:])
+    before = base.copy()
+    base += 1.0
+    assert data.features.tolist() == before[:, :2].tolist()
+    assert data.revenue.tolist() == before[:, 2].tolist()
+    assert data.cost.tolist() == before[:, 3].tolist()
+    assert truth.revenue.tolist() == before[:, 4:5].tolist()
+    assert truth.cost.tolist() == before[:, 5:].tolist()
+    assert base.flags.writeable
+
+
 DATASET = "id,f0,treatment,revenue,cost\n0,0.5,0,1.0,0.25\n1,-1.5,1,2.0,0.5\n"
 MATRIX = "id,r0,r1,c0,c1\n0,1.0,2.0,0.0,0.5\n1,1.5,2.5,0.0,0.75\n"
 DATASET_ROWS = [[0.5, 0, 1.0, 0.25], [-1.5, 1, 2.0, 0.5]]

@@ -69,6 +69,7 @@ class TestForward:
         for arr in (pred.revenue, pred.cost):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+        assert pred.revenue.base is pred.cost.base is not None  # views, not copies
 
     def test_feature_width_checked(self):
         params = init_params(tiny_config())

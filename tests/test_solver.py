@@ -6,7 +6,7 @@ from treatalloc.solver import (PredictionMatrix, _Sweep, brute_force_oracle,
                                decide_dual, dual_value, lambda_upper_bound,
                                solve_budget)
 
-from conftest import instances, interval_points, replay
+from conftest import instances, interval_points, replay, tie_heavy_instance
 
 
 def pm(revenue, cost):
@@ -114,6 +114,15 @@ class TestReadOnly:
             with pytest.raises(ValueError):
                 arr[0, 1] = 5.0
         assert pred.revenue.tolist() == pred.cost.tolist() == [[0.0, 1.0]]
+
+    def test_writes_through_a_view_base_miss_the_matrix(self):
+        base = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 2.0]])
+        pred = PredictionMatrix(base[:, :2], base[:, 2:])
+        assert lambda_upper_bound(pred) == 3.0
+        base[0, 3] = 100.0
+        assert pred.cost.tolist() == [[0.0, 1.0], [0.0, 2.0]]
+        assert lambda_upper_bound(pred) == 3.0
+        assert lambda_upper_bound(PredictionMatrix(base[:, :2], base[:, 2:])) == 2.0
 
 
 class TestDualValue:
@@ -268,6 +277,12 @@ class TestSweep:
                 value = totals[groups - 1] if groups else start.total_cost
                 assert value == pytest.approx(alloc.total_cost, rel=1e-12, abs=1e-12)
             assert (np.diff(breaks) > 0).all()
+
+    def test_cached_indices_use_the_smallest_int_types(self, rng):
+        sweep = _Sweep(tie_heavy_instance(rng, 300, 4))
+        assert sweep.rows.size > 0
+        assert sweep.rows.dtype == np.uint16
+        assert sweep.old.dtype == sweep.new.dtype == np.uint8
 
     def test_solve_matches_scan_over_intervals(self, rng):
         for pred in instances(rng, 45):
