@@ -93,36 +93,27 @@ def _train_config(values: dict[str, str]):
     from .losses import LambdaGrid
     from .training import TrainConfig
 
-    get = config_section(values, "train", (
-        "epochs", "lambda_grid", "backend", "alpha", "tau", "warm_start_epochs",
-        "warm_start_objective", "lr", "batch_size", "seed", "hidden",
-        "activation", "eval_every", "eval_budgets", "step_floor", "step_cap")).get
-    if get("epochs") is None:
-        raise ConfigError("train.epochs is required")
-    if get("lambda_grid") is None:
-        raise ConfigError("train.lambda_grid is required")
+    def floats(text: str) -> tuple[float, ...]:
+        return tuple(float(v) for v in text.split(","))
+
+    # train.<key> -> parser, in parse order; absent keys take TrainConfig's
+    # defaults, and ``hidden`` sets ``hidden_widths``
+    parsers = {
+        "lambda_grid": lambda v: LambdaGrid(floats(v)), "epochs": int, "backend": str,
+        "alpha": float, "tau": float, "warm_start_epochs": int,
+        "warm_start_objective": str, "lr": float,
+        "batch_size": lambda v: int(v) if v else None, "seed": int,
+        "hidden": lambda v: tuple(int(w) for w in v.split(",")), "activation": str,
+        "eval_every": int, "eval_budgets": lambda v: floats(v) if v else (),
+        "step_floor": float, "step_cap": float,
+    }
+    own = config_section(values, "train", parsers)
+    for key in ("epochs", "lambda_grid"):
+        if key not in own:
+            raise ConfigError(f"train.{key} is required")
     try:
-        grid = LambdaGrid(tuple(float(v) for v in get("lambda_grid").split(",")))
-        batch = get("batch_size")
-        budgets = get("eval_budgets", "")
-        return TrainConfig(
-            epochs=int(get("epochs")),
-            lambda_grid=grid,
-            backend=get("backend", "two-stage"),
-            alpha=float(get("alpha", "1.0")),
-            tau=float(get("tau", "1.0")),
-            warm_start_epochs=int(get("warm_start_epochs", "0")),
-            warm_start_objective=get("warm_start_objective", "squared-error"),
-            lr=float(get("lr", "1e-3")),
-            batch_size=int(batch) if batch else None,
-            seed=int(get("seed", "0")),
-            hidden_widths=tuple(int(w) for w in get("hidden", "64,32,32").split(",")),
-            activation=get("activation", "relu"),
-            eval_every=int(get("eval_every", "10")),
-            eval_budgets=tuple(float(b) for b in budgets.split(",")) if budgets else (),
-            step_floor=float(get("step_floor", "1e-6")),
-            step_cap=float(get("step_cap", "0.5")),
-        )
+        return TrainConfig(**{"hidden_widths" if k == "hidden" else k: parse(own[k])
+                              for k, parse in parsers.items() if k in own})
     except ValueError as exc:
         raise ConfigError(f"bad train config value: {exc}") from None
 

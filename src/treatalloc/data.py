@@ -52,6 +52,9 @@ class RctDataset:
     ``propensities[j]`` is the probability that a sample was assigned
     treatment ``j``; it defaults to the empirical share ``N_j / N`` and is
     overridden when the source file carries an explicit propensity column.
+    It takes over the arrays handed to it: they are marked read-only in place
+    (a view whose base can still be written is copied first), so writing to
+    them through another reference, such as an earlier view, is unsupported.
     """
 
     ids: np.ndarray          # (n,) int64
@@ -335,7 +338,8 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
     The body is parsed in bulk. Should that fail, the row loop below is what
     the codec accepts: it returns the same columns for what the bulk parse
     refuses (quoted fields, CR-only line ends, ``1_000``) or raises
-    ``ParseError`` at the first bad row. Blank lines are skipped.
+    ``ParseError`` at the first bad row, naming the physical line on which
+    that row starts. Blank lines are skipped.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         try:
@@ -360,7 +364,9 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
         next(reader)
         parsers = [(lambda v: np.int64(int(v))) if t is np.int64 else float for t in types]
         columns: list[list] = [[] for _ in header]
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # physical lines read so far
+        for row in reader:
+            lineno, end = end + 1, reader.line_num  # the record's first line
             if not row:
                 continue
             if len(row) != len(header):
@@ -541,15 +547,11 @@ def config_section(values: dict[str, str], section: str, known: Iterable[str]
 
 def generator_config(values: dict[str, str]) -> tuple[GeneratorConfig, int]:
     """Generator config and seed from the unprefixed keys of ``values``."""
-    own = config_section(values, "", ("n", "m", "d", "noise", "family", "seed"))
-    try:
-        config = GeneratorConfig(
-            n=int(own["n"]),
-            m=int(own["m"]),
-            d=int(own["d"]),
-            noise=float(own.get("noise", "0.1")),
-            family=own.get("family", "saturating"),
-        )
+    parsers = {"n": int, "m": int, "d": int, "noise": float, "family": str}
+    own = config_section(values, "", (*parsers, "seed"))
+    try:  # n, m and d are required; the other fields keep their defaults
+        config = GeneratorConfig(**{k: parse(own[k]) for k, parse in parsers.items()
+                                    if k in own or k in ("n", "m", "d")})
         seed = int(own.get("seed", "0"))
     except KeyError as exc:
         raise ConfigError(f"generator config missing key {exc.args[0]!r}") from None

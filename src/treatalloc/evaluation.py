@@ -55,9 +55,6 @@ class CostCurve:
     def costs(self) -> np.ndarray:
         return np.array([p.per_capita_cost for p in self.points])
 
-    def revenues(self) -> np.ndarray:
-        return np.array([p.per_capita_revenue for p in self.points])
-
 
 def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
     """Match-and-reweight estimate of a deterministic policy's outcomes."""

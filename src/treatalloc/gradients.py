@@ -56,7 +56,9 @@ import numpy as np
 from .data import RctDataset
 from .exceptions import SizeError, ValidationError
 from .losses import LambdaGrid, _check_cover, observed_rewards, row_softmax
-from .solver import PredictionMatrix, decide_dual
+from .solver import PredictionMatrix
+
+_OVERSHOOT = 1e-6  # flip_fd_gradient's relative extra step, realizing flips at exact ties
 
 
 @dataclass(eq=False)
@@ -89,12 +91,9 @@ def ips_dual_loss(data: RctDataset, pred: PredictionMatrix, lam: float) -> float
     likewise for cost. Empty matched set gives 0.
     """
     _check_cover(data, pred)
-    choice = decide_dual(pred, lam).choice
-    match = choice == data.treatment
-    w = match / (data.n * data.sample_propensity())
-    rbar = float(np.sum(w * data.revenue))
-    cbar = float(np.sum(w * data.cost))
-    return -(rbar - lam * cbar)
+    if lam < 0:
+        raise ValidationError("multiplier must be >= 0")
+    return _loss_arrays(data, pred.revenue, pred.cost, lam)
 
 
 def _loss_arrays(data: RctDataset, revenue: np.ndarray, cost: np.ndarray,
@@ -122,7 +121,7 @@ def _nominal_step(a: np.ndarray, i: int, j: int, jstar: int,
 
 def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                      step_floor: float = 1e-6, max_cells: int = 4096,
-                     overshoot: float = 1e-6, centered: bool = False) -> GradientPair:
+                     centered: bool = False) -> GradientPair:
     """Forward differences at per-entry argmax-flipping steps (oracle).
 
     Each entry is perturbed by its signed flip step (floored at
@@ -152,14 +151,14 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                                     float(a[i, jstar[i]]), float(second[i]))
                 h_rev = float(np.copysign(max(abs(raw), step_floor), raw))
                 rev = pred.revenue.copy()
-                rev[i, j] += h_rev * (1.0 + overshoot)
+                rev[i, j] += h_rev * (1.0 + _OVERSHOOT)
                 d_rev[i, j] += (_loss_arrays(data, rev, pred.cost, lam, centered)
                                 - base) / h_rev
                 if lam > 0:
                     step = -raw / lam  # cost moves the score the opposite way
                     h_cost = float(np.copysign(max(abs(step), step_floor), step))
                     cost = pred.cost.copy()
-                    cost[i, j] += h_cost * (1.0 + overshoot)
+                    cost[i, j] += h_cost * (1.0 + _OVERSHOOT)
                     d_cost[i, j] += (_loss_arrays(data, pred.revenue, cost, lam, centered)
                                      - base) / h_cost
     return GradientPair(d_rev, d_cost)

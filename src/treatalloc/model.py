@@ -10,7 +10,9 @@ One private epoch loop (``_fit_epoch``) serves every kind of training: the
 prediction-only warm start here and the decision-aware epochs of
 ``training.train``. It orders and batches the rows, runs forward, backward
 and the optimizer step, and averages the batch losses; callers supply only
-the gradient of their loss with respect to the predictions.
+the gradient of their loss with respect to the predictions. Each batch runs
+forward once: the backward pass reads the layer inputs (the features, then
+each hidden activation) that ``forward_cached`` kept.
 
 Checkpoint layout (versioned flat binary): 8-byte magic ``TACKPT01``, a
 4-byte little-endian header length, a JSON header echoing the model config,
@@ -38,6 +40,7 @@ from .losses import prediction_loss_grad
 from .solver import PredictionMatrix
 
 _MAGIC = b"TACKPT01"
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # moment decay rates; denominator guard
 
 ACTIVATIONS = ("relu", "tanh")
 WARM_START_OBJECTIVES = ("squared-error", "cross-entropy")
@@ -122,39 +125,58 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the activation, from its output ``h``."""
     if kind == "relu":
-        return (z > 0).astype(np.float64)
-    th = np.tanh(z)
-    return 1.0 - th * th
+        return (h > 0).astype(np.float64)
+    return 1.0 - h * h
 
 
 def forward_cached(params: ModelParams, features: np.ndarray
                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Outputs plus pre-activation caches for the backward pass."""
+    """Outputs plus each layer's input (the features, then each activation)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ValidationError(
             f"features must be (n, {params.config.input_dim}), got {x.shape}"
         )
     kind = params.config.activation
-    pre: list[np.ndarray] = []
+    inputs: list[np.ndarray] = []
     h = x
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
         z = h @ w + b
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite activations in layer {k}")
-        pre.append(z)
         h = z if k == last else _activate(z, kind)
-    return h, pre
+    return h, inputs
+
+
+def _predictions(params: ModelParams, out: np.ndarray) -> PredictionMatrix:
+    out = _freeze(out)  # its views need no copy
+    m = params.config.num_treatments
+    return PredictionMatrix(revenue=out[:, :m], cost=out[:, m:])
 
 
 def forward(params: ModelParams, features: np.ndarray) -> PredictionMatrix:
     """Predicted revenue and cost matrices for a feature batch."""
-    out = _freeze(forward_cached(params, features)[0])  # its views need no copy
-    m = params.config.num_treatments
-    return PredictionMatrix(revenue=out[:, :m], cost=out[:, m:])
+    return _predictions(params, forward_cached(params, features)[0])
+
+
+def _backprop(params: ModelParams, inputs: list[np.ndarray],
+              upstream: GradientPair) -> ParamGrads:
+    """Reverse pass over the layer inputs that ``forward_cached`` kept."""
+    kind = params.config.activation
+    d_weights = [np.empty(0)] * len(params.weights)
+    d_biases = [np.empty(0)] * len(params.biases)
+    delta = np.concatenate([upstream.d_revenue, upstream.d_cost], axis=1)
+    for k in range(len(params.weights) - 1, -1, -1):
+        d_weights[k] = inputs[k].T @ delta
+        d_biases[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ params.weights[k].T) * _activate_grad(inputs[k], kind)
+    return ParamGrads(d_weights, d_biases)
 
 
 def backward(params: ModelParams, features: np.ndarray,
@@ -165,28 +187,12 @@ def backward(params: ModelParams, features: np.ndarray,
     they are concatenated into the 2M-wide output gradient.
     """
     x = np.asarray(features, dtype=np.float64)
-    m = params.config.num_treatments
-    if upstream.d_revenue.shape != (x.shape[0], m):
+    if upstream.d_revenue.shape != (x.shape[0], params.config.num_treatments):
         raise ValidationError("upstream shapes must be (n, M) for each head")
-    _, pre = forward_cached(params, x)
-    kind = params.config.activation
-
-    d_out = np.concatenate([upstream.d_revenue, upstream.d_cost], axis=1)
-    d_weights = [np.empty(0)] * len(params.weights)
-    d_biases = [np.empty(0)] * len(params.biases)
-    delta = d_out
-    for k in range(len(params.weights) - 1, -1, -1):
-        h_in = x if k == 0 else _activate(pre[k - 1], kind)
-        d_weights[k] = h_in.T @ delta
-        d_biases[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ params.weights[k].T) * _activate_grad(pre[k - 1], kind)
-    return ParamGrads(d_weights, d_biases)
+    return _backprop(params, forward_cached(params, x)[1], upstream)
 
 
-def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> bool:
+def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float) -> bool:
     """One adaptive-moment update with bias correction, in place.
 
     Returns False (and leaves parameters untouched, advancing nothing) when
@@ -198,15 +204,15 @@ def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float,
         return False
     params.step += 1
     t = params.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     for p, m, v, g in zip(params.weights + params.biases, params.m_w + params.m_b,
                           params.v_w + params.v_b, grads.d_weights + grads.d_biases):
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= _BETA1
+        m += (1 - _BETA1) * g
+        v *= _BETA2
+        v += (1 - _BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
     for w in params.weights:
         if not np.isfinite(w).all():
             raise NumericError("non-finite parameters after update")
@@ -241,9 +247,9 @@ def _fit_epoch(params: ModelParams, data: RctDataset, batch_grad: BatchGrad,
         batches = (data,)
     sums: list[float] = []
     for batch in batches:
-        pred = forward(params, batch.features)
-        upstream, losses = batch_grad(batch, pred)
-        step(params, backward(params, batch.features, upstream), lr)
+        out, inputs = forward_cached(params, batch.features)
+        upstream, losses = batch_grad(batch, _predictions(params, out))
+        step(params, _backprop(params, inputs, upstream), lr)
         if not batch_size:
             return losses
         sums = [s + batch.n * v for s, v in zip(sums or [0.0] * len(losses), losses)]

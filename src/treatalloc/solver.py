@@ -23,10 +23,15 @@ import numpy as np
 from .data import _freeze
 from .exceptions import InfeasibleError, SizeError, ValidationError
 
+_MAX_ASSIGNMENTS = 2_000_000  # brute_force_oracle's enumeration cap
+
 
 @dataclass(eq=False)
 class PredictionMatrix:
-    """Predicted revenue and cost for every individual x treatment, read-only."""
+    """Predicted revenue and cost for every individual x treatment, read-only.
+
+    It takes over the arrays handed to it, as ``RctDataset`` does: writing to
+    them through another reference is unsupported (the cached sweep goes stale)."""
 
     revenue: np.ndarray  # (n, m)
     cost: np.ndarray     # (n, m)
@@ -204,8 +209,7 @@ def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
     return DualSolution(lam, alloc, dual_value(pred, lam, budget), tuple(trace))
 
 
-def brute_force_oracle(truth, budget: float, max_assignments: int = 2_000_000
-                       ) -> Allocation:
+def brute_force_oracle(truth, budget: float) -> Allocation:
     """Exact optimum by enumerating all M^N assignments (tiny instances only).
 
     ``truth`` is anything with (n, m) ``revenue`` and ``cost`` arrays.
@@ -223,8 +227,8 @@ def brute_force_oracle(truth, budget: float, max_assignments: int = 2_000_000
     if n > 15:
         raise SizeError(f"brute force capped at n <= 15, got {n}")
     total = m ** n
-    if total > max_assignments:
-        raise SizeError(f"{total} assignments exceed cap {max_assignments}")
+    if total > _MAX_ASSIGNMENTS:
+        raise SizeError(f"{total} assignments exceed cap {_MAX_ASSIGNMENTS}")
 
     # Level-by-level partial sums: after row i the arrays hold the cost and
     # revenue of every assignment of rows 0..i.

@@ -249,6 +249,7 @@ def _criterion9_run(seed: int, backend: str, alpha: float = 1.0, tau: float = 1.
     return np.array(out)
 
 
+@pytest.mark.slow
 def test_09_backends_beat_two_stage():
     # Misspecified (linear) response heads on heterogeneous-effect data with a
     # rare deep responsiveness reversal: outcome accuracy and decision quality

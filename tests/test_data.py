@@ -300,6 +300,17 @@ def test_reader_contract(tmp_path, layout, text, outcome):
     assert rows.tolist() == outcome[1]
 
 
+@pytest.mark.parametrize("bad_row", ["1,oops,1,2.0,0.5", '1,"oops\n",1,2.0,0.5'],
+                         ids=["after-a-two-line-record", "inside-a-two-line-record"])
+def test_parse_error_names_the_physical_line(tmp_path, bad_row):
+    """Record 1's quoted f0 spans lines 2-3, so the bad record starts on line 4."""
+    f = tmp_path / "t.csv"
+    f.write_text('id,f0,treatment,revenue,cost\n0,"0.5\n",0,1.0,0.25\n' + bad_row + "\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(f)
+    assert info.value.line == 4
+
+
 def _odd_floats(rng, shape):
     """Floats across the exponent range, with signed zeros and subnormals."""
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)

@@ -9,7 +9,7 @@ from treatalloc.exceptions import ConfigError
 from treatalloc.gradients import GradientPair, dual_flip_gradient
 from treatalloc.losses import (BudgetGrid, LambdaGrid, prediction_loss_grad,
                                tempered_policy_loss_grad)
-from treatalloc.model import (ModelConfig, backward, forward, init_params,
+from treatalloc.model import (ModelConfig, backward, forward, forward_cached, init_params,
                               optimizer_step, save_checkpoint, warm_start)
 from treatalloc.solver import PredictionMatrix
 from treatalloc.training import (BACKENDS, EpochRecord, TrainConfig,
@@ -138,17 +138,21 @@ class TestTrainLoop:
         assert [(a.prediction, a.decision, a.total) for a in r1] == \
             [(b.prediction, b.decision, b.total) for b in r2]
 
-    def test_perturb_gradient_routing_matches_manual_step(self, tiny_data):
+    @pytest.mark.parametrize("hidden_widths", [(8,), (6, 5)], ids=["8", "6-5"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_perturb_gradient_routing_matches_manual_step(self, tiny_data, activation,
+                                                          hidden_widths):
         # one full-batch epoch of the flip-gradient backend must equal the
         # hand-assembled update: prediction grad + centred estimator output
         # routed through backward, then one optimizer step
-        config = small_config(backend="perturb", epochs=1, alpha=0.5, seed=5)
+        config = small_config(backend="perturb", epochs=1, alpha=0.5, seed=5,
+                              hidden_widths=hidden_widths, activation=activation)
         params_trained, _ = train(tiny_data, config)
 
         model_config = ModelConfig(layer_widths=config.hidden_widths,
                                    num_treatments=tiny_data.num_treatments,
                                    input_dim=tiny_data.num_features,
-                                   activation="relu", seed=config.seed)
+                                   activation=activation, seed=config.seed)
         params = init_params(model_config)
         pred = forward(params, tiny_data.features)
         pg_rev, pg_cost = prediction_loss_grad(tiny_data, pred)
@@ -158,8 +162,25 @@ class TestTrainLoop:
                                 config.alpha * pg_cost + est.d_cost)
         grads = backward(params, tiny_data.features, upstream)
         optimizer_step(params, grads, config.lr)
-        for a, b in zip(params.weights, params_trained.weights):
+        for a, b in zip(params.weights + params.biases,
+                        params_trained.weights + params_trained.biases):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("backend, batch_size",
+                             [(b, None) for b in BACKENDS] + [("policy", 128)])
+    def test_one_forward_pass_per_step(self, tiny_data, monkeypatch, backend, batch_size):
+        passes = []
+
+        def counting(params, features):
+            passes.append(1)
+            return forward_cached(params, features)
+
+        monkeypatch.setattr("treatalloc.model.forward_cached", counting)
+        config = small_config(backend=backend, epochs=4, warm_start_epochs=2,
+                              batch_size=batch_size)
+        params, _ = train(tiny_data, config)
+        steps = config.epochs * math.ceil(tiny_data.n / (batch_size or tiny_data.n))
+        assert len(passes) == params.step == steps
 
     def test_all_backends_run_and_record(self, tiny_data):
         for backend in BACKENDS:
