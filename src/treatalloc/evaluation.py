@@ -56,14 +56,18 @@ class CostCurve:
         return np.array([p.per_capita_cost for p in self.points])
 
 
-def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
-    """Match-and-reweight estimate of a deterministic policy's outcomes."""
+def _checked_choice(data: RctDataset, choice) -> np.ndarray:
     choice = np.asarray(choice, dtype=np.int64)
     if choice.shape != (data.n,):
         raise ValidationError("policy must choose one treatment per sample")
     if choice.size and (choice.min() < 0 or choice.max() >= data.num_treatments):
         raise ValidationError("policy choices outside the treatment range")
-    match = choice == data.treatment
+    return choice
+
+
+def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
+    """Match-and-reweight estimate of a deterministic policy's outcomes."""
+    match = _checked_choice(data, choice) == data.treatment
     prop = data.sample_propensity()
     if np.any(match & (prop <= 0.0)):
         raise ValidationError("matched sample has zero assignment propensity")
@@ -208,13 +212,10 @@ def bootstrap_policy_se(data: RctDataset, choice: np.ndarray,
     Samples are resampled with replacement; propensities stay fixed at the
     population values (they describe the assignment mechanism).
     """
-    choice = np.asarray(choice, dtype=np.int64)
-    match = choice == data.treatment
+    if n_boot < 2:
+        raise ValidationError(f"n_boot must be >= 2, got {n_boot}")
+    match = _checked_choice(data, choice) == data.treatment
     contrib = np.where(match, data.revenue / data.sample_propensity(), 0.0)
     rng = np.random.default_rng(seed)
-    n = data.n
-    reps = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        reps[b] = contrib[idx].mean()
-    return float(reps.std(ddof=1))
+    reps = [contrib[rng.integers(0, data.n, size=data.n)].mean() for _ in range(n_boot)]
+    return float(np.std(reps, ddof=1))

@@ -10,7 +10,7 @@ Two estimators live here:
 - ``flip_fd_gradient``: forward differences where each entry is perturbed
   by the smallest signed step that flips that row's argmax, re-evaluating
   the loss from scratch. Quadratic cost; the reference oracle for the fast
-  estimators, and deliberately shares no code with them.
+  estimators, sharing with them only the matched loss of an allocation.
 - ``dual_flip_gradient``: the fast estimator. Because rows decide
   independently, the loss change of any single-entry perturbation is known
   in closed form: the sample either leaves or joins the matched set. The
@@ -18,11 +18,13 @@ Two estimators live here:
   magnitudes near ties. Linear cost; scales to millions of rows.
 
 ``softmax_flip_gradient`` runs the same analysis on row-softmax scores with
-clipped steps and chains the result back through the softmax.
+clipped steps and chains the result back through the softmax. Both fast
+estimators return ``(loss, GradientPair)``, the loss being ``ips_dual_loss``
+summed over the grid, read off the allocation each pass has decided.
 
-Both fast estimators share one kernel, ``_flip_gaps``, which maps a score
-matrix to two (n, m) arrays. ``gap`` is how far each score must move to flip
-its row's argmax: a losing entry rises to the winner, the winner drops to the
+They share one kernel, ``_flip_gaps``, which maps a score matrix to two
+(n, m) arrays. ``gap`` is how far each score must move to flip its row's
+argmax: a losing entry rises to the winner, the winner drops to the
 runner-up. ``sign`` is what that flip does to the loss, relative to ``jump /
 gap``, where ``jump`` is the row's loss rise on leaving the matched set:
 
@@ -93,12 +95,11 @@ def ips_dual_loss(data: RctDataset, pred: PredictionMatrix, lam: float) -> float
     _check_cover(data, pred)
     if lam < 0:
         raise ValidationError("multiplier must be >= 0")
-    return _loss_arrays(data, pred.revenue, pred.cost, lam)
+    return _loss_arrays(data, np.argmax(pred.revenue - lam * pred.cost, axis=1), lam)
 
 
-def _loss_arrays(data: RctDataset, revenue: np.ndarray, cost: np.ndarray,
-                 lam: float, centered: bool = False) -> float:
-    choice = np.argmax(revenue - lam * cost, axis=1)
+def _loss_arrays(data: RctDataset, choice: np.ndarray, lam: float,
+                 centered: bool = False) -> float:
     match = choice == data.treatment
     w = match / (data.n * data.sample_propensity())
     if centered:
@@ -139,12 +140,14 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
     d_cost = np.zeros((n, m))
     rows = np.arange(n)
     for lam in grid:
+        def loss(revenue, cost):
+            return _loss_arrays(data, np.argmax(revenue - lam * cost, axis=1), lam, centered)
         a = pred.revenue - lam * pred.cost
         jstar = np.argmax(a, axis=1)
         masked = a.copy()
         masked[rows, jstar] = -np.inf
         second = a[rows, np.argmax(masked, axis=1)]
-        base = _loss_arrays(data, pred.revenue, pred.cost, lam, centered)
+        base = loss(pred.revenue, pred.cost)
         for i in range(n):
             for j in range(m):
                 raw = _nominal_step(a, i, j, int(jstar[i]),
@@ -152,21 +155,19 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                 h_rev = float(np.copysign(max(abs(raw), step_floor), raw))
                 rev = pred.revenue.copy()
                 rev[i, j] += h_rev * (1.0 + _OVERSHOOT)
-                d_rev[i, j] += (_loss_arrays(data, rev, pred.cost, lam, centered)
-                                - base) / h_rev
+                d_rev[i, j] += (loss(rev, pred.cost) - base) / h_rev
                 if lam > 0:
                     step = -raw / lam  # cost moves the score the opposite way
                     h_cost = float(np.copysign(max(abs(step), step_floor), step))
                     cost = pred.cost.copy()
                     cost[i, j] += h_cost * (1.0 + _OVERSHOOT)
-                    d_cost[i, j] += (_loss_arrays(data, pred.revenue, cost, lam, centered)
-                                     - base) / h_cost
+                    d_cost[i, j] += (loss(pred.revenue, cost) - base) / h_cost
     return GradientPair(d_rev, d_cost)
 
 
-def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(gap, sign)`` of scores ``a`` (n, m) against observed treatments
-    ``t``, as the module docstring defines them; ties go to the lower index."""
+    ``t`` (module docstring), then each row's winner, ties to the lower index."""
     rows = np.arange(a.shape[0])
     jstar = np.argmax(a, axis=1)
     amax = a[rows, jstar]
@@ -180,13 +181,13 @@ def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sign[rows, t] = -1
     runner_up = np.flatnonzero(~match & (second == t))
     sign[runner_up, jstar[runner_up]] = 1
-    return gap, sign
+    return gap, sign, jstar
 
 
 def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                        step_floor: float = 1e-6,
-                       centered: bool = False) -> GradientPair:
-    """Fast closed-form flip gradients of the summed dual decision loss.
+                       centered: bool = False) -> tuple[float, GradientPair]:
+    """Summed plain dual decision loss and its fast closed-form flip gradients.
 
     Per multiplier and sample, the loss jump of leaving/joining the matched
     set is divided by the signed flip step of each entry; steps are floored
@@ -194,7 +195,7 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     entry moves its score ``lam`` times as fast and the other way, so its
     step is the gap over ``lam``, floored in cost space. Matches
     ``flip_fd_gradient`` (with the same ``centered``) entrywise on tie-free
-    instances.
+    instances. The loss is the plain one, whatever ``centered`` is.
     """
     _check_pair(data, pred)
     if step_floor <= 0:
@@ -202,13 +203,15 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     inv_np = 1.0 / (data.n * data.sample_propensity())
     d_rev = np.zeros_like(pred.revenue)
     d_cost = np.zeros_like(pred.cost)
+    loss = 0.0
     for lam in grid:
-        gap, sign = _flip_gaps(pred.revenue - lam * pred.cost, data.treatment)
+        gap, sign, choice = _flip_gaps(pred.revenue - lam * pred.cost, data.treatment)
+        loss += _loss_arrays(data, choice, lam)
         xt = (observed_rewards(data, lam, centered)[0] * inv_np)[:, None]
         d_rev += xt / np.maximum(gap, step_floor) * sign
         if lam > 0:
             d_cost -= xt / np.maximum(gap / lam, step_floor) * sign
-    return GradientPair(d_rev, d_cost)
+    return loss, GradientPair(d_rev, d_cost)
 
 
 def gradient_inner_loss(pred: PredictionMatrix, grad: GradientPair) -> float:
@@ -228,7 +231,7 @@ def _softmax_flip_scores(data: RctDataset, a: np.ndarray, lam: float,
                          step_floor: float, step_cap: float,
                          centered: bool = False) -> np.ndarray:
     """Flip gradients treating the softmax scores themselves as the inputs."""
-    gap, sign = _flip_gaps(a, data.treatment)
+    gap, sign, _ = _flip_gaps(a, data.treatment)
     xt = observed_rewards(data, lam, centered)[0] / (data.n * data.sample_propensity())
     return xt[:, None] / np.clip(gap, step_floor, step_cap) * sign
 
@@ -241,10 +244,10 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
 
     Per multiplier the scores are ``a = softmax(revenue - lam * cost)`` and
     the flip analysis runs on ``a`` alone, with steps clipped into
-    ``[step_floor, step_cap]``. Returns the surrogate loss (inner product of
-    the fixed score gradients with the scores) and its gradient with respect
-    to the prediction matrices via the softmax Jacobian. ``centered`` takes
-    the row-mean reward out of the loss jumps.
+    ``[step_floor, step_cap]``; the softmax Jacobian takes the gradient back
+    to the prediction matrices. The loss is that of ``dual_flip_gradient``,
+    decided on the raw scores, as softmax can round two distinct scores to
+    one probability. ``centered`` takes the row-mean reward out of the jumps.
     """
     _check_pair(data, pred)
     if not 0 < step_floor <= step_cap:
@@ -254,9 +257,9 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
     loss = 0.0
     for lam in grid:
         scores = pred.revenue - lam * pred.cost
+        loss += _loss_arrays(data, np.argmax(scores, axis=1), lam)
         a = row_softmax(scores)
         g = _softmax_flip_scores(data, a, lam, step_floor, step_cap, centered)
-        loss += float(np.sum(g * a))
         ds = a * (g - np.sum(g * a, axis=1, keepdims=True))
         d_rev += ds
         d_cost += -lam * ds

@@ -120,25 +120,23 @@ def prediction_loss(data: RctDataset, pred: PredictionMatrix) -> float:
     when propensities are empirical; explicit propensities are honored via
     the weight ``1 / (N * p_{t_i})``.
     """
-    _check_cover(data, pred)
-    rows = np.arange(data.n)
-    w = 1.0 / (data.n * data.num_treatments * data.sample_propensity())
-    dr = data.revenue - pred.revenue[rows, data.treatment]
-    dc = data.cost - pred.cost[rows, data.treatment]
-    return float(np.sum(w * (dr * dr + dc * dc)))
+    return prediction_loss_grad(data, pred)[0]
 
 
 def prediction_loss_grad(data: RctDataset, pred: PredictionMatrix
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of `prediction_loss` with respect to the prediction matrices."""
+                         ) -> tuple[float, np.ndarray, np.ndarray]:
+    """`prediction_loss` and its gradient with respect to the prediction
+    matrices, from one gather of the observed column."""
     _check_cover(data, pred)
     rows = np.arange(data.n)
-    w = 2.0 / (data.n * data.num_treatments * data.sample_propensity())
+    w = 1.0 / (data.n * data.num_treatments * data.sample_propensity())
+    dr = pred.revenue[rows, data.treatment] - data.revenue
+    dc = pred.cost[rows, data.treatment] - data.cost
     d_rev = np.zeros_like(pred.revenue)
     d_cost = np.zeros_like(pred.cost)
-    d_rev[rows, data.treatment] = w * (pred.revenue[rows, data.treatment] - data.revenue)
-    d_cost[rows, data.treatment] = w * (pred.cost[rows, data.treatment] - data.cost)
-    return d_rev, d_cost
+    d_rev[rows, data.treatment] = 2.0 * w * dr
+    d_cost[rows, data.treatment] = 2.0 * w * dc
+    return float(np.sum(w * (dr * dr + dc * dc))), d_rev, d_cost
 
 
 def full_mse(truth: CounterfactualMatrix, pred: PredictionMatrix) -> float:

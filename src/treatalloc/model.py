@@ -278,7 +278,7 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
 
     def batch_grad(batch: RctDataset, pred: PredictionMatrix):
         if objective == "squared-error":
-            return GradientPair(*prediction_loss_grad(batch, pred)), ()
+            return GradientPair(*prediction_loss_grad(batch, pred)[1:]), ()
         rows = np.arange(batch.n)
         w = 1.0 / (batch.n * batch.num_treatments * batch.sample_propensity())
         d_rev = np.zeros_like(pred.revenue)

@@ -17,7 +17,9 @@ the matched-set statistics degrade on small ones.
 
 Epochs run on the model's shared loop (``model._fit_epoch``), the same one
 the warm start uses: ``train`` supplies the composite loss and its gradient
-per batch, checks the loss is finite, and keeps the log.
+per batch, from one call per loss term that returns its value with its
+gradient (so each multiplier is decided once), checks the loss is finite,
+and keeps the log.
 
 Every decision backend trains on the centred estimates (``centered=True``
 in ``losses`` and ``gradients``): the mean observed reward of the batch is
@@ -38,12 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import RctDataset
-from .evaluation import CostCurve, aucc, cost_curve, evaluate_at_budget
+from .evaluation import CostCurve, _allocator, aucc, cost_curve
 from .exceptions import ConfigError, InfeasibleError, NumericError, ValidationError
-from .gradients import GradientPair, dual_flip_gradient, ips_dual_loss, \
-    softmax_flip_gradient
-from .losses import BudgetGrid, LambdaGrid, prediction_loss, prediction_loss_grad, \
-    tempered_policy_loss_grad
+from .gradients import GradientPair, dual_flip_gradient, softmax_flip_gradient
+from .losses import BudgetGrid, LambdaGrid, prediction_loss_grad, tempered_policy_loss_grad
 from .model import WARM_START_OBJECTIVES, ModelConfig, ModelParams, _fit_epoch, forward, \
     init_params, load_checkpoint, optimizer_step, warm_start
 
@@ -94,6 +94,8 @@ class TrainConfig:
             raise ConfigError("warm_start_epochs must not exceed epochs")
         if self.lr <= 0:
             raise ConfigError("learning rate must be > 0")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1 when set")
         if self.backend in ("perturb", "perturb-softmax") and self.batch_size \
@@ -132,15 +134,13 @@ def _decision_loss_and_grad(data: RctDataset, pred, config: TrainConfig
         tau = 1.0 if config.backend == "policy" else config.tau
         return tempered_policy_loss_grad(data, pred, grid, tau=tau, centered=True)
     if config.backend == "perturb":
-        grad = dual_flip_gradient(data, pred, grid, step_floor=config.step_floor,
-                                  centered=True)
+        value, grad = dual_flip_gradient(data, pred, grid, step_floor=config.step_floor,
+                                         centered=True)
     else:
         # perturb-softmax: gradients come from the smoothed score
         # perturbation; the recorded loss is the same matched dual loss
-        _, grad = softmax_flip_gradient(data, pred, grid,
-                                        step_floor=config.step_floor,
-                                        step_cap=config.step_cap, centered=True)
-    value = sum(ips_dual_loss(data, pred, lam) for lam in grid)
+        value, grad = softmax_flip_gradient(data, pred, grid, step_floor=config.step_floor,
+                                            step_cap=config.step_cap, centered=True)
     return value, grad.d_revenue, grad.d_cost
 
 
@@ -172,8 +172,7 @@ def train(data: RctDataset, config: TrainConfig,
                    shuffle_seed=config.seed)
 
     def batch_grad(batch: RctDataset, pred):
-        p_loss = prediction_loss(batch, pred)
-        pg_rev, pg_cost = prediction_loss_grad(batch, pred)
+        p_loss, pg_rev, pg_cost = prediction_loss_grad(batch, pred)
         d_loss, dg_rev, dg_cost = _decision_loss_and_grad(batch, pred, config)
         if not np.isfinite(config.alpha * p_loss + d_loss):
             raise NumericError(
@@ -192,14 +191,12 @@ def train(data: RctDataset, config: TrainConfig,
 
         snapshot = None
         if (eval_data is not None and config.eval_budgets
-                and (epoch + 1) % max(config.eval_every, 1) == 0):
-            eval_pred = forward(params, eval_data.features)
+                and (epoch + 1) % config.eval_every == 0):
+            allocate = _allocator(eval_data, forward(params, eval_data.features))
             values = []
             for b in config.eval_budgets:
                 try:
-                    values.append(
-                        evaluate_at_budget(eval_data, eval_pred, b).per_capita_revenue
-                    )
+                    values.append(allocate(b)[2].per_capita_revenue)
                 except InfeasibleError:
                     values.append(float("nan"))  # budget below the model's floor
             snapshot = tuple(values)

@@ -141,7 +141,7 @@ def test_06_gradient_oracle_equivalence():
     for _ in range(100):
         data, pred = random_instance(rng, n=int(rng.integers(5, 51)),
                                      m=int(rng.integers(2, 6)), min_gap=1e-4)
-        fast = dual_flip_gradient(data, pred, grid)
+        _, fast = dual_flip_gradient(data, pred, grid)
         ref = flip_fd_gradient(data, pred, grid, max_cells=50 * 5)
         worst = max(worst,
                     float(np.abs(fast.d_revenue - ref.d_revenue).max()),
@@ -349,8 +349,8 @@ def test_12_million_row_gradient_epoch():
 
     start = time.perf_counter()
     pred = forward(params, data.features)
-    pg_rev, pg_cost = prediction_loss_grad(data, pred)
-    est = dual_flip_gradient(data, pred, grid)
+    _, pg_rev, pg_cost = prediction_loss_grad(data, pred)
+    _, est = dual_flip_gradient(data, pred, grid)
     upstream = GradientPair(pg_rev + est.d_revenue, pg_cost + est.d_cost)
     grads = backward(params, data.features, upstream)
     optimizer_step(params, grads, lr=1e-3)

@@ -323,6 +323,11 @@ class TestSolveAndTrainInputs:
         assert epochs == []
         assert not (generated / "m.ckpt").exists()
 
+    def test_eval_every_below_one_exit_code(self, generated, capsys):
+        assert self.train(generated, "train.eval_every=0") == 2
+        assert "eval_every" in capsys.readouterr().err
+        assert not (generated / "m.ckpt").exists()
+
     def test_unknown_warm_start_objective_exit_code(self, generated, capsys):
         assert self.train(generated, "train.warm_start_epochs=0",
                           "train.warm_start_objective=bogus") == 2

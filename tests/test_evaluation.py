@@ -222,6 +222,19 @@ def test_bootstrap_se_positive_and_shrinks(rng):
     assert se_big < se_small
 
 
+@pytest.mark.parametrize("choice, n_boot", [
+    ([0, 1], 50),
+    ([7, 0, 1, 2], 50),
+    ([-1, 0, 1, 2], 50),
+    ([0, 1, 2, 0], 1),  # one replicate has no spread
+], ids=["wrong-length", "above-range", "negative", "one-replicate"])
+def test_bootstrap_se_rejects_bad_policy_and_replicate_count(choice, n_boot):
+    data = make_dataset(treatment=[0, 1, 2, 0], revenue=[1.0, 2.0, 3.0, 4.0],
+                        cost=[0.0] * 4, num_treatments=3)
+    with pytest.raises(ValidationError):
+        bootstrap_policy_se(data, np.array(choice), n_boot=n_boot)
+
+
 class TestExactBudgetSearch:
     def nonmonotone(self):
         # rows leave treatment 1 at lam = 0.5, 1 and 3; the estimated cost

@@ -9,7 +9,7 @@ from treatalloc.gradients import (GradientPair, dual_flip_gradient,
 from treatalloc.losses import LambdaGrid, row_softmax
 from treatalloc.solver import PredictionMatrix, decide_dual
 
-from conftest import central_differences, make_dataset, random_instance
+from conftest import central_differences, instances, make_dataset, random_instance
 
 
 class TestIpsDualLoss:
@@ -47,7 +47,7 @@ class TestDualFlipGradient:
         data = make_dataset(treatment=[0], revenue=[2.0], cost=[2.0],
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[3.0, 1.0]], [[0.0, 0.0]])
-        g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))  # reward 2-2=0
+        _, g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))  # reward 2-2=0
         assert not g.d_revenue.any() and not g.d_cost.any()
 
     def test_hand_trace_single_matching_sample(self):
@@ -57,7 +57,7 @@ class TestDualFlipGradient:
         data = make_dataset(treatment=[0], revenue=[3.0], cost=[1.0],
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[2.0, 1.0]], [[0.0, 0.0]])
-        g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
+        _, g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
         assert g.d_revenue[0].tolist() == [-2.0, 2.0]
         assert g.d_cost[0].tolist() == [2.0, -2.0]
 
@@ -65,7 +65,7 @@ class TestDualFlipGradient:
         grid = LambdaGrid((0.3, 1.1, 2.0))
         for _ in range(20):
             data, pred = random_instance(rng, min_gap=1e-4)
-            fast = dual_flip_gradient(data, pred, grid)
+            _, fast = dual_flip_gradient(data, pred, grid)
             ref = flip_fd_gradient(data, pred, grid)
             np.testing.assert_allclose(fast.d_revenue, ref.d_revenue, atol=1e-9)
             np.testing.assert_allclose(fast.d_cost, ref.d_cost, atol=1e-9)
@@ -74,11 +74,11 @@ class TestDualFlipGradient:
         grid = LambdaGrid((0.3, 1.1, 2.0))
         for _ in range(20):
             data, pred = random_instance(rng, min_gap=1e-4)
-            fast = dual_flip_gradient(data, pred, grid, centered=True)
+            _, fast = dual_flip_gradient(data, pred, grid, centered=True)
             ref = flip_fd_gradient(data, pred, grid, centered=True)
             np.testing.assert_allclose(fast.d_revenue, ref.d_revenue, atol=1e-9)
             np.testing.assert_allclose(fast.d_cost, ref.d_cost, atol=1e-9)
-            plain = dual_flip_gradient(data, pred, grid)
+            _, plain = dual_flip_gradient(data, pred, grid)
             assert not np.allclose(fast.d_revenue, plain.d_revenue)
 
     def test_positive_perturbation_of_matched_choice_never_raises_loss(self, rng):
@@ -98,10 +98,10 @@ class TestDualFlipGradient:
     def test_locality_other_rows_unchanged(self, rng):
         grid = LambdaGrid((0.4, 1.5))
         data, pred = random_instance(rng, n=12, m=3, min_gap=1e-4)
-        g1 = dual_flip_gradient(data, pred, grid)
+        _, g1 = dual_flip_gradient(data, pred, grid)
         bumped = pred.revenue.copy()
         bumped[3] = bumped[3] + 0.37  # move one row's predictions
-        g2 = dual_flip_gradient(data, PredictionMatrix(bumped, pred.cost), grid)
+        _, g2 = dual_flip_gradient(data, PredictionMatrix(bumped, pred.cost), grid)
         mask = np.ones(12, dtype=bool)
         mask[3] = False
         np.testing.assert_array_equal(g1.d_revenue[mask], g2.d_revenue[mask])
@@ -109,15 +109,15 @@ class TestDualFlipGradient:
 
     def test_grid_additivity_exact(self, rng):
         data, pred = random_instance(rng, n=10, m=3)
-        joint = dual_flip_gradient(data, pred, LambdaGrid((0.3, 1.2)))
-        a = dual_flip_gradient(data, pred, LambdaGrid((0.3,)))
-        b = dual_flip_gradient(data, pred, LambdaGrid((1.2,)))
+        _, joint = dual_flip_gradient(data, pred, LambdaGrid((0.3, 1.2)))
+        _, a = dual_flip_gradient(data, pred, LambdaGrid((0.3,)))
+        _, b = dual_flip_gradient(data, pred, LambdaGrid((1.2,)))
         np.testing.assert_array_equal(joint.d_revenue, a.d_revenue + b.d_revenue)
         np.testing.assert_array_equal(joint.d_cost, a.d_cost + b.d_cost)
 
     def test_lambda_zero_skips_cost_gradients(self, rng):
         data, pred = random_instance(rng, n=8, m=3)
-        g = dual_flip_gradient(data, pred, LambdaGrid((0.0,)))
+        _, g = dual_flip_gradient(data, pred, LambdaGrid((0.0,)))
         assert not g.d_cost.any()
 
     def test_step_floor_bounds_gradient_magnitude(self):
@@ -125,8 +125,38 @@ class TestDualFlipGradient:
         data = make_dataset(treatment=[0], revenue=[3.0], cost=[1.0],
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[1.0 + 1e-9, 1.0]], [[0.0, 0.0]])
-        g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
+        _, g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
         assert abs(g.d_revenue[0, 0]) == pytest.approx(2.0 / 1e-6)
+
+
+class TestKernelLoss:
+    """Both flip kernels return the plain matched loss of the allocation they
+    decide, summed over the grid: ``ips_dual_loss`` per multiplier, bitwise."""
+
+    GRID = LambdaGrid((0.0, 0.5, 1.0, 2.0))  # halves tie the tie-heavy scores
+
+    @pytest.mark.parametrize("centered", [False, True], ids=["plain", "centred"])
+    def test_equals_summed_ips_dual_loss(self, rng, centered):
+        for pred in instances(rng, 90):  # random, dyadic and tie-heavy
+            n, m = pred.revenue.shape
+            data = make_dataset(treatment=rng.integers(0, m, n),
+                                revenue=rng.uniform(0, 5, n),
+                                cost=rng.integers(0, 4, n) / 2.0, num_treatments=m)
+            expected = repr(sum(ips_dual_loss(data, pred, lam) for lam in self.GRID))
+            for kernel in (dual_flip_gradient, softmax_flip_gradient):
+                assert repr(kernel(data, pred, self.GRID, centered=centered)[0]) == expected
+
+    def test_softmax_kernel_decides_on_raw_scores(self):
+        # softmax rounds the distinct scores 0 and 1e-17 to one probability;
+        # the raw argmax picks column 1, the observed treatment, so the row
+        # is matched: -(2 * 3 - 1.0 * 2 * 1)
+        data = make_dataset(treatment=[1], revenue=[3.0], cost=[1.0],
+                            num_treatments=2, propensities=[0.5, 0.5])
+        pred = PredictionMatrix([[0.0, 1e-17]], [[0.0, 0.0]])
+        a = row_softmax(pred.revenue - 1.0 * pred.cost)
+        assert a[0, 0] == a[0, 1]
+        loss, _ = softmax_flip_gradient(data, pred, LambdaGrid((1.0,)))
+        assert loss == ips_dual_loss(data, pred, 1.0) == -4.0
 
 
 class TestGradientInnerLoss:

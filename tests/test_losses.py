@@ -79,7 +79,8 @@ class TestPredictionLoss:
 
     def test_gradient_matches_finite_differences(self, rng):
         data, pred = random_instance(rng, n=6, m=3)
-        d_rev, d_cost = prediction_loss_grad(data, pred)
+        loss, d_rev, d_cost = prediction_loss_grad(data, pred)
+        assert repr(loss) == repr(prediction_loss(data, pred))
         grads = {"revenue": d_rev, "cost": d_cost}
         for field, i, j, fd in central_differences(
                 pred, grads, 1e-6, lambda p: prediction_loss(data, p)):

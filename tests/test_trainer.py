@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic, split
-from treatalloc.evaluation import allocate_at_budget
+from treatalloc.evaluation import _allocator, allocate_at_budget
 from treatalloc.exceptions import ConfigError
-from treatalloc.gradients import GradientPair, dual_flip_gradient
+from treatalloc.gradients import GradientPair, dual_flip_gradient, ips_dual_loss
 from treatalloc.losses import (BudgetGrid, LambdaGrid, prediction_loss_grad,
                                tempered_policy_loss_grad)
 from treatalloc.model import (ModelConfig, backward, forward, forward_cached, init_params,
@@ -64,6 +64,8 @@ class TestTrainConfig:
         ("step_floor", float("nan")),
         ("step_cap", float("nan")),
         ("step_cap", 1e-7),  # below the default step_floor
+        ("eval_every", 0),
+        ("eval_every", -3),
     ])
     def test_rejects_non_finite_and_out_of_range(self, field, value):
         with pytest.raises(ConfigError):
@@ -155,9 +157,9 @@ class TestTrainLoop:
                                    activation=activation, seed=config.seed)
         params = init_params(model_config)
         pred = forward(params, tiny_data.features)
-        pg_rev, pg_cost = prediction_loss_grad(tiny_data, pred)
-        est = dual_flip_gradient(tiny_data, pred, config.lambda_grid,
-                                 step_floor=config.step_floor, centered=True)
+        _, pg_rev, pg_cost = prediction_loss_grad(tiny_data, pred)
+        _, est = dual_flip_gradient(tiny_data, pred, config.lambda_grid,
+                                    step_floor=config.step_floor, centered=True)
         upstream = GradientPair(config.alpha * pg_rev + est.d_revenue,
                                 config.alpha * pg_cost + est.d_cost)
         grads = backward(params, tiny_data.features, upstream)
@@ -182,6 +184,26 @@ class TestTrainLoop:
         steps = config.epochs * math.ceil(tiny_data.n / (batch_size or tiny_data.n))
         assert len(passes) == params.step == steps
 
+    @pytest.mark.parametrize("batch_size", [None, 2048])
+    @pytest.mark.parametrize("backend", ["perturb", "perturb-softmax"])
+    def test_flip_backends_decide_once_per_multiplier(self, wide_data, monkeypatch,
+                                                      backend, batch_size):
+        # the flip kernel returns the matched loss, so nothing decides again
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return ips_dual_loss(*args)
+
+        for target in ("treatalloc.training.ips_dual_loss",
+                       "treatalloc.gradients.ips_dual_loss"):
+            monkeypatch.setattr(target, counting, raising=False)
+        config = small_config(backend=backend, epochs=2, batch_size=batch_size)
+        params, records = train(wide_data, config)
+        assert params.step == 2 * math.ceil(wide_data.n / (batch_size or wide_data.n))
+        assert np.isfinite([r.decision for r in records]).all()
+        assert calls == []
+
     def test_all_backends_run_and_record(self, tiny_data):
         for backend in BACKENDS:
             config = small_config(backend=backend, epochs=3)
@@ -189,7 +211,16 @@ class TestTrainLoop:
             assert len(records) == 3
             assert np.isfinite([r.total for r in records]).all()
 
-    def test_eval_snapshots_on_held_out_data(self):
+    def test_eval_snapshots_on_held_out_data(self, monkeypatch):
+        builds = []
+
+        def counting(*args):
+            builds.append(1)
+            return _allocator(*args)
+
+        for target in ("treatalloc.training._allocator",
+                       "treatalloc.evaluation._allocator"):
+            monkeypatch.setattr(target, counting, raising=False)
         data, _ = generate_synthetic(GeneratorConfig(n=1200, m=3, d=4), seed=4)
         tr, te = split(data, 0.7, seed=0)
         config = small_config(epochs=4, eval_every=2, eval_budgets=(0.1, 0.3))
@@ -197,6 +228,7 @@ class TestTrainLoop:
         assert records[0].snapshot is None
         assert records[1].snapshot is not None and len(records[1].snapshot) == 2
         assert records[3].snapshot is not None
+        assert len(builds) == 2  # one allocator per snapshot, read at every budget
 
 
 class TestCenteredDecisionGradient:
@@ -232,7 +264,7 @@ class TestCenteredDecisionGradient:
         if backend == "policy":
             _, d_rev, d_cost = tempered_policy_loss_grad(data, pred, self.GRID, 1.0)
             return np.concatenate([d_rev, d_cost])
-        g = dual_flip_gradient(data, pred, self.GRID, step_floor=0.05)
+        _, g = dual_flip_gradient(data, pred, self.GRID, step_floor=0.05)
         return np.concatenate([g.d_revenue, g.d_cost])
 
     @pytest.mark.parametrize("backend", ["policy", "perturb"])
