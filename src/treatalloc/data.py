@@ -45,6 +45,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields``, skipping its checks: values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(eq=False)
 class RctDataset:
     """Immutable randomized-trial sample set.
@@ -128,16 +135,18 @@ class RctDataset:
         return self.propensities[self.treatment]
 
     def take(self, indices: np.ndarray) -> "RctDataset":
-        """Subset by row index; counts and propensities are recomputed."""
+        """Subset by row index; ``IndexError`` when one is out of range. The
+        rows were checked with this dataset, so the batch is valid by
+        construction and not checked again: frozen copies, recounted counts
+        and the batch's own propensities ``N_j / n``. It must not be empty."""
         idx = np.asarray(indices, dtype=np.int64)
-        return RctDataset(
-            ids=self.ids[idx],
-            features=self.features[idx],
-            treatment=self.treatment[idx],
-            revenue=self.revenue[idx],
-            cost=self.cost[idx],
-            num_treatments=self.num_treatments,
-        )
+        if idx.ndim != 1 or not idx.size:
+            raise ValidationError("a subset needs a nonempty 1-D array of row indices")
+        rows = {name: _freeze(getattr(self, name).take(idx, axis=0))
+                for name in ("ids", "features", "treatment", "revenue", "cost")}
+        counts = _freeze(np.bincount(rows["treatment"], minlength=self.num_treatments))
+        return _unchecked(RctDataset, **rows, num_treatments=self.num_treatments,
+                          treatment_counts=counts, propensities=_freeze(counts / idx.size))
 
     def equals(self, other: "RctDataset") -> bool:
         return (

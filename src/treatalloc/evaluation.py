@@ -214,6 +214,8 @@ def bootstrap_policy_se(data: RctDataset, choice: np.ndarray,
     """
     if n_boot < 2:
         raise ValidationError(f"n_boot must be >= 2, got {n_boot}")
+    if data.n == 0:
+        raise ValidationError("bootstrap needs at least one sample")
     match = _checked_choice(data, choice) == data.treatment
     contrib = np.where(match, data.revenue / data.sample_propensity(), 0.0)
     rng = np.random.default_rng(seed)

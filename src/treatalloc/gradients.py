@@ -177,11 +177,17 @@ def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     np.subtract(amax[:, None], a, out=gap)
     gap[rows, jstar] = amax - a[rows, second]
     match = jstar == t
-    sign = np.broadcast_to(match[:, None], a.shape).astype(np.int8)
+    sign = np.repeat(match.view(np.int8), a.shape[1]).reshape(a.shape)
     sign[rows, t] = -1
     runner_up = np.flatnonzero(~match & (second == t))
     sign[runner_up, jstar[runner_up]] = 1
     return gap, sign, jstar
+
+
+def _flip_head(xt: np.ndarray, step: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """``xt / step * sign`` for bounded flip steps, computed in ``step``."""
+    np.divide(xt, step, out=step)
+    return np.multiply(step, sign, out=step)
 
 
 def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
@@ -208,9 +214,10 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
         gap, sign, choice = _flip_gaps(pred.revenue - lam * pred.cost, data.treatment)
         loss += _loss_arrays(data, choice, lam)
         xt = (observed_rewards(data, lam, centered)[0] * inv_np)[:, None]
-        d_rev += xt / np.maximum(gap, step_floor) * sign
-        if lam > 0:
-            d_cost -= xt / np.maximum(gap / lam, step_floor) * sign
+        if lam > 0:  # first, as the revenue head works in gap
+            step = gap / lam
+            d_cost -= _flip_head(xt, np.maximum(step, step_floor, out=step), sign)
+        d_rev += _flip_head(xt, np.maximum(gap, step_floor, out=gap), sign)
     return loss, GradientPair(d_rev, d_cost)
 
 
@@ -233,7 +240,7 @@ def _softmax_flip_scores(data: RctDataset, a: np.ndarray, lam: float,
     """Flip gradients treating the softmax scores themselves as the inputs."""
     gap, sign, _ = _flip_gaps(a, data.treatment)
     xt = observed_rewards(data, lam, centered)[0] / (data.n * data.sample_propensity())
-    return xt[:, None] / np.clip(gap, step_floor, step_cap) * sign
+    return _flip_head(xt[:, None], np.clip(gap, step_floor, step_cap, out=gap), sign)
 
 
 def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
@@ -259,8 +266,9 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
         scores = pred.revenue - lam * pred.cost
         loss += _loss_arrays(data, np.argmax(scores, axis=1), lam)
         a = row_softmax(scores)
-        g = _softmax_flip_scores(data, a, lam, step_floor, step_cap, centered)
-        ds = a * (g - np.sum(g * a, axis=1, keepdims=True))
+        ds = _softmax_flip_scores(data, a, lam, step_floor, step_cap, centered)
+        ds -= np.sum(ds * a, axis=1, keepdims=True)  # g - <g, a> per row, in place
+        ds *= a
         d_rev += ds
         d_cost += -lam * ds
     return loss, GradientPair(d_rev, d_cost)

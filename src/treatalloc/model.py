@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import RctDataset, _freeze, _sigmoid
+from .data import RctDataset, _freeze, _sigmoid, _unchecked
 from .exceptions import ConfigError, NumericError, ValidationError
 from .gradients import GradientPair
 from .losses import prediction_loss_grad
@@ -154,9 +154,9 @@ def forward_cached(params: ModelParams, features: np.ndarray
 
 
 def _predictions(params: ModelParams, out: np.ndarray) -> PredictionMatrix:
-    out = _freeze(out)  # its views need no copy
+    out = _freeze(out)  # its views need no copy, and forward_cached checked it finite
     m = params.config.num_treatments
-    return PredictionMatrix(revenue=out[:, :m], cost=out[:, m:])
+    return _unchecked(PredictionMatrix, revenue=out[:, :m], cost=out[:, m:])
 
 
 def forward(params: ModelParams, features: np.ndarray) -> PredictionMatrix:
@@ -165,12 +165,12 @@ def forward(params: ModelParams, features: np.ndarray) -> PredictionMatrix:
 
 
 def _backprop(params: ModelParams, inputs: list[np.ndarray],
-              upstream: GradientPair) -> ParamGrads:
+              upstream: tuple[np.ndarray, np.ndarray]) -> ParamGrads:
     """Reverse pass over the layer inputs that ``forward_cached`` kept."""
     kind = params.config.activation
     d_weights = [np.empty(0)] * len(params.weights)
     d_biases = [np.empty(0)] * len(params.biases)
-    delta = np.concatenate([upstream.d_revenue, upstream.d_cost], axis=1)
+    delta = np.concatenate(upstream, axis=1)
     for k in range(len(params.weights) - 1, -1, -1):
         d_weights[k] = inputs[k].T @ delta
         d_biases[k] = delta.sum(axis=0)
@@ -189,7 +189,7 @@ def backward(params: ModelParams, features: np.ndarray,
     x = np.asarray(features, dtype=np.float64)
     if upstream.d_revenue.shape != (x.shape[0], params.config.num_treatments):
         raise ValidationError("upstream shapes must be (n, M) for each head")
-    return _backprop(params, forward_cached(params, x)[1], upstream)
+    return _backprop(params, forward_cached(params, x)[1], (upstream.d_revenue, upstream.d_cost))
 
 
 def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float) -> bool:
@@ -220,7 +220,7 @@ def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float) -> bool:
 
 
 BatchGrad = Callable[[RctDataset, PredictionMatrix],
-                     tuple[GradientPair, tuple[float, ...]]]
+                     tuple[tuple[np.ndarray, np.ndarray], tuple[float, ...]]]
 
 
 def _fit_epoch(params: ModelParams, data: RctDataset, batch_grad: BatchGrad,
@@ -232,12 +232,13 @@ def _fit_epoch(params: ModelParams, data: RctDataset, batch_grad: BatchGrad,
     Full batch (``batch_size`` unset) is ``data`` itself in index order and
     draws nothing from ``rng``; otherwise ``rng`` permutes the rows and
     consecutive slices of the permutation form the batches.
-    ``batch_grad(batch, pred)`` returns the upstream gradient of the
-    predictions and the batch's losses. ``step`` applies the update; each
-    caller passes the ``optimizer_step`` bound in its own module, so a
-    wrapper installed there (instrumentation, a patched update) stays in
-    force. Returns the losses as computed on a full batch, and their
-    batch-size-weighted means over mini-batches.
+    ``batch_grad(batch, pred)`` returns the (revenue, cost) gradients of the
+    predictions, unchecked (``step`` skips non-finite ones), and the batch's
+    losses. ``step`` applies the update; each caller passes the
+    ``optimizer_step`` bound in its own module, so a wrapper installed there
+    (instrumentation, a patched update) stays in force. Returns the losses as
+    computed on a full batch, and their batch-size-weighted means over
+    mini-batches.
     """
     if batch_size:
         order = rng.permutation(data.n)
@@ -278,7 +279,7 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
 
     def batch_grad(batch: RctDataset, pred: PredictionMatrix):
         if objective == "squared-error":
-            return GradientPair(*prediction_loss_grad(batch, pred)[1:]), ()
+            return prediction_loss_grad(batch, pred)[1:], ()
         rows = np.arange(batch.n)
         w = 1.0 / (batch.n * batch.num_treatments * batch.sample_propensity())
         d_rev = np.zeros_like(pred.revenue)
@@ -289,7 +290,7 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
         d_cost[rows, batch.treatment] = w * (
             _sigmoid(pred.cost[rows, batch.treatment]) - batch.cost
         )
-        return GradientPair(d_rev, d_cost), ()
+        return (d_rev, d_cost), ()
 
     rng = np.random.default_rng(shuffle_seed)
     for _ in range(epochs):

@@ -105,8 +105,8 @@ def dual_value(pred: PredictionMatrix, lam: float, budget: float) -> float:
     """Dual bound ``lam * budget + sum_i max_j (revenue_ij - lam * cost_ij)``."""
     if lam < 0:
         raise ValidationError("multiplier must be >= 0")
-    scores = pred.revenue - lam * pred.cost
-    return float(lam * budget + scores.max(axis=1).sum())
+    scores = np.ascontiguousarray((pred.revenue - lam * pred.cost).T)  # see _Sweep
+    return float(lam * budget + scores.max(axis=0).sum())
 
 
 def lambda_upper_bound(pred: PredictionMatrix) -> float:

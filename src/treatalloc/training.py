@@ -42,7 +42,7 @@ import numpy as np
 from .data import RctDataset
 from .evaluation import CostCurve, _allocator, aucc, cost_curve
 from .exceptions import ConfigError, InfeasibleError, NumericError, ValidationError
-from .gradients import GradientPair, dual_flip_gradient, softmax_flip_gradient
+from .gradients import dual_flip_gradient, softmax_flip_gradient
 from .losses import BudgetGrid, LambdaGrid, prediction_loss_grad, tempered_policy_loss_grad
 from .model import WARM_START_OBJECTIVES, ModelConfig, ModelParams, _fit_epoch, forward, \
     init_params, load_checkpoint, optimizer_step, warm_start
@@ -179,9 +179,8 @@ def train(data: RctDataset, config: TrainConfig,
                 f"non-finite loss at epoch {epoch}: "
                 f"prediction={p_loss} decision={d_loss}"
             )
-        upstream = GradientPair(config.alpha * pg_rev + dg_rev,
-                                config.alpha * pg_cost + dg_cost)
-        return upstream, (p_loss, d_loss)
+        return ((config.alpha * pg_rev + dg_rev, config.alpha * pg_cost + dg_cost),
+                (p_loss, d_loss))
 
     records: list[EpochRecord] = []
     for epoch in range(config.epochs - config.warm_start_epochs):

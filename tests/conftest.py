@@ -67,6 +67,12 @@ def tie_heavy_instance(rng, n, m):
     return PredictionMatrix(revenue, cost)
 
 
+def dyadic_instance(rng, n, m):
+    """Multiples of 2**-20 small enough that their sums are exact in float64."""
+    return PredictionMatrix(rng.integers(0, 2 ** 23, (n, m)) / 2 ** 20,
+                            rng.integers(0, 2 ** 22, (n, m)) / 2 ** 20)
+
+
 def instances(rng, count):
     """Random, dyadic and tie-heavy instances of varying size."""
     for i in range(count):
@@ -75,9 +81,8 @@ def instances(rng, count):
         if kind == 0:
             yield PredictionMatrix(rng.uniform(0, 5, (n, m)),
                                    rng.uniform(0, 2, (n, m)))
-        elif kind == 1:  # all small sums exact in float64
-            yield PredictionMatrix(rng.integers(0, 2 ** 23, (n, m)) / 2 ** 20,
-                                   rng.integers(0, 2 ** 22, (n, m)) / 2 ** 20)
+        elif kind == 1:
+            yield dyadic_instance(rng, n, m)
         else:
             yield tie_heavy_instance(rng, n, m)
 

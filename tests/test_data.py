@@ -10,6 +10,8 @@ from treatalloc.data import (CSV_BLOCK_ROWS, CURVE_COLUMNS, CounterfactualMatrix
                              write_counterfactual_csv, write_csv)
 from treatalloc.exceptions import ConfigError, ParseError, ValidationError
 
+from conftest import make_dataset
+
 
 def test_load_csv_empirical_counts(tmp_path):
     f = tmp_path / "d.csv"
@@ -171,6 +173,49 @@ def test_split_recomputes_propensities():
     data, _ = generate_synthetic(GeneratorConfig(n=300, m=3, d=2), seed=2)
     a, _ = split(data, 0.5, seed=0)
     assert np.allclose(a.propensities, a.treatment_counts / a.n)
+
+
+class TestTake:
+    """``take`` builds its batch without re-checking rows that were checked
+    with the parent; the batch must equal one built through the constructor."""
+
+    @pytest.mark.parametrize("indices", [[4, 0, 4, 17], list(range(20)), [-1, 3], [9]],
+                             ids=["repeats", "all", "negative", "one"])
+    def test_equals_a_checked_construction(self, indices):
+        data, _ = generate_synthetic(GeneratorConfig(n=20, m=4, d=3), seed=3)
+        idx = np.array(indices)
+        batch = data.take(idx)
+        expected = RctDataset(ids=data.ids[idx], features=data.features[idx],
+                              treatment=data.treatment[idx], revenue=data.revenue[idx],
+                              cost=data.cost[idx], num_treatments=data.num_treatments)
+        for name in ("ids", "features", "treatment", "revenue", "cost",
+                     "treatment_counts", "propensities"):
+            got, want = getattr(batch, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert batch.num_treatments == expected.num_treatments
+
+    def test_writing_to_the_parent_does_not_reach_the_batch(self):
+        features = np.arange(12.0).reshape(6, 2)
+        data = make_dataset(treatment=[0, 1, 0, 1, 0, 1], revenue=np.ones(6),
+                            cost=np.zeros(6), num_treatments=2, features=features)
+        batch = data.take(np.array([1, 2]))
+        before = batch.features.copy()
+        data.features.flags.writeable = True  # the parent owns its memory
+        data.features[:] = -1.0
+        assert np.array_equal(batch.features, before)
+
+    def test_empty_take_raises_validation_error(self):
+        data, _ = generate_synthetic(GeneratorConfig(n=5, m=2, d=2), seed=1)
+        with pytest.raises(ValidationError):
+            data.take(np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [5, -6])
+    def test_out_of_range_index_raises_index_error(self, bad):
+        data, _ = generate_synthetic(GeneratorConfig(n=5, m=2, d=2), seed=1)
+        with pytest.raises(IndexError):
+            data.take(np.array([0, bad]))
 
 
 def test_split_rejects_empty():

@@ -235,6 +235,15 @@ def test_bootstrap_se_rejects_bad_policy_and_replicate_count(choice, n_boot):
         bootstrap_policy_se(data, np.array(choice), n_boot=n_boot)
 
 
+def test_bootstrap_se_rejects_empty_data():
+    # evaluate_policy gives zeros on it; a standard error of no samples has
+    # no value, and the mean of an empty resample only warns
+    data = make_dataset(treatment=[], revenue=[], cost=[], num_treatments=2,
+                        propensities=[0.5, 0.5])
+    with pytest.raises(ValidationError, match="at least one sample"):
+        bootstrap_policy_se(data, np.zeros(0, dtype=np.int64))
+
+
 class TestExactBudgetSearch:
     def nonmonotone(self):
         # rows leave treatment 1 at lam = 0.5, 1 and 3; the estimated cost

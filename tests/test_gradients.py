@@ -6,10 +6,50 @@ from treatalloc.gradients import (GradientPair, dual_flip_gradient,
                                   flip_fd_gradient, gradient_inner_loss,
                                   ips_dual_loss, softmax_flip_gradient,
                                   _softmax_flip_scores)
-from treatalloc.losses import LambdaGrid, row_softmax
+from treatalloc.losses import LambdaGrid, observed_rewards, row_softmax
 from treatalloc.solver import PredictionMatrix, decide_dual
 
 from conftest import central_differences, instances, make_dataset, random_instance
+
+
+def reference_flip_gaps(a, t):
+    """The (gap, sign) kernel as first written: int8 sign from a broadcast."""
+    rows = np.arange(a.shape[0])
+    jstar = np.argmax(a, axis=1)
+    amax = a[rows, jstar]
+    gap = a.copy()
+    gap[rows, jstar] = -np.inf
+    second = np.argmax(gap, axis=1)
+    np.subtract(amax[:, None], a, out=gap)
+    gap[rows, jstar] = amax - a[rows, second]
+    match = jstar == t
+    sign = np.broadcast_to(match[:, None], a.shape).astype(np.int8)
+    sign[rows, t] = -1
+    runner_up = np.flatnonzero(~match & (second == t))
+    sign[runner_up, jstar[runner_up]] = 1
+    return gap, sign
+
+
+def reference_flip_gradients(data, pred, grid, step_floor, step_cap, centered):
+    """Both flip heads in the row-major out-of-place form they replaced."""
+    n_p = data.n * data.sample_propensity()
+    grads = {name: [np.zeros_like(pred.revenue), np.zeros_like(pred.cost)]
+             for name in ("plain", "softmax")}
+    for lam in grid:
+        scores = pred.revenue - lam * pred.cost
+        reward = observed_rewards(data, lam, centered)[0]
+        xt = (reward * (1.0 / n_p))[:, None]
+        gap, sign = reference_flip_gaps(scores, data.treatment)
+        grads["plain"][0] += xt / np.maximum(gap, step_floor) * sign
+        if lam > 0:
+            grads["plain"][1] -= xt / np.maximum(gap / lam, step_floor) * sign
+        a = row_softmax(scores)
+        gap, sign = reference_flip_gaps(a, data.treatment)
+        g = (reward / n_p)[:, None] / np.clip(gap, step_floor, step_cap) * sign
+        ds = a * (g - np.sum(g * a, axis=1, keepdims=True))
+        grads["softmax"][0] += ds
+        grads["softmax"][1] += -lam * ds
+    return grads
 
 
 class TestIpsDualLoss:
@@ -157,6 +197,27 @@ class TestKernelLoss:
         assert a[0, 0] == a[0, 1]
         loss, _ = softmax_flip_gradient(data, pred, LambdaGrid((1.0,)))
         assert loss == ips_dual_loss(data, pred, 1.0) == -4.0
+
+
+class TestInPlaceHeads:
+    """The flip heads work in place on their gap arrays; the bits stay those
+    of the out-of-place formulas."""
+
+    GRID = LambdaGrid((0.0, 0.5, 1.0, 2.0))
+
+    @pytest.mark.parametrize("centered", [False, True], ids=["plain", "centred"])
+    def test_bitwise_equal_to_out_of_place_formulas(self, rng, centered):
+        for pred in instances(rng, 90):  # random, dyadic and tie-heavy
+            n, m = pred.revenue.shape
+            data = make_dataset(treatment=rng.integers(0, m, n),
+                                revenue=rng.uniform(0, 5, n),
+                                cost=rng.integers(0, 4, n) / 2.0, num_treatments=m)
+            expected = reference_flip_gradients(data, pred, self.GRID, 0.05, 0.5, centered)
+            plain = dual_flip_gradient(data, pred, self.GRID, 0.05, centered)[1]
+            soft = softmax_flip_gradient(data, pred, self.GRID, 0.05, 0.5, centered)[1]
+            for got, name in ((plain, "plain"), (soft, "softmax")):
+                assert np.array_equal(got.d_revenue, expected[name][0])
+                assert np.array_equal(got.d_cost, expected[name][1])
 
 
 class TestGradientInnerLoss:

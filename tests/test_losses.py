@@ -4,14 +4,91 @@ import pytest
 from treatalloc.data import CounterfactualMatrix, GeneratorConfig, RctDataset, \
     generate_synthetic
 from treatalloc.exceptions import ConfigError, ValidationError
-from treatalloc.losses import (BudgetGrid, LambdaGrid, full_mse,
-                               max_entropy_loss, oracle_dual_losses,
+from treatalloc.losses import (BudgetGrid, LambdaGrid, _softmax, full_mse,
+                               max_entropy_loss, observed_rewards, oracle_dual_losses,
                                policy_learning_loss, prediction_loss,
                                prediction_loss_grad, row_softmax,
                                tempered_policy_loss, tempered_policy_loss_grad)
 from treatalloc.solver import PredictionMatrix
 
-from conftest import central_differences, make_dataset, random_instance
+from conftest import (central_differences, dyadic_instance, make_dataset, random_instance,
+                      tie_heavy_instance)
+
+BUILDERS = {
+    "random": lambda rng, n, m: random_instance(rng, n=n, m=m)[1],
+    "dyadic": dyadic_instance,
+    "tie-heavy": tie_heavy_instance,
+}
+
+
+def reference_softmax(scores):
+    """The row-major formula that the treatment-major kernel replaced."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_policy_loss_grad(data, pred, grid, tau, centered):
+    """The row-major loop that the treatment-major kernel replaced."""
+    rows = np.arange(data.n)
+    weight = 1.0 / (data.n * data.sample_propensity())
+    d_rev = np.zeros_like(pred.revenue)
+    d_cost = np.zeros_like(pred.cost)
+    total = 0.0
+    for lam in grid:
+        w = reference_softmax((pred.revenue - lam * pred.cost) / tau)
+        w_obs = w[rows, data.treatment]
+        reward, baseline = observed_rewards(data, lam, centered)
+        beta = weight * reward
+        total += -float(np.sum(beta * w_obs)) - baseline
+        ds = (beta * w_obs)[:, None] * w
+        ds[rows, data.treatment] -= beta * w_obs
+        d_rev += ds / tau
+        d_cost += ds * (-lam / tau)
+    return total, d_rev, d_cost
+
+
+class TestTreatmentMajorKernels:
+    """The softmax kernels reduce over axis 0 of (m, n) copies. Up to m = 7
+    numpy adds the m terms of either layout left to right, so the results
+    are the row-major formula's bits; from m = 8 its pairwise summation
+    groups them differently, which moves a value by a few ulps."""
+
+    def scores(self, rng, builder, n, m):
+        pred = BUILDERS[builder](rng, n, m)
+        for lam, tau in ((0.0, 1.0), (0.7, 0.1), (2.0, 3.0)):
+            yield (pred.revenue - lam * pred.cost) / tau
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_softmax_bitwise_equals_row_major_formula(self, rng, builder, m):
+        for n in (1, 7, 300):
+            for scores in self.scores(rng, builder, n, m):
+                expected = reference_softmax(scores)
+                assert np.array_equal(_softmax(np.ascontiguousarray(scores.T)).T, expected)
+                got = row_softmax(scores)
+                assert np.array_equal(got, expected) and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("m", [8, 9, 12, 33])
+    def test_softmax_close_to_row_major_formula_from_eight_treatments(self, rng, builder, m):
+        for scores in self.scores(rng, builder, 300, m):
+            np.testing.assert_allclose(row_softmax(scores), reference_softmax(scores),
+                                       rtol=2 * m * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_policy_loss_grad_bitwise_equals_row_major_loop(self, rng, builder, m):
+        grid = LambdaGrid((0.0, 0.5, 1.0, 2.0))
+        for n in (1, 40):
+            data, _ = random_instance(rng, n=n, m=m)
+            pred = BUILDERS[builder](rng, data.n, m)
+            for tau, centered in ((1.0, False), (0.1, True)):
+                got = tempered_policy_loss_grad(data, pred, grid, tau, centered)
+                expected = reference_policy_loss_grad(data, pred, grid, tau, centered)
+                assert repr(got[0]) == repr(expected[0])
+                assert np.array_equal(got[1], expected[1])
+                assert np.array_equal(got[2], expected[2])
 
 
 def resampled_dataset(truth, rng):
@@ -40,6 +117,13 @@ class TestGrids:
         assert len(BudgetGrid((1.0, 1.0, 2.0))) == 3
         with pytest.raises(ValidationError):
             BudgetGrid((2.0, 1.0))
+
+    def test_budget_grid_rejects_nan_keeps_infinity(self):
+        with pytest.raises(ValidationError, match="budgets must be >= 0"):
+            BudgetGrid((0.1, float("nan")))
+        with pytest.raises(ValidationError):
+            BudgetGrid((float("nan"),))
+        assert list(BudgetGrid((0.1, float("inf")))) == [0.1, float("inf")]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_lambda_grid_rejects_non_finite(self, bad):

@@ -5,7 +5,7 @@ import pytest
 
 from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic, split
 from treatalloc.evaluation import _allocator, allocate_at_budget
-from treatalloc.exceptions import ConfigError
+from treatalloc.exceptions import ConfigError, NumericError
 from treatalloc.gradients import GradientPair, dual_flip_gradient, ips_dual_loss
 from treatalloc.losses import (BudgetGrid, LambdaGrid, prediction_loss_grad,
                                tempered_policy_loss_grad)
@@ -203,6 +203,17 @@ class TestTrainLoop:
         assert params.step == 2 * math.ceil(wide_data.n / (batch_size or wide_data.n))
         assert np.isfinite([r.decision for r in records]).all()
         assert calls == []
+
+    @pytest.mark.parametrize("batch_size", [None, 64], ids=["full", "mini"])
+    def test_non_finite_loss_raises_numeric_error(self, batch_size):
+        # finite data and predictions, but the squared error overflows
+        data, _ = generate_synthetic(GeneratorConfig(n=200, m=3, d=4), seed=5)
+        huge = RctDataset(ids=data.ids, features=data.features, treatment=data.treatment,
+                          revenue=data.revenue * 1e200, cost=data.cost,
+                          num_treatments=data.num_treatments)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="non-finite loss at epoch 0"):
+            train(huge, small_config(epochs=2, backend="entropy", batch_size=batch_size))
 
     def test_all_backends_run_and_record(self, tiny_data):
         for backend in BACKENDS:
