@@ -56,7 +56,6 @@ _EXPORTS = {
     "TrainConfig": "training",
     "EpochRecord": "training",
     "train": "training",
-    "evaluate_checkpoint": "training",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -128,21 +128,22 @@ def _load_predictions(path: str, data):
     ids, matrix = load_counterfactual_csv(path)
     if not np.array_equal(ids, data.ids):
         raise ValidationError(f"{path}: ids do not match the dataset")
-    if matrix.num_treatments != data.num_treatments:
-        raise ValidationError(
-            f"{path}: {matrix.num_treatments} treatments vs dataset "
-            f"{data.num_treatments}"
-        )
     return PredictionMatrix(matrix.revenue, matrix.cost)
 
 
 def _predictions_for(args, data):
+    from .exceptions import ValidationError
     from .model import forward, load_checkpoint
 
     if args.checkpoint:
         params, _ = load_checkpoint(args.checkpoint)
-        return forward(params, data.features)
-    return _load_predictions(args.predictions, data)
+        source, pred = args.checkpoint, forward(params, data.features)
+    else:
+        source, pred = args.predictions, _load_predictions(args.predictions, data)
+    if pred.num_treatments != data.num_treatments:
+        raise ValidationError(
+            f"{source}: {pred.num_treatments} treatments vs dataset {data.num_treatments}")
+    return pred
 
 
 def _cmd_generate(args) -> None:

@@ -116,7 +116,7 @@ class RctDataset:
         self.propensities = np.asarray(self.propensities, dtype=np.float64)
         if self.propensities.shape != (m,):
             raise ValidationError("propensities must have one entry per treatment")
-        if abs(float(self.propensities.sum()) - 1.0) > 1e-9:
+        if not abs(float(self.propensities.sum()) - 1.0) <= 1e-9:  # NaN fails too
             raise ValidationError("propensities must sum to 1")
         if np.any((counts > 0) & (self.propensities <= 0.0)):
             raise ValidationError("every present treatment needs propensity > 0")
@@ -148,17 +148,6 @@ class RctDataset:
         return _unchecked(RctDataset, **rows, num_treatments=self.num_treatments,
                           treatment_counts=counts, propensities=_freeze(counts / idx.size))
 
-    def equals(self, other: "RctDataset") -> bool:
-        return (
-            self.num_treatments == other.num_treatments
-            and np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.treatment, other.treatment)
-            and np.array_equal(self.revenue, other.revenue)
-            and np.array_equal(self.cost, other.cost)
-            and np.array_equal(self.propensities, other.propensities)
-        )
-
 
 @dataclass(eq=False)
 class CounterfactualMatrix:
@@ -186,18 +175,6 @@ class CounterfactualMatrix:
     def take(self, indices: np.ndarray) -> "CounterfactualMatrix":
         idx = np.asarray(indices, dtype=np.int64)
         return CounterfactualMatrix(self.revenue[idx], self.cost[idx])
-
-
-def validate_counterfactual(data: RctDataset, truth: CounterfactualMatrix) -> None:
-    """Check that observed outcomes equal the matrix entries bit-exactly."""
-    if truth.revenue.shape != (data.n, data.num_treatments):
-        raise ValidationError("counterfactual matrix shape does not match dataset")
-    rows = np.arange(data.n)
-    if not (
-        np.array_equal(truth.revenue[rows, data.treatment], data.revenue)
-        and np.array_equal(truth.cost[rows, data.treatment], data.cost)
-    ):
-        raise ValidationError("observed outcomes differ from counterfactual entries")
 
 
 @dataclass(frozen=True)
@@ -568,7 +545,3 @@ def generator_config(values: dict[str, str]) -> tuple[GeneratorConfig, int]:
         raise ConfigError(f"bad generator config value: {exc}") from None
     return config, seed
 
-
-def load_generator_config(path: str | Path) -> tuple[GeneratorConfig, int]:
-    """Read a flat key=value generator file; returns (config, seed)."""
-    return generator_config(read_config(path))

@@ -52,9 +52,6 @@ class CostCurve:
         pts = tuple(sorted(self.points, key=lambda p: p.per_capita_cost))
         object.__setattr__(self, "points", pts)
 
-    def costs(self) -> np.ndarray:
-        return np.array([p.per_capita_cost for p in self.points])
-
 
 def _checked_choice(data: RctDataset, choice) -> np.ndarray:
     choice = np.asarray(choice, dtype=np.int64)
@@ -68,10 +65,7 @@ def _checked_choice(data: RctDataset, choice) -> np.ndarray:
 def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
     """Match-and-reweight estimate of a deterministic policy's outcomes."""
     match = _checked_choice(data, choice) == data.treatment
-    prop = data.sample_propensity()
-    if np.any(match & (prop <= 0.0)):
-        raise ValidationError("matched sample has zero assignment propensity")
-    w = np.where(match, 1.0 / np.where(prop > 0, prop, 1.0), 0.0) / max(data.n, 1)
+    w = np.where(match, 1.0 / data.sample_propensity(), 0.0) / max(data.n, 1)
     return OutcomeEstimate(
         per_capita_revenue=float(np.sum(w * data.revenue)),
         per_capita_cost=float(np.sum(w * data.cost)),
@@ -97,7 +91,7 @@ def _allocator(data: RctDataset, pred: PredictionMatrix):
         sweep = pred._sweep
         if delta is None:
             rows, prop = sweep.rows, data.sample_propensity()
-            weighted = (data.cost / np.where(prop > 0, prop, 1.0) / data.n)[rows]
+            weighted = (data.cost / prop / data.n)[rows]
             delta = (weighted * (sweep.new == data.treatment[rows])
                      - weighted * (sweep.old == data.treatment[rows]))
 

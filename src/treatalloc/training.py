@@ -1,4 +1,4 @@
-"""Training loop: composite loss, decision backends, logging, checkpoints.
+"""Training loop: composite loss, decision backends, logging.
 
 Each epoch combines the prediction loss (weight ``alpha``) with one decision
 backend:
@@ -40,12 +40,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import RctDataset
-from .evaluation import CostCurve, _allocator, aucc, cost_curve
+from .evaluation import _allocator
 from .exceptions import ConfigError, InfeasibleError, NumericError, ValidationError
 from .gradients import dual_flip_gradient, softmax_flip_gradient
-from .losses import BudgetGrid, LambdaGrid, prediction_loss_grad, tempered_policy_loss_grad
+from .losses import LambdaGrid, prediction_loss_grad, tempered_policy_loss_grad
 from .model import WARM_START_OBJECTIVES, ModelConfig, ModelParams, _fit_epoch, forward, \
-    init_params, load_checkpoint, optimizer_step, warm_start
+    init_params, optimizer_step, warm_start
 
 BACKENDS = ("two-stage", "policy", "entropy", "perturb", "perturb-softmax")
 
@@ -208,27 +208,6 @@ def train(data: RctDataset, config: TrainConfig,
             snapshot=snapshot,
         ))
     return params, records
-
-
-def evaluate_checkpoint(source, data: RctDataset, budgets: BudgetGrid
-                        ) -> tuple[CostCurve, float | None]:
-    """Cost curve (and the binary ranking metric when M = 2) for a model.
-
-    ``source`` is a ModelParams or a checkpoint path.
-    """
-    if isinstance(source, ModelParams):
-        params = source
-    else:
-        params, _ = load_checkpoint(source)
-    if params.config.num_treatments != data.num_treatments:
-        raise ConfigError(
-            f"checkpoint has {params.config.num_treatments} treatments, "
-            f"dataset has {data.num_treatments}"
-        )
-    pred = forward(params, data.features)
-    curve = cost_curve(data, pred, budgets)
-    metric = aucc(data, pred) if data.num_treatments == 2 else None
-    return curve, metric
 
 
 def format_epoch_record(rec: EpochRecord) -> str:

@@ -25,6 +25,13 @@ def make_dataset(treatment, revenue, cost, num_treatments, propensities=None,
     )
 
 
+def same_dataset(a: RctDataset, b: RctDataset) -> bool:
+    """Field-by-field equality of two datasets."""
+    return a.num_treatments == b.num_treatments and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("ids", "features", "treatment", "revenue", "cost", "propensities"))
+
+
 def random_instance(rng, n=None, m=None, min_gap=0.0):
     """Random dataset + prediction pair with every treatment present.
 

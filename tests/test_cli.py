@@ -342,6 +342,32 @@ class TestSolveAndTrainInputs:
         assert "eval.budget" in capsys.readouterr().err
         assert not (generated / "curve.csv").exists()
 
+    @pytest.fixture
+    def two_treatments(self, generated):
+        """A 2-treatment checkpoint and outcome matrix for the 3-treatment data."""
+        from treatalloc.model import ModelConfig, init_params, save_checkpoint
+
+        save_checkpoint(generated / "two.ckpt", init_params(
+            ModelConfig(layer_widths=(4,), num_treatments=2, input_dim=4, seed=0)))
+        assert run(["generate", "--config", p(generated / "gen.cfg"),
+                    "--out", p(generated / "d2.csv"), "--truth", p(generated / "two.csv"),
+                    "n=300", "m=2"]) == 0
+        return generated
+
+    @pytest.mark.parametrize("source, name", [("--checkpoint", "two.ckpt"),
+                                              ("--predictions", "two.csv")],
+                             ids=["checkpoint", "predictions"])
+    @pytest.mark.parametrize("verb, extra", [("solve", ["--budget", "1000"]),
+                                             ("evaluate", [])], ids=["solve", "evaluate"])
+    def test_treatment_mismatch_exit_code(self, two_treatments, capsys, verb, extra,
+                                          source, name):
+        path = two_treatments / name
+        code = run([verb, "--data", p(two_treatments / "d.csv"), source, p(path),
+                    "--out", p(two_treatments / "out.csv"), *extra])
+        assert code == 2
+        assert f"{path}: 2 treatments vs dataset 3" in capsys.readouterr().err
+        assert not (two_treatments / "out.csv").exists()
+
     def test_truncated_checkpoint_exit_code(self, generated, capsys):
         assert self.train(generated) == 0
         ckpt = generated / "m.ckpt"

@@ -5,12 +5,12 @@ import pytest
 
 from treatalloc.data import (CSV_BLOCK_ROWS, CURVE_COLUMNS, CounterfactualMatrix,
                              GeneratorConfig, RctDataset, _write_table,
-                             generate_synthetic, load_csv, load_counterfactual_csv,
-                             load_generator_config, split, validate_counterfactual,
+                             generate_synthetic, generator_config, load_csv,
+                             load_counterfactual_csv, read_config, split,
                              write_counterfactual_csv, write_csv)
 from treatalloc.exceptions import ConfigError, ParseError, ValidationError
 
-from conftest import make_dataset
+from conftest import make_dataset, same_dataset
 
 
 def test_load_csv_empirical_counts(tmp_path):
@@ -87,6 +87,21 @@ def test_load_csv_propensity_disagreement(tmp_path):
         load_csv(f)
 
 
+@pytest.mark.parametrize("p0, p1, message", [("0.0", "1.0", r"propensity > 0"),
+                                             ("nan", "nan", "sum to 1")],
+                         ids=["zero", "nan"])
+def test_load_csv_rejects_zero_or_nan_propensity(tmp_path, p0, p1, message):
+    # evaluation divides by each present treatment's propensity unguarded
+    f = tmp_path / "d.csv"
+    f.write_text(
+        "id,f0,treatment,revenue,cost,propensity\n"
+        f"0,0.0,0,1.0,0.0,{p0}\n"
+        f"1,0.0,1,1.0,0.0,{p1}\n"
+    )
+    with pytest.raises(ValidationError, match=message):
+        load_csv(f)
+
+
 def test_dataset_validation_rejects_bad_counts():
     with pytest.raises(ValidationError, match="counts"):
         RctDataset(
@@ -100,7 +115,7 @@ def test_generate_deterministic_under_seed():
     config = GeneratorConfig(n=200, m=5, d=10)
     d1, t1 = generate_synthetic(config, seed=7)
     d2, t2 = generate_synthetic(config, seed=7)
-    assert d1.equals(d2)
+    assert same_dataset(d1, d2)
     assert np.array_equal(t1.revenue, t2.revenue)
     assert np.array_equal(t1.cost, t2.cost)
 
@@ -110,9 +125,10 @@ def test_generate_deterministic_under_seed():
 def test_generate_counterfactual_consistency(noise, family):
     config = GeneratorConfig(n=500, m=4, d=6, noise=noise, family=family)
     data, truth = generate_synthetic(config, seed=3)
-    validate_counterfactual(data, truth)  # bit-exact by contract
-    rows = np.arange(data.n)
+    rows = np.arange(data.n)  # observed outcomes are the matrix entries, bit-exactly
+    assert truth.revenue.shape == (data.n, data.num_treatments)
     assert np.array_equal(truth.revenue[rows, data.treatment], data.revenue)
+    assert np.array_equal(truth.cost[rows, data.treatment], data.cost)
 
 
 @pytest.mark.parametrize("family", ["saturating", "linear", "hetero"])
@@ -166,7 +182,7 @@ def test_split_deterministic():
     data, _ = generate_synthetic(GeneratorConfig(n=50, m=3, d=2), seed=1)
     a1, b1 = split(data, 0.5, seed=4)
     a2, b2 = split(data, 0.5, seed=4)
-    assert a1.equals(a2) and b1.equals(b2)
+    assert same_dataset(a1, a2) and same_dataset(b1, b2)
 
 
 def test_split_recomputes_propensities():
@@ -229,7 +245,7 @@ def test_csv_round_trip(tmp_path):
     f = tmp_path / "round.csv"
     write_csv(f, data)
     again = load_csv(f)
-    assert data.equals(again)
+    assert same_dataset(data, again)
 
     g = tmp_path / "truth.csv"
     write_counterfactual_csv(g, data.ids, truth)
@@ -242,17 +258,17 @@ def test_csv_round_trip(tmp_path):
 def test_generator_config_rejects_unknown_keys_ignores_other_sections(tmp_path):
     f = tmp_path / "gen.cfg"
     f.write_text("n=100\nm=3\nd=4\ntrain.epochs=5\n")
-    config, _ = load_generator_config(f)
+    config, _ = generator_config(read_config(f))
     assert config.n == 100
     f.write_text("n=100\nm=3\nd=4\nnosie=5\n")
     with pytest.raises(ConfigError, match="nosie"):
-        load_generator_config(f)
+        generator_config(read_config(f))
 
 
 def test_generator_config_file(tmp_path):
     f = tmp_path / "gen.cfg"
     f.write_text("n=100\nm=3\nd=4\nnoise=0.5\nseed=42\nfamily=linear\n")
-    config, seed = load_generator_config(f)
+    config, seed = generator_config(read_config(f))
     assert (config.n, config.m, config.d, config.noise, config.family) == \
         (100, 3, 4, 0.5, "linear")
     assert seed == 42

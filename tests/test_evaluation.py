@@ -102,7 +102,7 @@ class TestCostCurve:
             GeneratorConfig(n=2000, m=4, d=3, noise=0.2), seed=4)
         pred = PredictionMatrix(truth.revenue, truth.cost)
         curve = cost_curve(data, pred, BudgetGrid((0.2, 0.4)))
-        costs = curve.costs()
+        costs = [p.per_capita_cost for p in curve.points]
         assert costs[0] <= costs[1] + 1e-9
         single = cost_curve(data, pred, BudgetGrid((0.3,)))
         assert len(single.points) == 1

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic, split
-from treatalloc.evaluation import _allocator, allocate_at_budget
+from treatalloc.evaluation import (_allocator, allocate_at_budget, aucc, cost_curve,
+                                   default_budget_grid)
 from treatalloc.exceptions import ConfigError, NumericError
 from treatalloc.gradients import GradientPair, dual_flip_gradient, ips_dual_loss
 from treatalloc.losses import (BudgetGrid, LambdaGrid, prediction_loss_grad,
                                tempered_policy_loss_grad)
 from treatalloc.model import (ModelConfig, backward, forward, forward_cached, init_params,
-                              optimizer_step, save_checkpoint, warm_start)
+                              optimizer_step)
 from treatalloc.solver import PredictionMatrix
 from treatalloc.training import (BACKENDS, EpochRecord, TrainConfig,
-                                 _decision_loss_and_grad, evaluate_checkpoint,
-                                 format_epoch_record, train, write_training_log)
+                                 _decision_loss_and_grad, format_epoch_record, train,
+                                 write_training_log)
 
 GRID = LambdaGrid((0.2, 0.8))
 
@@ -337,39 +338,30 @@ class TestSmallLambdaServesHighBudget:
 
 
 class TestEvaluateCheckpoint:
+    """A model is evaluated as ``treatalloc evaluate`` does it: ``forward``,
+    then ``cost_curve``, and ``aucc`` when M = 2."""
+
     def test_zero_model_collapses_to_control_point(self):
         data, _ = generate_synthetic(GeneratorConfig(n=800, m=3, d=4), seed=6)
         config = ModelConfig(layer_widths=(4,), num_treatments=3, input_dim=4, seed=0)
         params = init_params(config)
         for w in params.weights:
             w[:] = 0.0
-        curve, metric = evaluate_checkpoint(params, data, BudgetGrid((0.1, 0.3, 0.5)))
-        assert metric is None
+        curve = cost_curve(data, forward(params, data.features), BudgetGrid((0.1, 0.3, 0.5)))
         # all scores tie -> treatment 0 everywhere -> free control point
         costs = {p.per_capita_cost for p in curve.points}
         revs = {p.per_capita_revenue for p in curve.points}
         assert costs == {0.0}
         assert len(revs) == 1
 
-    def test_checkpoint_path_and_treatment_mismatch(self, tmp_path):
-        data, _ = generate_synthetic(GeneratorConfig(n=300, m=3, d=4), seed=7)
-        config = ModelConfig(layer_widths=(4,), num_treatments=2, input_dim=4, seed=0)
-        params = init_params(config)
-        path = tmp_path / "two.ckpt"
-        save_checkpoint(path, params)
-        with pytest.raises(ConfigError, match="treatments"):
-            evaluate_checkpoint(path, data, BudgetGrid((0.1,)))
-
     def test_binary_data_reports_ranking_metric(self):
         data, _ = generate_synthetic(GeneratorConfig(n=1500, m=2, d=4), seed=8)
         config = ModelConfig(layer_widths=(6,), num_treatments=2, input_dim=4, seed=1)
         params = init_params(config)
-        from treatalloc.evaluation import default_budget_grid
-
-        budgets = default_budget_grid(data, forward(params, data.features), count=3)
-        curve, metric = evaluate_checkpoint(params, data, budgets)
+        pred = forward(params, data.features)
+        curve = cost_curve(data, pred, default_budget_grid(data, pred, count=3))
         assert len(curve.points) >= 1
-        assert metric is not None and 0.0 < metric < 1.0
+        assert 0.0 < aucc(data, pred) < 1.0
 
 
 def test_training_log_round_trip(tmp_path, tiny_data):
