@@ -237,10 +237,11 @@ def _cmd_evaluate(args) -> None:
     else:
         budgets = default_budget_grid(data, pred)
     curve = cost_curve(data, pred, budgets)
+    metric = aucc(data, pred) if data.num_treatments == 2 else None  # may raise: before writing
     _write_table(args.out, CURVE_COLUMNS,
                  [np.array([getattr(p, name) for p in curve.points]) for name in CURVE_COLUMNS])
-    if data.num_treatments == 2:
-        print(f"aucc={aucc(data, pred):.6f}")
+    if metric is not None:
+        print(f"aucc={metric:.6f}")
     print(f"wrote {len(curve.points)} curve points -> {args.out}")
 
 

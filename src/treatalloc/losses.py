@@ -24,9 +24,12 @@ unbiased for the full-information softmax loss up to an O(1/N) term. The
 public functions default to the plain estimate.
 
 Layout: numpy reduces a short last axis row by row, about 30x slower at
-4,096 x 5 than along contiguous memory, so the softmax kernels reduce over
-axis 0 of (m, n) copies made once per call (treatment-major, as
-``solver._Sweep`` does). Up to m = 7 both layouts give the same bits.
+4,096 x 5 than along contiguous memory, so the softmax kernels, and the
+flip kernels in ``gradients``, reduce over axis 0 of (m, n) copies made
+once per call (``_treatment_major``; as ``solver._Sweep`` does) and return
+their gradients as ``.T`` views. Single cells, such as each row's observed
+treatment, are read and written through flat indices into the raveled
+array. Up to m = 7 both layouts give the same bits.
 """
 
 from __future__ import annotations
@@ -118,6 +121,11 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return np.divide(e, e.sum(axis=0), out=e)
 
 
+def _treatment_major(pred: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) copies of the prediction matrices (see Layout above)."""
+    return np.ascontiguousarray(pred.revenue.T), np.ascontiguousarray(pred.cost.T)
+
+
 def row_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (n, m) scores, computed treatment-major."""
     return _softmax(np.ascontiguousarray(scores.T)).T.copy()
@@ -140,12 +148,15 @@ def prediction_loss_grad(data: RctDataset, pred: PredictionMatrix
     _check_cover(data, pred)
     rows = np.arange(data.n)
     w = 1.0 / (data.n * data.num_treatments * data.sample_propensity())
+    # a model's heads are strided views, which ``ravel`` would copy: read
+    # them by (row, column), write the new C-order gradients by flat index
     dr = pred.revenue[rows, data.treatment] - data.revenue
     dc = pred.cost[rows, data.treatment] - data.cost
-    d_rev = np.zeros_like(pred.revenue)
-    d_cost = np.zeros_like(pred.cost)
-    d_rev[rows, data.treatment] = 2.0 * w * dr
-    d_cost[rows, data.treatment] = 2.0 * w * dc
+    obs = rows * data.num_treatments + data.treatment
+    d_rev = np.zeros(pred.revenue.shape)
+    d_cost = np.zeros(pred.cost.shape)
+    d_rev.ravel()[obs] = 2.0 * w * dr
+    d_cost.ravel()[obs] = 2.0 * w * dc
     return float(np.sum(w * (dr * dr + dc * dc))), d_rev, d_cost
 
 
@@ -198,19 +209,19 @@ def tempered_policy_loss_grad(data: RctDataset, pred: PredictionMatrix,
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
     _check_cover(data, pred)
-    obs = data.treatment, np.arange(data.n)  # the observed cells, (m, n) layout
+    obs = data.treatment * data.n + np.arange(data.n)  # flat (m, n) index of the observed cells
     weight = 1.0 / (data.n * data.sample_propensity())
-    revenue, cost = np.ascontiguousarray(pred.revenue.T), np.ascontiguousarray(pred.cost.T)
+    revenue, cost = _treatment_major(pred)
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     total = 0.0
     for lam in grid:
         ds = _softmax((revenue - lam * cost) / tau)  # the weights w, then d/ds in place
         reward, baseline = observed_rewards(data, lam, centered)
-        beta_w = weight * reward * ds[obs]  # beta_i * w[i, t_i]
+        beta_w = weight * reward * ds.ravel().take(obs)  # beta_i * w[i, t_i]
         total += -float(np.sum(beta_w)) - baseline
         ds *= beta_w
-        ds[obs] -= beta_w
+        ds.ravel()[obs] -= beta_w
         d_rev += ds / tau
         ds *= -lam / tau
         d_cost += ds

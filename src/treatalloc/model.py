@@ -170,7 +170,9 @@ def _backprop(params: ModelParams, inputs: list[np.ndarray],
     kind = params.config.activation
     d_weights = [np.empty(0)] * len(params.weights)
     d_biases = [np.empty(0)] * len(params.biases)
-    delta = np.concatenate(upstream, axis=1)
+    # C order whatever the layout of ``upstream`` (the flip and policy kernels
+    # return transposed views): the sums below add in memory order
+    delta = np.ascontiguousarray(np.concatenate(upstream, axis=1))
     for k in range(len(params.weights) - 1, -1, -1):
         d_weights[k] = inputs[k].T @ delta
         d_biases[k] = delta.sum(axis=0)

@@ -167,6 +167,46 @@ class TestPipeline:
         assert len(rows) == 200 * 3
         assert set(rows[0]) == {"id", "treatment", "d_revenue", "d_cost"}
 
+    def test_perturb_gradient_dump_matches_kernel(self, workdir):
+        # the flip kernels return transposed views; the dump and the backward
+        # pass read them as the (n, M) matrices they stand for
+        import numpy as np
+
+        from treatalloc.cli import _train_config
+        from treatalloc.data import load_csv, read_config
+        from treatalloc.gradients import GradientPair
+        from treatalloc.model import backward, forward, load_checkpoint
+        from treatalloc.training import _decision_loss_and_grad
+
+        assert run(["generate", "--config", p(workdir / "gen.cfg"),
+                    "--out", p(workdir / "d.csv"), "--truth", p(workdir / "t.csv"),
+                    "n=300"]) == 0
+        write(workdir / "perturb.cfg",
+              "train.epochs=3\ntrain.lambda_grid=0.2,0.8\ntrain.backend=perturb\n"
+              "train.hidden=4\ntrain.lr=1e-2\ntrain.step_floor=0.05\n")
+        assert run(["train", "--data", p(workdir / "d.csv"),
+                    "--config", p(workdir / "perturb.cfg"),
+                    "--checkpoint", p(workdir / "g.ckpt"),
+                    "--dump-gradients", p(workdir / "grads.csv")]) == 0
+        data = load_csv(workdir / "d.csv")
+        params, _ = load_checkpoint(workdir / "g.ckpt")
+        config = _train_config(read_config(workdir / "perturb.cfg", []))
+        _, d_rev, d_cost = _decision_loss_and_grad(data, forward(params, data.features), config)
+        with (workdir / "grads.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        m = data.num_treatments
+        assert [int(r["id"]) for r in rows] == np.repeat(data.ids, m).tolist()
+        assert [int(r["treatment"]) for r in rows] == np.tile(np.arange(m), data.n).tolist()
+        assert [float(r["d_revenue"]) for r in rows] == d_rev.ravel().tolist()
+        assert [float(r["d_cost"]) for r in rows] == d_cost.ravel().tolist()
+        assert np.any(d_rev) and np.any(d_cost)
+        views = backward(params, data.features, GradientPair(d_rev, d_cost))
+        copies = backward(params, data.features, GradientPair(
+            np.ascontiguousarray(d_rev), np.ascontiguousarray(d_cost)))
+        for got, want in zip(views.d_weights + views.d_biases,
+                             copies.d_weights + copies.d_biases):
+            assert np.array_equal(got, want)
+
     def test_train_checkpoint_deterministic(self, workdir):
         assert run(["generate", "--config", p(workdir / "gen.cfg"),
                     "--out", p(workdir / "d.csv"), "--truth", p(workdir / "t.csv")]) == 0
@@ -341,6 +381,25 @@ class TestSolveAndTrainInputs:
         assert code == 2
         assert "eval.budget" in capsys.readouterr().err
         assert not (generated / "curve.csv").exists()
+
+    def test_degenerate_aucc_exit_code_writes_no_curve(self, workdir, capsys):
+        import dataclasses
+
+        import numpy as np
+
+        from treatalloc.data import load_csv, write_csv
+
+        assert run(["generate", "--config", p(workdir / "gen.cfg"),
+                    "--out", p(workdir / "d.csv"), "--truth", p(workdir / "t.csv"),
+                    "n=20", "m=2"]) == 0
+        data = load_csv(workdir / "d.csv")
+        write_csv(workdir / "free.csv", dataclasses.replace(data, cost=np.zeros(data.n)))
+        code = run(["evaluate", "--data", p(workdir / "free.csv"),
+                    "--predictions", p(workdir / "t.csv"),
+                    "--out", p(workdir / "curve.csv"), "eval.budgets=0.1"])
+        assert code == 2
+        assert "degenerate curve" in capsys.readouterr().err
+        assert not (workdir / "curve.csv").exists()
 
     @pytest.fixture
     def two_treatments(self, generated):

@@ -5,11 +5,12 @@ from treatalloc.exceptions import ValidationError
 from treatalloc.gradients import (GradientPair, dual_flip_gradient,
                                   flip_fd_gradient, gradient_inner_loss,
                                   ips_dual_loss, softmax_flip_gradient,
-                                  _softmax_flip_scores)
+                                  _flip_gaps, _softmax_flip_scores)
 from treatalloc.losses import LambdaGrid, observed_rewards, row_softmax
 from treatalloc.solver import PredictionMatrix, decide_dual
 
-from conftest import central_differences, instances, make_dataset, random_instance
+from conftest import (central_differences, dyadic_instance, instances, make_dataset,
+                      random_instance, tie_heavy_instance)
 
 
 def reference_flip_gaps(a, t):
@@ -220,6 +221,96 @@ class TestInPlaceHeads:
                 assert np.array_equal(got.d_cost, expected[name][1])
 
 
+def planted_ties(pred, t):
+    """``pred`` and treatments ``t`` with rows planted where ties decide:
+    all scores equal (row 0); first place shared by columns 0 and m - 1,
+    observed m - 1 (row 1); second place shared by columns 1 and 2, observed
+    2 (row 2); and runner-ups 1 and 2 one ulp apart under a clear winner,
+    observed 2, whose gaps to the winner round to one value (row 3)."""
+    r, c, t = pred.revenue.copy(), pred.cost.copy(), t.copy()
+    n, m = r.shape
+    if n < 4 or m < 3:
+        return pred, t
+    r[:4], c[:4] = 0.0, 0.0
+    r[0], c[0] = 1.0, 0.5
+    r[1, [0, -1]] = 3.0
+    r[2, 0], r[2, [1, 2]] = 10.0, 5.0
+    r[3, 0], r[3, 1], r[3, 2] = 7.0, 2.0, np.nextafter(2.0, np.inf)
+    t[1:4] = m - 1, 2, 2
+    return PredictionMatrix(r, c), t
+
+
+class TestTreatmentMajorFlip:
+    """The flip kernels run on (m, n) copies with a comparison-only argmax;
+    the row-major references above give the same bits. The softmax head's
+    per-row sum adds m terms, left to right on either layout up to m = 7;
+    from m = 8 numpy's pairwise row sum groups them differently."""
+
+    GRID = LambdaGrid((0.0, 0.5, 1.0, 2.0))
+    BUILDERS = {
+        "random": lambda rng, n, m: PredictionMatrix(rng.uniform(0, 5, (n, m)),
+                                                     rng.uniform(0, 2, (n, m))),
+        "dyadic": dyadic_instance,
+        "tie-heavy": tie_heavy_instance,
+    }
+
+    def cases(self, rng, builder, m):
+        for n in (1, 7, 300):
+            t = rng.integers(0, m, n)
+            pred, t = planted_ties(self.BUILDERS[builder](rng, n, m), t)
+            data = make_dataset(treatment=t, revenue=rng.uniform(0, 5, n),
+                                cost=rng.integers(0, 4, n) / 2.0, num_treatments=m)
+            yield data, pred
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_flip_gaps_equal_row_major_reference(self, rng, builder, m):
+        for data, pred in self.cases(rng, builder, m):
+            for lam in self.GRID:
+                scores = pred.revenue - lam * pred.cost
+                for a in (scores, row_softmax(scores)):
+                    gap, sign, winner = _flip_gaps(a.T.copy(), data.treatment)
+                    want_gap, want_sign = reference_flip_gaps(a, data.treatment)
+                    assert np.array_equal(gap.T, want_gap)
+                    assert np.array_equal(sign.T, want_sign) and sign.dtype == np.int8
+                    assert np.array_equal(winner, np.argmax(a, axis=1))
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_kernels_equal_row_major_reference(self, rng, builder, m):
+        eps = np.finfo(float).eps
+        for data, pred in self.cases(rng, builder, m):
+            loss = sum(ips_dual_loss(data, pred, lam) for lam in self.GRID)
+            for centered in (False, True):
+                want = reference_flip_gradients(data, pred, self.GRID, 0.05, 0.5, centered)
+                got_loss, plain = dual_flip_gradient(data, pred, self.GRID, 0.05, centered)
+                assert got_loss == loss
+                assert np.array_equal(plain.d_revenue, want["plain"][0])
+                assert np.array_equal(plain.d_cost, want["plain"][1])
+                if m <= 7:
+                    got_loss, soft = softmax_flip_gradient(data, pred, self.GRID, 0.05, 0.5,
+                                                           centered)
+                    assert got_loss == loss
+                    assert np.array_equal(soft.d_revenue, want["softmax"][0])
+                    assert np.array_equal(soft.d_cost, want["softmax"][1])
+                    continue
+                for lam in self.GRID:  # one multiplier at a time: no sums over the grid
+                    grid = LambdaGrid((lam,))
+                    want = reference_flip_gradients(data, pred, grid, 0.05, 0.5, centered)
+                    soft = softmax_flip_gradient(data, pred, grid, 0.05, 0.5, centered)[1]
+                    # |g_j - <g, a>| moves by the sum's rounding, at most about
+                    # m eps sum_k |g_k a_k|, and by an ulp of each result
+                    a = row_softmax(pred.revenue - lam * pred.cost)
+                    gap, sign = reference_flip_gaps(a, data.treatment)
+                    reward = observed_rewards(data, lam, centered)[0]
+                    g = (reward / (data.n * data.sample_propensity()))[:, None] \
+                        / np.clip(gap, 0.05, 0.5) * sign
+                    scale = 2 * m * eps * a * (np.abs(g * a).sum(axis=1, keepdims=True)
+                                               + np.abs(g))
+                    assert np.all(np.abs(soft.d_revenue - want["softmax"][0]) <= scale)
+                    assert np.all(np.abs(soft.d_cost - want["softmax"][1]) <= lam * scale)
+
+
 class TestGradientInnerLoss:
     def test_zero_gradient_gives_zero(self, rng):
         _, pred = random_instance(rng, n=5, m=3)
@@ -263,7 +354,7 @@ class TestSoftmaxFlip:
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[1.0, 1.0]], [[0.5, 0.5]])
         a = row_softmax(pred.revenue - 1.0 * pred.cost)
-        g = _softmax_flip_scores(data, a, 1.0, step_floor=1e-6, step_cap=0.5)
+        g = _softmax_flip_scores(data, a.T, 1.0, step_floor=1e-6, step_cap=0.5).T
         assert g[0, 0] != 0.0 and g[0, 1] != 0.0
 
     def test_step_cap_truncates_dominated_column(self):
@@ -274,7 +365,7 @@ class TestSoftmaxFlip:
         pred = PredictionMatrix([[30.0, 0.0]], [[0.0, 0.0]])
         a = row_softmax(pred.revenue - 1.0 * pred.cost)
         assert a[0, 1] < 1e-12
-        g = _softmax_flip_scores(data, a, 1.0, step_floor=1e-6, step_cap=0.5)
+        g = _softmax_flip_scores(data, a.T, 1.0, step_floor=1e-6, step_cap=0.5).T
         assert g[0, 1] == pytest.approx(2.0 / 0.5)   # leaving jump over capped step
         assert g[0, 0] == pytest.approx(-2.0 / 0.5)
 
@@ -299,7 +390,7 @@ class TestSoftmaxFlip:
         grid = LambdaGrid((0.8,))
         lam = 0.8
         a = row_softmax(pred.revenue - lam * pred.cost)
-        g_fixed = _softmax_flip_scores(data, a, lam, 1e-6, 0.5)
+        g_fixed = _softmax_flip_scores(data, a.T, lam, 1e-6, 0.5).T
         _, grad = softmax_flip_gradient(data, pred, grid)
         for _, i, j, fd in central_differences(
                 pred, ("revenue",), 1e-7,

@@ -91,6 +91,27 @@ class TestTreatmentMajorKernels:
                 assert np.array_equal(got[2], expected[2])
 
 
+    @pytest.mark.parametrize("layout", ["C", "F", "heads"])
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_prediction_loss_grad_bitwise_equals_two_index_form(self, rng, layout, m):
+        data, pred = random_instance(rng, n=300, m=m)
+        if layout == "F":
+            pred = PredictionMatrix(np.asfortranarray(pred.revenue), np.asfortranarray(pred.cost))
+        elif layout == "heads":  # strided views of one array, as a model returns them
+            both = np.concatenate([pred.revenue, pred.cost], axis=1)
+            both.flags.writeable = False
+            pred = PredictionMatrix(both[:, :m], both[:, m:])
+            assert not pred.revenue.flags.c_contiguous
+        rows, t = np.arange(data.n), data.treatment
+        w = 1.0 / (data.n * m * data.sample_propensity())
+        dr, dc = pred.revenue[rows, t] - data.revenue, pred.cost[rows, t] - data.cost
+        want_rev, want_cost = np.zeros((data.n, m)), np.zeros((data.n, m))
+        want_rev[rows, t], want_cost[rows, t] = 2.0 * w * dr, 2.0 * w * dc
+        loss, d_rev, d_cost = prediction_loss_grad(data, pred)
+        assert repr(loss) == repr(float(np.sum(w * (dr * dr + dc * dc))))
+        assert np.array_equal(d_rev, want_rev) and np.array_equal(d_cost, want_cost)
+
+
 def resampled_dataset(truth, rng):
     """Fresh uniform assignment over fixed individuals (re-randomization)."""
     n, m = truth.revenue.shape

@@ -95,6 +95,18 @@ class TestBackward:
         for a, b in zip(g1.d_weights, g2.d_weights):
             np.testing.assert_allclose(2 * a, b, rtol=1e-12)
 
+    def test_upstream_layout_does_not_change_bits(self, rng):
+        # the decision kernels return (n, M) gradients as transposed views of
+        # (M, n) arrays; the sums over rows must not follow their memory order
+        params = init_params(tiny_config(layer_widths=(4,), num_treatments=3))
+        x = rng.standard_normal((300, 3))
+        rev, cost = rng.standard_normal((3, 300)), rng.standard_normal((3, 300))
+        views = backward(params, x, GradientPair(rev.T, cost.T))
+        copies = backward(params, x, GradientPair(rev.T.copy(), cost.T.copy()))
+        for got, want in zip(views.d_weights + views.d_biases,
+                             copies.d_weights + copies.d_biases):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_all_parameter_grads_match_central_differences(self, rng, activation):
         config = tiny_config(layer_widths=(6, 4), activation=activation, seed=3)
