@@ -75,32 +75,33 @@ def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
 
 def _allocator(data: RctDataset, pred: PredictionMatrix):
     """Budget -> (multiplier, choice, estimate); every budget the ``lam = 0``
-    policy does not fit is a lookup on the matrix's sweep, with the
-    estimated-cost change of each event computed once, on first use."""
+    policy does not fit is a lookup on the matrix's sweep, searching the
+    estimated-cost change of each event, computed once, on first use."""
     _check_cover(data, pred)
     choice0 = decide_dual(pred, 0.0).choice
     est0 = evaluate_policy(data, choice0)
-    delta = None
+    search = None
+
+    def probe(lam):
+        choice = decide_dual(pred, lam).choice
+        est = evaluate_policy(data, choice)
+        return est.per_capita_cost, (choice, est)
 
     def allocate(budget: float) -> tuple[float, np.ndarray, OutcomeEstimate]:
-        nonlocal delta
+        nonlocal search
         if not budget >= 0:
             raise ValidationError(f"budget must be >= 0, got {budget!r}")
         if est0.per_capita_cost <= budget:
             return 0.0, choice0, est0
-        sweep = pred._sweep
-        if delta is None:
+        if search is None:
+            sweep = pred._sweep
             rows, prop = sweep.rows, data.sample_propensity()
             weighted = (data.cost / prop / data.n)[rows]
-            delta = (weighted * (sweep.new == data.treatment[rows])
-                     - weighted * (sweep.old == data.treatment[rows]))
-
-        def probe(lam):
-            choice = decide_dual(pred, lam).choice
-            est = evaluate_policy(data, choice)
-            return est.per_capita_cost, (choice, est)
-
-        lam, (choice, est) = sweep.search(est0.per_capita_cost, delta, budget, probe)
+            search = sweep.searcher(
+                est0.per_capita_cost,
+                weighted * (sweep.new == data.treatment[rows])
+                - weighted * (sweep.old == data.treatment[rows]))
+        lam, (choice, est) = search(budget, probe)
         return lam, choice, est
 
     return allocate

@@ -41,20 +41,17 @@ this jump-over-step structure). At ``lam = 0`` cost perturbations cannot
 move any score, so cost gradients are zero there.
 
 Layout: the fast estimators work treatment-major, as the softmax kernels in
-``losses`` do. Each call copies the prediction matrices once into (m, n)
-arrays, so every score matrix holds one individual per column. Each
-multiplier's scores go into one buffer per call, in which ``_flip_gaps``
-computes the gaps; the gradients accumulate in (m, n) and are returned as
-``.T`` views. A per-individual maximum is then a reduce over contiguous
-rows. numpy's ``argmax`` has no such reduce: on either layout it walks the
-m scores of one individual at a time (about 250 us at 8,192 x 5, against
-about 60 us for the maximum, one comparison and ``_first``). So
-``_flip_gaps`` finds each winner with comparisons only (``_first``: the
-lowest index equal to the maximum, the tie rule of ``argmax``), and it
-reaches single cells, such as each winner or each observed treatment,
-through flat indices ``j * n + i`` into the raveled array.
-``flip_fd_gradient`` and ``ips_dual_loss`` stay row-major: the oracle and
-the loss are the references the fast kernels are checked against.
+``losses`` and the solver's probes do: they read the prediction matrix's
+(m, n) copy, made once per matrix (see ``solver``), so every score matrix
+holds one individual per column. Each multiplier's scores go into one
+buffer per call, in which ``_flip_gaps`` computes the gaps. It finds each
+winner with comparisons only (about 60 us at 8,192 x 5 for the maximum, one
+comparison and ``solver._first``, against about 250 us for ``argmax``) and
+reaches single cells through flat indices. The gradients accumulate in
+(m, n) and are returned as ``.T`` views; the inverse-propensity weights are
+computed once per call. ``flip_fd_gradient`` and ``ips_dual_loss`` stay
+row-major: the oracle and the loss are the references the fast kernels are
+checked against.
 
 ``dual_flip_gradient``, ``softmax_flip_gradient`` and ``flip_fd_gradient``
 take ``centered``: the loss jump of a row is then its reward less the mean
@@ -73,9 +70,8 @@ import numpy as np
 
 from .data import RctDataset
 from .exceptions import SizeError, ValidationError
-from .losses import (LambdaGrid, _check_cover, _softmax, _treatment_major,
-                     observed_rewards)
-from .solver import PredictionMatrix
+from .losses import LambdaGrid, _check_cover, _softmax, observed_rewards
+from .solver import PredictionMatrix, _check_multiplier, _first
 
 _OVERSHOOT = 1e-6  # flip_fd_gradient's relative extra step, realizing flips at exact ties
 
@@ -110,15 +106,14 @@ def ips_dual_loss(data: RctDataset, pred: PredictionMatrix, lam: float) -> float
     likewise for cost. Empty matched set gives 0.
     """
     _check_cover(data, pred)
-    if lam < 0:
-        raise ValidationError("multiplier must be >= 0")
-    return _loss_arrays(data, np.argmax(pred.revenue - lam * pred.cost, axis=1), lam)
+    _check_multiplier(lam)
+    choice = np.argmax(pred.revenue - lam * pred.cost, axis=1)
+    return _loss_arrays(data, choice, lam, 1.0 / (data.n * data.sample_propensity()))
 
 
 def _loss_arrays(data: RctDataset, choice: np.ndarray, lam: float,
-                 centered: bool = False) -> float:
-    match = choice == data.treatment
-    w = match / (data.n * data.sample_propensity())
+                 inv_np: np.ndarray, centered: bool = False) -> float:
+    w = np.where(choice == data.treatment, inv_np, 0.0)
     if centered:
         reward, baseline = observed_rewards(data, lam, centered=True)
         return -float(np.sum(w * reward)) - baseline
@@ -156,9 +151,11 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
     d_rev = np.zeros((n, m))
     d_cost = np.zeros((n, m))
     rows = np.arange(n)
+    inv_np = 1.0 / (data.n * data.sample_propensity())
     for lam in grid:
         def loss(revenue, cost):
-            return _loss_arrays(data, np.argmax(revenue - lam * cost, axis=1), lam, centered)
+            return _loss_arrays(data, np.argmax(revenue - lam * cost, axis=1), lam,
+                                inv_np, centered)
         a = pred.revenue - lam * pred.cost
         jstar = np.argmax(a, axis=1)
         masked = a.copy()
@@ -180,17 +177,6 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                     cost[i, j] += h_cost * (1.0 + _OVERSHOOT)
                     d_cost[i, j] += (loss(pred.revenue, cost) - base) / h_cost
     return GradientPair(d_rev, d_cost)
-
-
-def _first(hit: np.ndarray) -> np.ndarray:
-    """Index of the first True down each column of (m, n) ``hit``, every
-    column holding one: ``m - 1`` boolean passes count the rows before it."""
-    seen = hit[0].copy()
-    first = np.zeros(hit.shape[1], np.min_scalar_type(hit.shape[0] - 1))
-    for row in hit[1:]:
-        first += ~seen
-        seen |= row
-    return first
 
 
 def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -240,7 +226,7 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     if step_floor <= 0:
         raise ValidationError("step_floor must be > 0")
     inv_np = 1.0 / (data.n * data.sample_propensity())
-    revenue, cost = _treatment_major(pred)
+    revenue, cost = pred._treatment_major
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     scores = np.empty_like(revenue)  # each multiplier's scores, then gaps
@@ -248,7 +234,7 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     for lam in grid:
         np.subtract(revenue, np.multiply(lam, cost, out=scores), out=scores)
         gap, sign, choice = _flip_gaps(scores, data.treatment)
-        loss += _loss_arrays(data, choice, lam)
+        loss += _loss_arrays(data, choice, lam, inv_np)
         xt = observed_rewards(data, lam, centered)[0] * inv_np
         if lam > 0:  # first, as the revenue head works in gap
             step = gap / lam
@@ -270,13 +256,12 @@ def gradient_inner_loss(pred: PredictionMatrix, grad: GradientPair) -> float:
                  + np.sum(grad.d_cost * pred.cost))
 
 
-def _softmax_flip_scores(data: RctDataset, a: np.ndarray, lam: float,
-                         step_floor: float, step_cap: float,
-                         centered: bool = False) -> np.ndarray:
+def _softmax_flip_scores(a: np.ndarray, t: np.ndarray, xt: np.ndarray,
+                         step_floor: float, step_cap: float) -> np.ndarray:
     """Flip gradients (m, n) treating the softmax scores ``a`` (m, n)
-    themselves as the inputs."""
-    gap, sign, _ = _flip_gaps(a.copy(), data.treatment)
-    xt = observed_rewards(data, lam, centered)[0] / (data.n * data.sample_propensity())
+    themselves as the inputs, for observed treatments ``t`` and weighted
+    loss jumps ``xt``."""
+    gap, sign, _ = _flip_gaps(a.copy(), t)
     return _flip_head(xt, np.clip(gap, step_floor, step_cap, out=gap), sign)
 
 
@@ -296,16 +281,20 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
     _check_pair(data, pred)
     if not 0 < step_floor <= step_cap:
         raise ValidationError("need 0 < step_floor <= step_cap")
-    revenue, cost = _treatment_major(pred)
+    n_p = data.n * data.sample_propensity()
+    inv_np = 1.0 / n_p
+    revenue, cost = pred._treatment_major
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     scores = np.empty_like(revenue)
     loss = 0.0
     for lam in grid:
         np.subtract(revenue, np.multiply(lam, cost, out=scores), out=scores)
-        loss += _loss_arrays(data, _first(scores == scores.max(axis=0)), lam)
-        a = _softmax(scores)
-        ds = _softmax_flip_scores(data, a, lam, step_floor, step_cap, centered)
+        top = scores.max(axis=0)
+        loss += _loss_arrays(data, _first(scores == top), lam, inv_np)
+        a = _softmax(scores, top)
+        xt = observed_rewards(data, lam, centered)[0] / n_p  # `* inv_np` rounds otherwise
+        ds = _softmax_flip_scores(a, data.treatment, xt, step_floor, step_cap)
         ds -= np.sum(ds * a, axis=0)  # g - <g, a> per column, in place
         ds *= a
         d_rev += ds

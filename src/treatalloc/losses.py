@@ -25,11 +25,11 @@ public functions default to the plain estimate.
 
 Layout: numpy reduces a short last axis row by row, about 30x slower at
 4,096 x 5 than along contiguous memory, so the softmax kernels, and the
-flip kernels in ``gradients``, reduce over axis 0 of (m, n) copies made
-once per call (``_treatment_major``; as ``solver._Sweep`` does) and return
-their gradients as ``.T`` views. Single cells, such as each row's observed
-treatment, are read and written through flat indices into the raveled
-array. Up to m = 7 both layouts give the same bits.
+flip kernels in ``gradients``, reduce over axis 0 of the prediction
+matrix's (m, n) copy, made once per matrix and shared with the solver (see
+``solver``), and return their gradients as ``.T`` views. Single cells, such
+as each row's observed treatment, are read and written through flat indices
+into the raveled array. Up to m = 7 both layouts give the same bits.
 """
 
 from __future__ import annotations
@@ -114,16 +114,12 @@ def observed_rewards(data: RctDataset, lam: float, centered: bool = False
     return reward - baseline, baseline
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0 of (m, n) scores; large logits do not overflow."""
-    e = scores - scores.max(axis=0)
+def _softmax(scores: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over axis 0 of (m, n) scores, whose column maxima ``top`` are
+    taken here unless given; large logits do not overflow."""
+    e = scores - (scores.max(axis=0) if top is None else top)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=0), out=e)
-
-
-def _treatment_major(pred: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(m, n) copies of the prediction matrices (see Layout above)."""
-    return np.ascontiguousarray(pred.revenue.T), np.ascontiguousarray(pred.cost.T)
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
@@ -211,7 +207,7 @@ def tempered_policy_loss_grad(data: RctDataset, pred: PredictionMatrix,
     _check_cover(data, pred)
     obs = data.treatment * data.n + np.arange(data.n)  # flat (m, n) index of the observed cells
     weight = 1.0 / (data.n * data.sample_propensity())
-    revenue, cost = _treatment_major(pred)
+    revenue, cost = pred._treatment_major
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     total = 0.0

@@ -10,6 +10,17 @@ step function of ``lam``, so the multiplier for a budget is a lookup (the
 greedy LP solution of the multiple-choice knapsack). Switch points depend on
 the predictions only: a (read-only) prediction matrix builds its sweep once.
 A brute-force enumerator serves as the exact oracle on small instances.
+
+Layout: numpy reduces a short last axis one row at a time, so a prediction
+matrix keeps one treatment-major copy of its data, (m, n) C-contiguous
+arrays made once per matrix on first use and read-only like the matrix.
+Every probe, dual bound and sweep, and the training kernels in ``losses``
+and ``gradients``, read that copy, so a per-individual maximum is a reduce
+over contiguous rows. numpy's ``argmax`` has no such reduce, so each winner
+is found with comparisons only (``_first``: the lowest index equal to the
+maximum, the tie rule of ``argmax``; finite multipliers and predictions
+give no NaN score), and single cells are reached through flat indices
+``j * n + i`` into the raveled copy.
 """
 
 from __future__ import annotations
@@ -41,8 +52,15 @@ class PredictionMatrix:
         self.cost = _freeze(np.asarray(self.cost, dtype=np.float64))
         if self.revenue.ndim != 2 or self.revenue.shape != self.cost.shape:
             raise ValidationError("revenue and cost must share shape (n, m)")
+        if self.revenue.shape[1] < 1:
+            raise ValidationError("prediction matrices need at least one treatment")
         if not (np.isfinite(self.revenue).all() and np.isfinite(self.cost).all()):
             raise ValidationError("prediction matrices must be finite")
+
+    @cached_property
+    def _treatment_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (m, n) C-contiguous copies of revenue and cost (Layout)."""
+        return tuple(_freeze(np.ascontiguousarray(x.T)) for x in (self.revenue, self.cost))
 
     @cached_property
     def _sweep(self) -> _Sweep:
@@ -80,33 +98,52 @@ class DualSolution:
     trace: tuple[tuple[float, float], ...] = ()  # (lam, cost) per direct probe
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValidationError("multiplier must be >= 0")
+        _check_multiplier(self.lam)
+
+
+def _check_multiplier(lam: float) -> None:
+    if not 0 <= lam < np.inf:  # NaN fails too
+        raise ValidationError(f"multiplier must be finite and >= 0, got {lam!r}")
+
+
+def _first(hit: np.ndarray) -> np.ndarray:
+    """Index of the first True down each column of (m, n) ``hit``, every
+    column holding one: ``m - 1`` boolean passes count the rows before it."""
+    seen = hit[0].copy()
+    first = np.zeros(hit.shape[1], np.min_scalar_type(hit.shape[0] - 1))
+    for row in hit[1:]:
+        first += ~seen
+        seen |= row
+    return first
+
+
+def _scores(pred: PredictionMatrix, lam: float) -> np.ndarray:
+    """(m, n) scores ``revenue - lam * cost`` in one fresh array."""
+    _check_multiplier(lam)
+    revenue, cost = pred._treatment_major
+    scores = np.multiply(lam, cost)
+    return np.subtract(revenue, scores, out=scores)
 
 
 def _allocation_from_choice(pred: PredictionMatrix, choice: np.ndarray) -> Allocation:
-    rows = np.arange(pred.n)
+    revenue, cost = pred._treatment_major
+    cells = np.multiply(choice, pred.n, dtype=np.intp) + np.arange(pred.n)
     return Allocation(
         choice=choice.astype(np.int64),
-        objective=float(pred.revenue[rows, choice].sum()),
-        total_cost=float(pred.cost[rows, choice].sum()),
+        objective=float(revenue.ravel().take(cells).sum()),
+        total_cost=float(cost.ravel().take(cells).sum()),
     )
 
 
 def decide_dual(pred: PredictionMatrix, lam: float) -> Allocation:
     """Per-row argmax of ``revenue - lam * cost``; ties go to the lowest index."""
-    if lam < 0:
-        raise ValidationError("multiplier must be >= 0")
-    scores = pred.revenue - lam * pred.cost
-    return _allocation_from_choice(pred, np.argmax(scores, axis=1))
+    scores = _scores(pred, lam)
+    return _allocation_from_choice(pred, _first(scores == scores.max(axis=0)))
 
 
 def dual_value(pred: PredictionMatrix, lam: float, budget: float) -> float:
     """Dual bound ``lam * budget + sum_i max_j (revenue_ij - lam * cost_ij)``."""
-    if lam < 0:
-        raise ValidationError("multiplier must be >= 0")
-    scores = np.ascontiguousarray((pred.revenue - lam * pred.cost).T)  # see _Sweep
-    return float(lam * budget + scores.max(axis=0).sum())
+    return float(lam * budget + _scores(pred, lam).max(axis=0).sum())
 
 
 def lambda_upper_bound(pred: PredictionMatrix) -> float:
@@ -123,13 +160,13 @@ class _Sweep:
     its current one (at most ``m - 1`` passes). Events are sorted and grouped
     by multiplier; group ``g``'s allocation holds on ``(breaks[g],
     breaks[g + 1])``, the last interval ending at the upper bound.
-    ``cost_delta[e]`` is the predicted-cost change of event ``e``."""
+    ``cost_delta[e]`` is the predicted-cost change of event ``e``, from
+    ``start_cost``, the predicted cost at ``lam = 0``."""
 
     def __init__(self, pred: PredictionMatrix):
-        # (m, n) copies: a pass reduces over treatments along contiguous rows
-        revenue = r = np.ascontiguousarray(pred.revenue.T)
-        cost = c = np.ascontiguousarray(pred.cost.T)
-        cur = np.argmax(pred.revenue, axis=1)  # the lam = 0 choice
+        revenue, cost = r, c = pred._treatment_major
+        cur = _first(revenue == revenue.max(axis=0))  # the lam = 0 choice
+        self.start_cost = _allocation_from_choice(pred, cur).total_cost
         at = np.zeros(pred.n)  # multiplier of each row's latest move
         active = np.arange(pred.n)
         events = [(np.zeros(0), active[:0], active[:0], active[:0])]
@@ -162,26 +199,39 @@ class _Sweep:
         self.breaks = np.append(lam[self.ends - 1], 2.0 * lam.max(initial=0.0) + 1.0)
         self.cost_delta = cost[self.new, self.rows] - cost[self.old, self.rows]
 
-    def search(self, start: float, delta: np.ndarray, budget: float, probe):
-        """(lam, result) of the smallest multiplier whose direct
-        ``probe(lam) -> (value, result)`` fits the budget, for a row-additive
-        value that is ``start`` at ``lam = 0`` and changes by ``delta[e]`` at
-        event ``e``. Prefix sums and direct sums differ by rounding only, so
-        each group that fits within that error is probed just above its
-        breakpoint, unless its value repeats; the upper bound comes last."""
+    @cached_property
+    def cost_search(self):
+        """``searcher`` of the predicted cost, built on first use."""
+        return self.searcher(self.start_cost, self.cost_delta)
+
+    def searcher(self, start: float, delta: np.ndarray):
+        """``search(budget, probe) -> (lam, result)``: the smallest multiplier
+        whose direct ``probe(lam) -> (value, result)`` fits the budget, for a
+        row-additive value that is ``start`` at ``lam = 0`` and changes by
+        ``delta[e]`` at event ``e``. Prefix sums and direct sums differ by
+        rounding only, so each group that fits within that error is probed
+        just above its breakpoint, unless its value repeats; the upper bound
+        comes last. The prefix sums, their slack and the groups whose value
+        changes depend on ``delta`` only: they are computed here, once."""
         totals = start + np.cumsum(delta)[self.ends - 1]
         slack = (delta.size + self.n + 2) * 2.0 ** -52 * (
             abs(start) + float(np.abs(delta).sum()))
-        fits = totals <= budget + slack
-        fits &= totals != np.concatenate(([start], totals[:-1]))
-        inside = (float(max(lo + (hi - lo) / 1024.0, np.nextafter(lo, np.inf)))
-                  for lo, hi in zip(self.breaks[:-1][fits], self.breaks[1:][fits]))
-        for lam in itertools.chain(inside, [float(self.breaks[-1])]):
-            value, result = probe(lam)
-            if value <= budget:
-                return lam, result
-        raise InfeasibleError(f"budget {budget} below the floor {value}",
-                              floor_cost=value)
+        changes = np.flatnonzero(totals != np.concatenate(([start], totals[:-1])))
+        totals = totals[changes]
+        breaks = self.breaks
+
+        def search(budget: float, probe):
+            groups = changes[totals <= budget + slack]
+            inside = (float(max(lo + (hi - lo) / 1024.0, np.nextafter(lo, np.inf)))
+                      for lo, hi in zip(breaks[groups], breaks[groups + 1]))
+            for lam in itertools.chain(inside, [float(breaks[-1])]):
+                value, result = probe(lam)
+                if value <= budget:
+                    return lam, result
+            raise InfeasibleError(f"budget {budget} below the floor {value}",
+                                  floor_cost=value)
+
+        return search
 
 
 def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
@@ -204,8 +254,7 @@ def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
 
     lam, alloc = 0.0, probe(0.0)[1]
     if alloc.total_cost > budget:
-        sweep = pred._sweep
-        lam, alloc = sweep.search(alloc.total_cost, sweep.cost_delta, budget, probe)
+        lam, alloc = pred._sweep.cost_search(budget, probe)
     return DualSolution(lam, alloc, dual_value(pred, lam, budget), tuple(trace))
 
 

@@ -80,6 +80,33 @@ def dyadic_instance(rng, n, m):
                             rng.integers(0, 2 ** 22, (n, m)) / 2 ** 20)
 
 
+BUILDERS = {  # (rng, n, m) -> PredictionMatrix
+    "random": lambda rng, n, m: PredictionMatrix(rng.uniform(0, 5, (n, m)),
+                                                 rng.uniform(0, 2, (n, m))),
+    "dyadic": dyadic_instance,
+    "tie-heavy": tie_heavy_instance,
+}
+
+
+def planted_ties(pred, t):
+    """``pred`` and treatments ``t`` with rows planted where ties decide:
+    all scores equal (row 0); first place shared by columns 0 and m - 1,
+    observed m - 1 (row 1); second place shared by columns 1 and 2, observed
+    2 (row 2); and runner-ups 1 and 2 one ulp apart under a clear winner,
+    observed 2, whose gaps to the winner round to one value (row 3)."""
+    r, c, t = pred.revenue.copy(), pred.cost.copy(), t.copy()
+    n, m = r.shape
+    if n < 4 or m < 3:
+        return pred, t
+    r[:4], c[:4] = 0.0, 0.0
+    r[0], c[0] = 1.0, 0.5
+    r[1, [0, -1]] = 3.0
+    r[2, 0], r[2, [1, 2]] = 10.0, 5.0
+    r[3, 0], r[3, 1], r[3, 2] = 7.0, 2.0, np.nextafter(2.0, np.inf)
+    t[1:4] = m - 1, 2, 2
+    return PredictionMatrix(r, c), t
+
+
 def instances(rng, count):
     """Random, dyadic and tie-heavy instances of varying size."""
     for i in range(count):

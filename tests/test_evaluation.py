@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -367,3 +369,27 @@ class TestOneSweepPerMatrix:
         for budget in (0.1, 0.2, 0.3):
             assert allocate_at_budget(data, pred, budget)[0] > 0.0
         assert len(builds) == 1
+
+    def test_one_treatment_major_copy_per_matrix(self, monkeypatch):
+        copies = []
+        build = PredictionMatrix._treatment_major.func
+
+        def counting(pred):
+            copies.append(1)
+            return build(pred)
+
+        prop = cached_property(counting)
+        prop.__set_name__(PredictionMatrix, "_treatment_major")
+        monkeypatch.setattr(PredictionMatrix, "_treatment_major", prop)
+        data, pred = self.noisy(5)
+        top = decide_dual(pred, 0.0).total_cost
+        for share in (0.3, 0.7):
+            assert solve_budget(pred, share * top).lam > 0.0
+        assert lambda_upper_bound(pred) > 0.0
+        cost_curve(data, pred, default_budget_grid(data, pred))
+        assert allocate_at_budget(data, pred, 0.2)[0] > 0.0
+        assert len(copies) == 1
+        for copy, full in zip(pred._treatment_major, (pred.revenue, pred.cost)):
+            assert copy.flags.c_contiguous and np.array_equal(copy, full.T)
+            with pytest.raises(ValueError):
+                copy[0, 0] = 1.0

@@ -9,8 +9,8 @@ from treatalloc.gradients import (GradientPair, dual_flip_gradient,
 from treatalloc.losses import LambdaGrid, observed_rewards, row_softmax
 from treatalloc.solver import PredictionMatrix, decide_dual
 
-from conftest import (central_differences, dyadic_instance, instances, make_dataset,
-                      random_instance, tie_heavy_instance)
+from conftest import (BUILDERS, central_differences, instances, make_dataset,
+                      planted_ties, random_instance)
 
 
 def reference_flip_gaps(a, t):
@@ -60,6 +60,14 @@ class TestIpsDualLoss:
         # scores favor treatment 0 for every row
         pred = PredictionMatrix([[5.0, 0.0], [5.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
         assert ips_dual_loss(data, pred, 0.5) == 0.0
+
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_multiplier_outside_finite_nonnegative_rejected(self, lam):
+        data = make_dataset(treatment=[0, 1], revenue=[1.0, 2.0], cost=[0.0, 1.0],
+                            num_treatments=2)
+        pred = PredictionMatrix([[5.0, 0.0], [0.0, 5.0]], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            ips_dual_loss(data, pred, lam)
 
     def test_hand_example(self):
         data = make_dataset(treatment=[0, 1], revenue=[1.0, 2.0], cost=[0.0, 1.0],
@@ -221,25 +229,6 @@ class TestInPlaceHeads:
                 assert np.array_equal(got.d_cost, expected[name][1])
 
 
-def planted_ties(pred, t):
-    """``pred`` and treatments ``t`` with rows planted where ties decide:
-    all scores equal (row 0); first place shared by columns 0 and m - 1,
-    observed m - 1 (row 1); second place shared by columns 1 and 2, observed
-    2 (row 2); and runner-ups 1 and 2 one ulp apart under a clear winner,
-    observed 2, whose gaps to the winner round to one value (row 3)."""
-    r, c, t = pred.revenue.copy(), pred.cost.copy(), t.copy()
-    n, m = r.shape
-    if n < 4 or m < 3:
-        return pred, t
-    r[:4], c[:4] = 0.0, 0.0
-    r[0], c[0] = 1.0, 0.5
-    r[1, [0, -1]] = 3.0
-    r[2, 0], r[2, [1, 2]] = 10.0, 5.0
-    r[3, 0], r[3, 1], r[3, 2] = 7.0, 2.0, np.nextafter(2.0, np.inf)
-    t[1:4] = m - 1, 2, 2
-    return PredictionMatrix(r, c), t
-
-
 class TestTreatmentMajorFlip:
     """The flip kernels run on (m, n) copies with a comparison-only argmax;
     the row-major references above give the same bits. The softmax head's
@@ -247,17 +236,11 @@ class TestTreatmentMajorFlip:
     from m = 8 numpy's pairwise row sum groups them differently."""
 
     GRID = LambdaGrid((0.0, 0.5, 1.0, 2.0))
-    BUILDERS = {
-        "random": lambda rng, n, m: PredictionMatrix(rng.uniform(0, 5, (n, m)),
-                                                     rng.uniform(0, 2, (n, m))),
-        "dyadic": dyadic_instance,
-        "tie-heavy": tie_heavy_instance,
-    }
 
     def cases(self, rng, builder, m):
         for n in (1, 7, 300):
             t = rng.integers(0, m, n)
-            pred, t = planted_ties(self.BUILDERS[builder](rng, n, m), t)
+            pred, t = planted_ties(BUILDERS[builder](rng, n, m), t)
             data = make_dataset(treatment=t, revenue=rng.uniform(0, 5, n),
                                 cost=rng.integers(0, 4, n) / 2.0, num_treatments=m)
             yield data, pred
@@ -348,13 +331,19 @@ class TestGradientInnerLoss:
             )
 
 
+def softmax_flip_scores(data, a, lam, step_floor, step_cap):
+    """``_softmax_flip_scores`` of row-major softmax scores ``a`` at ``lam``."""
+    xt = observed_rewards(data, lam)[0] / (data.n * data.sample_propensity())
+    return _softmax_flip_scores(a.T, data.treatment, xt, step_floor, step_cap).T
+
+
 class TestSoftmaxFlip:
     def test_uniform_row_gradient_nonzero_for_matched_reward(self):
         data = make_dataset(treatment=[0], revenue=[3.0], cost=[1.0],
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[1.0, 1.0]], [[0.5, 0.5]])
         a = row_softmax(pred.revenue - 1.0 * pred.cost)
-        g = _softmax_flip_scores(data, a.T, 1.0, step_floor=1e-6, step_cap=0.5).T
+        g = softmax_flip_scores(data, a, 1.0, step_floor=1e-6, step_cap=0.5)
         assert g[0, 0] != 0.0 and g[0, 1] != 0.0
 
     def test_step_cap_truncates_dominated_column(self):
@@ -365,7 +354,7 @@ class TestSoftmaxFlip:
         pred = PredictionMatrix([[30.0, 0.0]], [[0.0, 0.0]])
         a = row_softmax(pred.revenue - 1.0 * pred.cost)
         assert a[0, 1] < 1e-12
-        g = _softmax_flip_scores(data, a.T, 1.0, step_floor=1e-6, step_cap=0.5).T
+        g = softmax_flip_scores(data, a, 1.0, step_floor=1e-6, step_cap=0.5)
         assert g[0, 1] == pytest.approx(2.0 / 0.5)   # leaving jump over capped step
         assert g[0, 0] == pytest.approx(-2.0 / 0.5)
 
@@ -390,7 +379,7 @@ class TestSoftmaxFlip:
         grid = LambdaGrid((0.8,))
         lam = 0.8
         a = row_softmax(pred.revenue - lam * pred.cost)
-        g_fixed = _softmax_flip_scores(data, a.T, lam, 1e-6, 0.5).T
+        g_fixed = softmax_flip_scores(data, a, lam, 1e-6, 0.5)
         _, grad = softmax_flip_gradient(data, pred, grid)
         for _, i, j, fd in central_differences(
                 pred, ("revenue",), 1e-7,

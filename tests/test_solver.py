@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from treatalloc.exceptions import InfeasibleError, SizeError, ValidationError
-from treatalloc.solver import (PredictionMatrix, _Sweep, brute_force_oracle,
-                               decide_dual, dual_value, lambda_upper_bound,
-                               solve_budget)
+from treatalloc.solver import (DualSolution, PredictionMatrix, _Sweep,
+                               brute_force_oracle, decide_dual, dual_value,
+                               lambda_upper_bound, solve_budget)
 
-from conftest import instances, interval_points, replay, tie_heavy_instance
+from conftest import (BUILDERS, instances, interval_points, planted_ties, replay,
+                      tie_heavy_instance)
 
 
 def pm(revenue, cost):
@@ -33,6 +34,16 @@ class TestDecideDual:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
             decide_dual(pm([[1.0, 2.0]], [[0.0, 1.0]]), -0.1)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_multiplier_outside_finite_nonnegative_rejected(self, lam):
+        pred = pm([[1.0, 2.0], [3.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            decide_dual(pred, lam)
+        with pytest.raises(ValidationError):
+            dual_value(pred, lam, 1.0)
+        with pytest.raises(ValidationError):
+            DualSolution(lam, decide_dual(pred, 0.0), 0.0)
 
     def test_decomposition_over_concatenation(self, rng):
         r1, c1 = rng.uniform(0, 5, (6, 3)), rng.uniform(0, 2, (6, 3))
@@ -107,6 +118,11 @@ class TestSolveBudget:
 
 
 class TestReadOnly:
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_zero_treatments_rejected(self, shape):
+        with pytest.raises(ValidationError):
+            PredictionMatrix(np.zeros(shape), np.zeros(shape))
+
     def test_arrays_refuse_writes(self):
         revenue, cost = np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]])
         pred = PredictionMatrix(revenue, cost)
@@ -303,3 +319,107 @@ class TestSweep:
         assert sol.trace[0] == (0.0, decide_dual(pred, 0.0).total_cost)
         assert sol.trace[-1] == (sol.lam, sol.allocation.total_cost)
         assert len(sol.trace) <= 3
+
+
+def layouts(pred):
+    """``pred`` rebuilt from C-ordered and Fortran-ordered arrays, and from a
+    model's heads: strided views into one read-only (n, 2m) array."""
+    m = pred.num_treatments
+    heads = np.concatenate([pred.revenue, pred.cost], axis=1)
+    heads.flags.writeable = False
+    return {"C": PredictionMatrix(pred.revenue.copy(), pred.cost.copy()),
+            "F": PredictionMatrix(np.asfortranarray(pred.revenue),
+                                  np.asfortranarray(pred.cost)),
+            "heads": PredictionMatrix(heads[:, :m], heads[:, m:])}
+
+
+def reference_decide(pred, lam):
+    """(choice, objective, total cost) of ``decide_dual`` as first written:
+    a row-major ``argmax`` and two-index gathers."""
+    rows = np.arange(pred.n)
+    choice = np.argmax(pred.revenue - lam * pred.cost, axis=1)
+    return (choice, float(pred.revenue[rows, choice].sum()),
+            float(pred.cost[rows, choice].sum()))
+
+
+def reference_solve(pred, budget):
+    """(lam, (choice, objective, cost), dual value, trace) of ``solve_budget``
+    as first written: prefix sums, slack and fitting groups recomputed per
+    search, row-major probes."""
+    trace = []
+
+    def probe(lam):
+        result = reference_decide(pred, lam)
+        trace.append((lam, result[2]))
+        return result
+
+    lam, result = 0.0, probe(0.0)
+    if result[2] > budget:
+        sweep, start = pred._sweep, result[2]
+        delta = sweep.cost_delta
+        totals = start + np.cumsum(delta)[sweep.ends - 1]
+        slack = (delta.size + sweep.n + 2) * 2.0 ** -52 * (
+            abs(start) + float(np.abs(delta).sum()))
+        fits = (totals <= budget + slack) & (
+            totals != np.concatenate(([start], totals[:-1])))
+        inside = [float(max(lo + (hi - lo) / 1024.0, np.nextafter(lo, np.inf)))
+                  for lo, hi in zip(sweep.breaks[:-1][fits], sweep.breaks[1:][fits])]
+        for lam in inside + [float(sweep.breaks[-1])]:
+            result = probe(lam)
+            if result[2] <= budget:
+                break
+    bound = lam * budget + (pred.revenue - lam * pred.cost).max(axis=1).sum()
+    return lam, result, float(bound), trace
+
+
+class TestTreatmentMajorDecisions:
+    """Probes, dual bounds and sweeps read the matrix's (m, n) copy and find
+    each winner with comparisons only; the row-major references above give
+    the same bits, whatever the layout of the arrays handed in. From m = 257
+    the winner's index needs a uint16 counter."""
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("m", [*range(2, 10), 257, 300])
+    def test_equal_row_major_reference(self, rng, builder, m):
+        for n in (1, 7, 40):
+            base = planted_ties(BUILDERS[builder](rng, n, m), np.zeros(n, np.int64))[0]
+            sweeps = []
+            for pred in layouts(base).values():
+                sweep = pred._sweep
+                sweeps.append(sweep)
+                mids = 0.5 * (sweep.breaks[1:] + sweep.breaks[:-1])
+                lams = [0.0, 0.3, 1.1, *sweep.breaks[:8], *mids[:8], sweep.breaks[-1]]
+                for lam in map(float, lams):
+                    choice, objective, cost = reference_decide(pred, lam)
+                    alloc = decide_dual(pred, lam)
+                    assert alloc.choice.dtype == np.int64
+                    assert np.array_equal(alloc.choice, choice)
+                    assert (alloc.objective, alloc.total_cost) == (objective, cost)
+                    bound = lam * 2.5 + (pred.revenue - lam * pred.cost).max(axis=1).sum()
+                    assert dual_value(pred, lam, 2.5) == float(bound)
+                assert sweep.start_cost == reference_decide(pred, 0.0)[2]
+                for groups, lam in enumerate(mids[:8], start=1):
+                    assert np.array_equal(replay(sweep, pred, groups),
+                                          reference_decide(pred, lam)[0])
+                floor = reference_decide(pred, sweep.breaks[-1])[2]
+                budgets = [reference_decide(pred, lam)[2] for lam in lams]
+                budgets += [float(b) for b in rng.uniform(floor, budgets[0], 3)]
+                for budget in (b for b in budgets if b >= 0):
+                    sol = solve_budget(pred, budget)
+                    lam, (choice, objective, cost), bound, trace = reference_solve(
+                        pred, budget)
+                    assert sol.lam == lam and sol.trace == tuple(trace)
+                    assert np.array_equal(sol.allocation.choice, choice)
+                    assert (sol.allocation.objective, sol.allocation.total_cost) == (
+                        objective, cost)
+                    assert sol.dual_value == bound
+            for sweep in sweeps[1:]:
+                for name in ("rows", "old", "new", "ends", "breaks", "cost_delta"):
+                    assert np.array_equal(getattr(sweep, name), getattr(sweeps[0], name))
+
+    def test_heads_are_strided_and_copies_contiguous(self, rng):
+        pred = layouts(BUILDERS["random"](rng, 5, 3))["heads"]
+        assert not pred.revenue.flags.c_contiguous
+        for copy, full in zip(pred._treatment_major, (pred.revenue, pred.cost)):
+            assert copy.flags.c_contiguous and not copy.flags.writeable
+            assert np.array_equal(copy, full.T)
