@@ -9,8 +9,8 @@ and cost without ever observing counterfactual outcomes.
 Budgeted evaluation picks the smallest dual multiplier whose estimated
 per-capita cost fits the per-capita budget, read off the allocation
 solver's sweep over switch points with estimated instead of predicted cost.
-The sweep is cached on the prediction matrix, so every budget evaluated
-against one matrix shares it.
+The sweep and the ``lam = 0`` decision are cached on the prediction matrix,
+so every budget evaluated against one matrix shares them.
 """
 
 from __future__ import annotations
@@ -74,11 +74,12 @@ def evaluate_policy(data: RctDataset, choice: np.ndarray) -> OutcomeEstimate:
 
 
 def _allocator(data: RctDataset, pred: PredictionMatrix):
-    """Budget -> (multiplier, choice, estimate); every budget the ``lam = 0``
-    policy does not fit is a lookup on the matrix's sweep, searching the
-    estimated-cost change of each event, computed once, on first use."""
+    """Budget -> (multiplier, choice, estimate); the ``lam = 0`` policy is the
+    matrix's cached decision, and every budget it does not fit is a lookup on
+    the matrix's sweep, searching the estimated-cost change of each event,
+    computed once, on first use."""
     _check_cover(data, pred)
-    choice0 = decide_dual(pred, 0.0).choice
+    choice0 = pred._unconstrained.choice.astype(np.int64)  # callers may write it
     est0 = evaluate_policy(data, choice0)
     search = None
 
@@ -128,7 +129,7 @@ def default_budget_grid(data: RctDataset, pred: PredictionMatrix,
     """Evenly spaced per-capita budgets between the cost floor and the
     unconstrained cost."""
     floor = evaluate_policy(data, decide_dual(pred, lambda_upper_bound(pred)).choice)
-    top = evaluate_policy(data, decide_dual(pred, 0.0).choice)
+    top = evaluate_policy(data, pred._unconstrained.choice)
     lo, hi = floor.per_capita_cost, top.per_capita_cost
     if hi <= lo:
         return BudgetGrid((max(lo, 0.0),))

@@ -8,7 +8,8 @@ walks the upper envelope of these lines towards cheaper treatments; one
 sorted pass over all rows' switch points makes the allocation cost an exact
 step function of ``lam``, so the multiplier for a budget is a lookup (the
 greedy LP solution of the multiple-choice knapsack). Switch points depend on
-the predictions only: a (read-only) prediction matrix builds its sweep once.
+the predictions only: a (read-only) prediction matrix builds its sweep once,
+and makes its ``lam = 0`` decision, where every search starts, once.
 A brute-force enumerator serves as the exact oracle on small instances.
 
 Layout: numpy reduces a short last axis one row at a time, so a prediction
@@ -26,7 +27,7 @@ give no NaN score), and single cells are reached through flat indices
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +62,14 @@ class PredictionMatrix:
     def _treatment_major(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (m, n) C-contiguous copies of revenue and cost (Layout)."""
         return tuple(_freeze(np.ascontiguousarray(x.T)) for x in (self.revenue, self.cost))
+
+    @cached_property
+    def _unconstrained(self) -> Allocation:
+        """``decide_dual(self, 0.0)``, made once; its choice is read-only and
+        in the smallest unsigned int type, as it lives as long as the matrix."""
+        alloc = decide_dual(self, 0.0)
+        small = alloc.choice.astype(np.min_scalar_type(self.num_treatments - 1))
+        return replace(alloc, choice=_freeze(small))
 
     @cached_property
     def _sweep(self) -> _Sweep:
@@ -142,8 +151,12 @@ def decide_dual(pred: PredictionMatrix, lam: float) -> Allocation:
 
 
 def dual_value(pred: PredictionMatrix, lam: float, budget: float) -> float:
-    """Dual bound ``lam * budget + sum_i max_j (revenue_ij - lam * cost_ij)``."""
-    return float(lam * budget + _scores(pred, lam).max(axis=0).sum())
+    """Dual bound ``lam * budget + sum_i max_j (revenue_ij - lam * cost_ij)``;
+    the budget term is 0 at ``lam = 0``, an infinite budget included."""
+    if np.isnan(budget):
+        raise ValidationError(f"budget must not be NaN, got {budget!r}")
+    term = lam * budget if lam > 0 or np.isfinite(budget) else 0.0  # 0 * inf is NaN
+    return float(term + _scores(pred, lam).max(axis=0).sum())
 
 
 def lambda_upper_bound(pred: PredictionMatrix) -> float:
@@ -165,8 +178,8 @@ class _Sweep:
 
     def __init__(self, pred: PredictionMatrix):
         revenue, cost = r, c = pred._treatment_major
-        cur = _first(revenue == revenue.max(axis=0))  # the lam = 0 choice
-        self.start_cost = _allocation_from_choice(pred, cur).total_cost
+        cur = pred._unconstrained.choice.copy()
+        self.start_cost = pred._unconstrained.total_cost
         at = np.zeros(pred.n)  # multiplier of each row's latest move
         active = np.arange(pred.n)
         events = [(np.zeros(0), active[:0], active[:0], active[:0])]
@@ -239,21 +252,23 @@ def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
     just above the breakpoint where the cost first fits; never overspends.
 
     A budget below the ``lam = 0`` cost is a lookup on the matrix's sweep.
-    The trace holds (lam, cost) of the probe at 0 and of each direct probe
-    after it. Raises InfeasibleError with the floor cost when no allocation
-    fits.
+    The trace holds (lam, cost) of the matrix's ``lam = 0`` decision, made
+    once per matrix, and of each direct probe after it. Raises
+    InfeasibleError with the floor cost when no allocation fits.
     """
     if not budget >= 0:
         raise ValidationError(f"budget must be >= 0, got {budget!r}")
-    trace = []
+    top = pred._unconstrained
+    trace = [(0.0, top.total_cost)]
 
     def probe(lam):
         alloc = decide_dual(pred, lam)
         trace.append((lam, alloc.total_cost))
         return alloc.total_cost, alloc
 
-    lam, alloc = 0.0, probe(0.0)[1]
-    if alloc.total_cost > budget:
+    if top.total_cost <= budget:  # a fresh choice: the cached one is shared
+        lam, alloc = 0.0, replace(top, choice=top.choice.astype(np.int64))
+    else:
         lam, alloc = pred._sweep.cost_search(budget, probe)
     return DualSolution(lam, alloc, dual_value(pred, lam, budget), tuple(trace))
 

@@ -1,5 +1,8 @@
 """Shared builders for hand-sized datasets and random instances."""
 
+import dataclasses
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,39 @@ def replay(sweep, pred, groups):
         assert choice[row] == old
         choice[row] = new
     return choice
+
+
+def exact(value):
+    """``value`` with each float as its hex string, each array as its dtype,
+    shape and bytes and each dataclass as its fields, so that ``==`` on two
+    results compares their bits."""
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(exact(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value.hex() if isinstance(value, float) else value
+
+
+def count_calls(monkeypatch, fn, *targets, raising=True):
+    """Install at every dotted ``targets`` path a wrapper of ``fn`` that
+    records the positional arguments of each call; return that list. A
+    cached property is wrapped as one, so each object still fills it once."""
+    calls = []
+    getter = fn.func if isinstance(fn, cached_property) else fn
+
+    def counting(*args):
+        calls.append(args)
+        return getter(*args)
+
+    wrapper = counting
+    if isinstance(fn, cached_property):
+        wrapper = cached_property(counting)
+        wrapper.__set_name__(None, fn.attrname)
+    for target in targets:
+        monkeypatch.setattr(target, wrapper, raising=raising)
+    return calls
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-from functools import cached_property
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,8 @@ from treatalloc.losses import BudgetGrid
 from treatalloc.solver import (PredictionMatrix, _Sweep, decide_dual,
                                lambda_upper_bound, solve_budget)
 
-from conftest import instances, interval_points, make_dataset, replay
+from conftest import (BUILDERS, count_calls, exact, instances, interval_points,
+                      make_dataset, random_instance, replay)
 
 
 class TestEvaluatePolicy:
@@ -331,19 +330,27 @@ class TestExactBudgetSearch:
         lam, choice, _ = allocate_at_budget(data, pred, float("inf"))
         assert lam == 0.0 and choice.tolist() == [1, 1, 1]
 
+    def test_groups_whose_value_repeats_are_not_probed(self, monkeypatch):
+        # rows leave treatment 1 at lam = 1, 2, 2 and 3. At lam = 2 a matched
+        # row leaves its observed treatment and an unmatched row joins its own,
+        # so the estimated cost (3/2, then 1, 1 and 1/2; sums exact) repeats
+        pred = PredictionMatrix([[0.0, 1.0], [0.0, 2.0], [0.0, 2.0], [0.0, 3.0]],
+                                [[0.0, 1.0]] * 4)
+        data = make_dataset(treatment=[1, 1, 0, 1], revenue=[1.0] * 4, cost=[1.0] * 4,
+                            num_treatments=2, propensities=[0.5, 0.5])
+        probes = count_calls(monkeypatch, decide_dual, "treatalloc.evaluation.decide_dual")
+        # below 1 by one ulp, within the search's slack: the probe above
+        # lam = 1 fails, and the next one probed is above lam = 3
+        lam, choice, est = allocate_at_budget(data, pred, float(np.nextafter(1.0, 0.0)))
+        assert lam == 3.0 + 4 / 1024
+        assert [p for _, p in probes if p > 0] == [1.0 + 1 / 1024, lam]
+        assert choice.tolist() == [0, 0, 0, 0] and est.per_capita_cost == 0.5
+
 
 class TestOneSweepPerMatrix:
     @pytest.fixture
     def builds(self, monkeypatch):
-        counted = []
-        init = _Sweep.__init__
-
-        def counting_init(self, *args):
-            counted.append(1)
-            init(self, *args)
-
-        monkeypatch.setattr(_Sweep, "__init__", counting_init)
-        return counted
+        return count_calls(monkeypatch, _Sweep.__init__, "treatalloc.solver._Sweep.__init__")
 
     @staticmethod
     def noisy(seed):
@@ -371,16 +378,8 @@ class TestOneSweepPerMatrix:
         assert len(builds) == 1
 
     def test_one_treatment_major_copy_per_matrix(self, monkeypatch):
-        copies = []
-        build = PredictionMatrix._treatment_major.func
-
-        def counting(pred):
-            copies.append(1)
-            return build(pred)
-
-        prop = cached_property(counting)
-        prop.__set_name__(PredictionMatrix, "_treatment_major")
-        monkeypatch.setattr(PredictionMatrix, "_treatment_major", prop)
+        copies = count_calls(monkeypatch, PredictionMatrix._treatment_major,
+                             "treatalloc.solver.PredictionMatrix._treatment_major")
         data, pred = self.noisy(5)
         top = decide_dual(pred, 0.0).total_cost
         for share in (0.3, 0.7):
@@ -393,3 +392,67 @@ class TestOneSweepPerMatrix:
             assert copy.flags.c_contiguous and np.array_equal(copy, full.T)
             with pytest.raises(ValueError):
                 copy[0, 0] = 1.0
+
+    def test_one_unconstrained_decision_per_matrix(self, monkeypatch):
+        data, pred = self.noisy(6)
+        other = PredictionMatrix(pred.revenue, pred.cost)
+        top = decide_dual(pred, 0.0).total_cost
+        calls = count_calls(monkeypatch, decide_dual, "treatalloc.solver.decide_dual",
+                            "treatalloc.evaluation.decide_dual")
+        for p in (pred, other):
+            for share in (0.3, 0.7, 1.5):
+                solve_budget(p, share * top)
+            assert lambda_upper_bound(p) > 0.0
+            cost_curve(data, p, default_budget_grid(data, p))
+            for budget in (0.1, 0.2, 5.0):
+                allocate_at_budget(data, p, budget)
+        assert [p for p, lam in calls if lam == 0.0] == [pred, other]
+        assert sum(lam > 0.0 for _, lam in calls) > 10
+
+    @pytest.mark.parametrize("m", [3, 257, 300])
+    def test_returned_choices_leave_the_cached_decision_alone(self, rng, m):
+        data, pred = random_instance(rng, n=m + 20, m=m)
+        fits = decide_dual(pred, 0.0).total_cost
+        expected = [solve_budget(pred, fits), allocate_at_budget(data, pred, 1e9)]
+        for _ in range(2):
+            sol = solve_budget(pred, fits)
+            lam, choice, est = allocate_at_budget(data, pred, 1e9)
+            assert exact([sol, (lam, choice, est)]) == exact(expected)
+            sol.allocation.choice[:] = m - 1
+            choice[:] = m - 1
+        fresh = PredictionMatrix(pred.revenue, pred.cost)
+        assert exact(default_budget_grid(data, pred)) == exact(
+            default_budget_grid(data, fresh))
+        cached = pred._unconstrained.choice
+        assert cached.dtype == (np.uint16 if m > 256 else np.uint8)
+        with pytest.raises(ValueError):
+            cached[0] = 0
+
+
+class TestWarmMatrix:
+    """Every call on a matrix whose sweep and ``lam = 0`` decision are cached
+    gives the bits of the same call on a fresh matrix."""
+
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_same_bits_as_a_fresh_matrix(self, rng, builder, n):
+        m = 4
+        warm = BUILDERS[builder](rng, n, m)
+        data = make_dataset(treatment=rng.integers(0, m, n), revenue=rng.uniform(0, 3, n),
+                            cost=rng.integers(0, 4, n) / 2.0, num_treatments=m,
+                            propensities=[0.25] * m)
+
+        def fresh():
+            return PredictionMatrix(warm.revenue.copy(), warm.cost.copy())
+
+        floor = decide_dual(fresh(), lambda_upper_bound(fresh())).total_cost
+        top = decide_dual(fresh(), 0.0).total_cost
+        budgets = [max(floor + s * (top - floor), 0.0) for s in (0.0, 0.4, 0.8, 1.0)]
+        calls = [lambda p, b=b: solve_budget(p, b) for b in budgets + [float("inf")]]
+        calls += [lambda_upper_bound, lambda p: default_budget_grid(data, p)]
+        grid = default_budget_grid(data, fresh())
+        calls.append(lambda p: cost_curve(data, p, grid))
+        calls += [lambda p, b=b: allocate_at_budget(data, p, b)
+                  for b in tuple(grid) + (float("inf"),)]
+        for call in calls + calls:
+            assert exact(call(warm)) == exact(call(fresh()))

@@ -246,6 +246,19 @@ class TestBudgetValues:
         assert sol.lam == 0.0
         assert sol.allocation.choice.tolist() == [1, 1]
 
+    def test_infinite_budget_has_a_finite_dual_bound(self):
+        # the budget term vanishes at lam = 0 (0 * inf would be NaN)
+        pred = pm([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]])
+        assert solve_budget(pred, float("inf")).dual_value == 2.0
+        assert dual_value(pred, 0.0, float("inf")) == 2.0
+        assert dual_value(pred, 0.5, float("inf")) == float("inf")
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_nan_budget_rejected_by_dual_value(self, lam):
+        pred = pm([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValidationError):
+            dual_value(pred, lam, float("nan"))
+
 
 class TestUpperBound:
     def test_switch_past_max_revenue_cost_ratio(self):

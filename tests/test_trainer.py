@@ -17,6 +17,8 @@ from treatalloc.training import (BACKENDS, EpochRecord, TrainConfig,
                                  _decision_loss_and_grad, format_epoch_record, train,
                                  write_training_log)
 
+from conftest import count_calls
+
 GRID = LambdaGrid((0.2, 0.8))
 
 
@@ -172,13 +174,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("backend, batch_size",
                              [(b, None) for b in BACKENDS] + [("policy", 128)])
     def test_one_forward_pass_per_step(self, tiny_data, monkeypatch, backend, batch_size):
-        passes = []
-
-        def counting(params, features):
-            passes.append(1)
-            return forward_cached(params, features)
-
-        monkeypatch.setattr("treatalloc.model.forward_cached", counting)
+        passes = count_calls(monkeypatch, forward_cached, "treatalloc.model.forward_cached")
         config = small_config(backend=backend, epochs=4, warm_start_epochs=2,
                               batch_size=batch_size)
         params, _ = train(tiny_data, config)
@@ -190,15 +186,8 @@ class TestTrainLoop:
     def test_flip_backends_decide_once_per_multiplier(self, wide_data, monkeypatch,
                                                       backend, batch_size):
         # the flip kernel returns the matched loss, so nothing decides again
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return ips_dual_loss(*args)
-
-        for target in ("treatalloc.training.ips_dual_loss",
-                       "treatalloc.gradients.ips_dual_loss"):
-            monkeypatch.setattr(target, counting, raising=False)
+        calls = count_calls(monkeypatch, ips_dual_loss, "treatalloc.training.ips_dual_loss",
+                            "treatalloc.gradients.ips_dual_loss", raising=False)
         config = small_config(backend=backend, epochs=2, batch_size=batch_size)
         params, records = train(wide_data, config)
         assert params.step == 2 * math.ceil(wide_data.n / (batch_size or wide_data.n))
@@ -224,15 +213,8 @@ class TestTrainLoop:
             assert np.isfinite([r.total for r in records]).all()
 
     def test_eval_snapshots_on_held_out_data(self, monkeypatch):
-        builds = []
-
-        def counting(*args):
-            builds.append(1)
-            return _allocator(*args)
-
-        for target in ("treatalloc.training._allocator",
-                       "treatalloc.evaluation._allocator"):
-            monkeypatch.setattr(target, counting, raising=False)
+        builds = count_calls(monkeypatch, _allocator, "treatalloc.training._allocator",
+                             "treatalloc.evaluation._allocator", raising=False)
         data, _ = generate_synthetic(GeneratorConfig(n=1200, m=3, d=4), seed=4)
         tr, te = split(data, 0.7, seed=0)
         config = small_config(epochs=4, eval_every=2, eval_budgets=(0.1, 0.3))
