@@ -182,11 +182,12 @@ def _cmd_train(args) -> None:
 
         from .data import _write_table
         from .gradients import GradientPair
+        from .losses import _whole
         from .model import forward
         from .training import _decision_loss_and_grad
 
         pred = forward(params, data.features)
-        grad = GradientPair(*_decision_loss_and_grad(data, pred, config)[1:])
+        grad = GradientPair(*_decision_loss_and_grad(_whole(data), pred, config)[1:])
         n, m = grad.d_revenue.shape
         _write_table(args.dump_gradients, ["id", "treatment", "d_revenue", "d_cost"],
                      [np.repeat(data.ids, m), np.tile(np.arange(m), n),
@@ -306,7 +307,7 @@ def run(argv: list[str]) -> int:
     except (InfeasibleError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory in place of one, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -327,6 +327,7 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
     ``ParseError`` at the first bad row, naming the physical line on which
     that row starts. Blank lines are skipped.
     """
+    bulk = _bulk_safe(path)
     with Path(path).open(newline="", encoding="utf-8") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
@@ -335,7 +336,7 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
         if not accepts(header):
             raise ParseError(f"unexpected header {header!r}; want {want}", 1, path)
         types = [np.int64 if h in ("id", "treatment") else np.float64 for h in header]
-        if _bulk_safe(path):
+        if bulk:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # an empty body only warns
@@ -369,9 +370,17 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
 def _bulk_safe(path: str | Path) -> bool:
     """Whether loadtxt reads the file as ``int()`` and ``float()`` would: it
     strips bytes 0x1c..0x1f around a number, and its int parser takes some
-    non-ASCII letters for digits."""
+    non-ASCII letters for digits. A file that is not UTF-8 raises
+    ``ParseError`` at the line of its first bad byte."""
     raw = Path(path).read_bytes()
-    return raw.isascii() and not any(byte in raw for byte in b"\x1c\x1d\x1e\x1f")
+    if raw.isascii():
+        return not any(byte in raw for byte in b"\x1c\x1d\x1e\x1f")
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text ({exc.reason})", line, path) from None
+    return False
 
 
 def _write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -497,7 +506,10 @@ def read_config(path: str | Path | None, overrides: Iterable[str] = ()
     override without one ``ConfigError``.
     """
     values: dict[str, str] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -539,6 +551,8 @@ def generator_config(values: dict[str, str]) -> tuple[GeneratorConfig, int]:
         config = GeneratorConfig(**{k: parse(own[k]) for k, parse in parsers.items()
                                     if k in own or k in ("n", "m", "d")})
         seed = int(own.get("seed", "0"))
+        if seed < 0:
+            raise ConfigError(f"generator seed must be >= 0, got {seed}")
     except KeyError as exc:
         raise ConfigError(f"generator config missing key {exc.args[0]!r}") from None
     except ValueError as exc:

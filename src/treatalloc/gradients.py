@@ -49,9 +49,12 @@ winner with comparisons only (about 60 us at 8,192 x 5 for the maximum, one
 comparison and ``solver._first``, against about 250 us for ``argmax``) and
 reaches single cells through flat indices. The gradients accumulate in
 (m, n) and are returned as ``.T`` views; the inverse-propensity weights are
-computed once per call. ``flip_fd_gradient`` and ``ips_dual_loss`` stay
-row-major: the oracle and the loss are the references the fast kernels are
-checked against.
+computed once per call. Training calls the private cores
+(``_dual_flip_gradient``, ``_softmax_flip_gradient``) once per row block,
+with the whole batch's ``n``, propensities and centred baselines (see
+``losses``); the public estimators run their dataset as one block.
+``flip_fd_gradient`` and ``ips_dual_loss`` stay row-major: the oracle and
+the loss are the references the fast kernels are checked against.
 
 ``dual_flip_gradient``, ``softmax_flip_gradient`` and ``flip_fd_gradient``
 take ``centered``: the loss jump of a row is then its reward less the mean
@@ -70,7 +73,7 @@ import numpy as np
 
 from .data import RctDataset
 from .exceptions import SizeError, ValidationError
-from .losses import LambdaGrid, _check_cover, _softmax, observed_rewards
+from .losses import LambdaGrid, _Block, _check_cover, _softmax, _whole, observed_rewards
 from .solver import PredictionMatrix, _check_multiplier, _first
 
 _OVERSHOOT = 1e-6  # flip_fd_gradient's relative extra step, realizing flips at exact ties
@@ -225,7 +228,12 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     _check_pair(data, pred)
     if step_floor <= 0:
         raise ValidationError("step_floor must be > 0")
-    inv_np = 1.0 / (data.n * data.sample_propensity())
+    return _dual_flip_gradient(_whole(data), pred, grid, step_floor, centered)
+
+
+def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
+                        step_floor: float, centered: bool) -> tuple[float, GradientPair]:
+    inv_np = 1.0 / (block.n * block.propensity)
     revenue, cost = pred._treatment_major
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
@@ -233,9 +241,9 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     loss = 0.0
     for lam in grid:
         np.subtract(revenue, np.multiply(lam, cost, out=scores), out=scores)
-        gap, sign, choice = _flip_gaps(scores, data.treatment)
-        loss += _loss_arrays(data, choice, lam, inv_np)
-        xt = observed_rewards(data, lam, centered)[0] * inv_np
+        gap, sign, choice = _flip_gaps(scores, block.treatment)
+        loss += _loss_arrays(block, choice, lam, inv_np)
+        xt = block.reward(lam, centered)[0] * inv_np
         if lam > 0:  # first, as the revenue head works in gap
             step = gap / lam
             d_cost -= _flip_head(xt, np.maximum(step, step_floor, out=step), sign)
@@ -281,7 +289,13 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
     _check_pair(data, pred)
     if not 0 < step_floor <= step_cap:
         raise ValidationError("need 0 < step_floor <= step_cap")
-    n_p = data.n * data.sample_propensity()
+    return _softmax_flip_gradient(_whole(data), pred, grid, step_floor, step_cap, centered)
+
+
+def _softmax_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
+                           step_floor: float, step_cap: float, centered: bool
+                           ) -> tuple[float, GradientPair]:
+    n_p = block.n * block.propensity
     inv_np = 1.0 / n_p
     revenue, cost = pred._treatment_major
     d_rev = np.zeros_like(revenue)
@@ -291,10 +305,10 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
     for lam in grid:
         np.subtract(revenue, np.multiply(lam, cost, out=scores), out=scores)
         top = scores.max(axis=0)
-        loss += _loss_arrays(data, _first(scores == top), lam, inv_np)
+        loss += _loss_arrays(block, _first(scores == top), lam, inv_np)
         a = _softmax(scores, top)
-        xt = observed_rewards(data, lam, centered)[0] / n_p  # `* inv_np` rounds otherwise
-        ds = _softmax_flip_scores(a, data.treatment, xt, step_floor, step_cap)
+        xt = block.reward(lam, centered)[0] / n_p  # `* inv_np` rounds otherwise
+        ds = _softmax_flip_scores(a, block.treatment, xt, step_floor, step_cap)
         ds -= np.sum(ds * a, axis=0)  # g - <g, a> per column, in place
         ds *= a
         d_rev += ds

@@ -30,10 +30,20 @@ matrix's (m, n) copy, made once per matrix and shared with the solver (see
 ``solver``), and return their gradients as ``.T`` views. Single cells, such
 as each row's observed treatment, are read and written through flat indices
 into the raveled array. Up to m = 7 both layouts give the same bits.
+
+Training runs each kernel per row block (``_Block``, ``model.BLOCK_ROWS``
+rows), on the predictions of that block: the (m, n) copy and every
+temporary then hold one block, which stays in cache. Each public kernel is
+the one-block case of a private core (``_prediction_loss_grad`` and so on)
+that takes the constants of the whole batch with the block: ``n``, each
+row's propensity and the centred baselines. Per-row values are then those
+of the whole batch; a loss value is the block's share, added up by the
+caller in block order, so only sums over more than one block change bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +117,51 @@ def observed_rewards(data: RctDataset, lam: float, centered: bool = False
     is the mean reward over the rows; otherwise it is 0 and the rewards are
     returned unchanged.
     """
-    reward = data.revenue - lam * data.cost
-    if not centered:
-        return reward, 0.0
-    baseline = float(reward.mean()) if data.n else 0.0
-    return reward - baseline, baseline
+    return _whole(data).reward(lam, centered)
+
+
+class _Block:
+    """A slice of a batch's rows, as views, with what belongs to the whole
+    batch: its row count ``n``, each row's treatment propensity (sliced from
+    one array per batch) and each multiplier's centred baseline (computed
+    over the batch when first asked for, and shared by its blocks). The
+    kernels' private cores run on one block; the public kernels on their
+    dataset as a single block (``_whole``)."""
+
+    def __init__(self, batch: RctDataset, rows: slice, propensity: np.ndarray,
+                 baselines: dict[float, float]):
+        self.n, self.num_treatments, self.first = batch.n, batch.num_treatments, rows.start == 0
+        self.features, self.treatment, self.revenue, self.cost = (
+            batch.features[rows], batch.treatment[rows], batch.revenue[rows], batch.cost[rows])
+        self.propensity = propensity[rows]
+        self._batch, self._baselines = batch, baselines
+
+    def reward(self, lam: float, centered: bool) -> tuple[np.ndarray, float]:
+        """``observed_rewards`` of these rows, centred on the batch's mean
+        reward, and the block's share of that baseline in a loss value: all
+        of it in the first block, none in the others."""
+        reward = self.revenue - lam * self.cost
+        if not centered:
+            return reward, 0.0
+        if lam not in self._baselines:  # a single block holds the batch's rewards
+            batch = reward if reward.size == self.n else \
+                self._batch.revenue - lam * self._batch.cost
+            self._baselines[lam] = float(batch.mean()) if self.n else 0.0
+        baseline = self._baselines[lam]
+        return reward - baseline, baseline if self.first else 0.0
+
+
+def _blocks(batch: RctDataset, size: int) -> Iterator[_Block]:
+    """``batch`` in consecutive blocks of ``size`` rows; a batch of at most
+    ``size`` rows is one block."""
+    propensity, baselines = batch.sample_propensity(), {}
+    return (_Block(batch, slice(lo, lo + size), propensity, baselines)
+            for lo in range(0, max(batch.n, 1), size))
+
+
+def _whole(data: RctDataset) -> _Block:
+    """``data`` as a single block."""
+    return _Block(data, slice(0, None), data.sample_propensity(), {})
 
 
 def _softmax(scores: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
@@ -142,13 +192,18 @@ def prediction_loss_grad(data: RctDataset, pred: PredictionMatrix
     """`prediction_loss` and its gradient with respect to the prediction
     matrices, from one gather of the observed column."""
     _check_cover(data, pred)
-    rows = np.arange(data.n)
-    w = 1.0 / (data.n * data.num_treatments * data.sample_propensity())
+    return _prediction_loss_grad(_whole(data), pred)
+
+
+def _prediction_loss_grad(block: _Block, pred: PredictionMatrix
+                          ) -> tuple[float, np.ndarray, np.ndarray]:
+    rows = np.arange(pred.n)
+    w = 1.0 / (block.n * block.num_treatments * block.propensity)
     # a model's heads are strided views, which ``ravel`` would copy: read
     # them by (row, column), write the new C-order gradients by flat index
-    dr = pred.revenue[rows, data.treatment] - data.revenue
-    dc = pred.cost[rows, data.treatment] - data.cost
-    obs = rows * data.num_treatments + data.treatment
+    dr = pred.revenue[rows, block.treatment] - block.revenue
+    dc = pred.cost[rows, block.treatment] - block.cost
+    obs = rows * block.num_treatments + block.treatment
     d_rev = np.zeros(pred.revenue.shape)
     d_cost = np.zeros(pred.cost.shape)
     d_rev.ravel()[obs] = 2.0 * w * dr
@@ -205,15 +260,21 @@ def tempered_policy_loss_grad(data: RctDataset, pred: PredictionMatrix,
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
     _check_cover(data, pred)
-    obs = data.treatment * data.n + np.arange(data.n)  # flat (m, n) index of the observed cells
-    weight = 1.0 / (data.n * data.sample_propensity())
+    return _tempered_policy_loss_grad(_whole(data), pred, grid, tau, centered)
+
+
+def _tempered_policy_loss_grad(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
+                               tau: float, centered: bool
+                               ) -> tuple[float, np.ndarray, np.ndarray]:
+    obs = block.treatment * pred.n + np.arange(pred.n)  # flat (m, n) index of the observed cells
+    weight = 1.0 / (block.n * block.propensity)
     revenue, cost = pred._treatment_major
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     total = 0.0
     for lam in grid:
         ds = _softmax((revenue - lam * cost) / tau)  # the weights w, then d/ds in place
-        reward, baseline = observed_rewards(data, lam, centered)
+        reward, baseline = block.reward(lam, centered)
         beta_w = weight * reward * ds.ravel().take(obs)  # beta_i * w[i, t_i]
         total += -float(np.sum(beta_w)) - baseline
         ds *= beta_w

@@ -10,9 +10,14 @@ One private epoch loop (``_fit_epoch``) serves every kind of training: the
 prediction-only warm start here and the decision-aware epochs of
 ``training.train``. It orders and batches the rows, runs forward, backward
 and the optimizer step, and averages the batch losses; callers supply only
-the gradient of their loss with respect to the predictions. Each batch runs
-forward once: the backward pass reads the layer inputs (the features, then
-each hidden activation) that ``forward_cached`` kept.
+the gradient of their loss with respect to the predictions. A batch runs in
+consecutive blocks of ``BLOCK_ROWS`` rows (views; a smaller batch is one
+block), so a full-batch step holds the data plus one block's temporaries.
+Each block runs forward once (backward reads the layer inputs, the features
+then each hidden activation, that ``forward_cached`` kept), its loss
+gradients and backward; what belongs to the whole batch is computed over it
+(``losses._blocks``). Gradients and losses add up in block order, and the
+batch takes one optimizer step.
 
 Checkpoint layout (versioned flat binary): 8-byte magic ``TACKPT01``, a
 4-byte little-endian header length, a JSON header echoing the model config,
@@ -36,11 +41,12 @@ import numpy as np
 from .data import RctDataset, _freeze, _sigmoid, _unchecked
 from .exceptions import ConfigError, NumericError, ValidationError
 from .gradients import GradientPair
-from .losses import prediction_loss_grad
+from .losses import _Block, _blocks, _prediction_loss_grad
 from .solver import PredictionMatrix
 
 _MAGIC = b"TACKPT01"
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # moment decay rates; denominator guard
+BLOCK_ROWS = 8192  # rows per block of a training step; 4,096 to 16,384 timed alike
 
 ACTIVATIONS = ("relu", "tanh")
 WARM_START_OBJECTIVES = ("squared-error", "cross-entropy")
@@ -221,7 +227,7 @@ def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float) -> bool:
     return True
 
 
-BatchGrad = Callable[[RctDataset, PredictionMatrix],
+BatchGrad = Callable[[_Block, PredictionMatrix],
                      tuple[tuple[np.ndarray, np.ndarray], tuple[float, ...]]]
 
 
@@ -233,14 +239,14 @@ def _fit_epoch(params: ModelParams, data: RctDataset, batch_grad: BatchGrad,
 
     Full batch (``batch_size`` unset) is ``data`` itself in index order and
     draws nothing from ``rng``; otherwise ``rng`` permutes the rows and
-    consecutive slices of the permutation form the batches.
-    ``batch_grad(batch, pred)`` returns the (revenue, cost) gradients of the
-    predictions, unchecked (``step`` skips non-finite ones), and the batch's
-    losses. ``step`` applies the update; each caller passes the
-    ``optimizer_step`` bound in its own module, so a wrapper installed there
-    (instrumentation, a patched update) stays in force. Returns the losses as
-    computed on a full batch, and their batch-size-weighted means over
-    mini-batches.
+    consecutive slices of the permutation form the batches, each run in
+    blocks (module docstring). ``batch_grad(block, pred)`` returns the
+    (revenue, cost) gradients of a block's predictions, unchecked (``step``
+    skips non-finite ones), and its share of the batch's losses. ``step``
+    applies the update; each caller passes the ``optimizer_step`` bound in
+    its own module, so a wrapper installed there (instrumentation, a patched
+    update) stays in force. Returns the losses as computed on a full batch,
+    and their batch-size-weighted means over mini-batches.
     """
     if batch_size:
         order = rng.permutation(data.n)
@@ -250,9 +256,18 @@ def _fit_epoch(params: ModelParams, data: RctDataset, batch_grad: BatchGrad,
         batches = (data,)
     sums: list[float] = []
     for batch in batches:
-        out, inputs = forward_cached(params, batch.features)
-        upstream, losses = batch_grad(batch, _predictions(params, out))
-        step(params, _backprop(params, inputs, upstream), lr)
+        grads = None
+        for block in _blocks(batch, BLOCK_ROWS):
+            out, inputs = forward_cached(params, block.features)
+            upstream, part = batch_grad(block, _predictions(params, out))
+            add = _backprop(params, inputs, upstream)
+            if grads is None:
+                grads, losses = add, part
+                continue
+            for total, g in zip(grads.d_weights + grads.d_biases, add.d_weights + add.d_biases):
+                total += g
+            losses = tuple(a + b for a, b in zip(losses, part))
+        step(params, grads, lr)
         if not batch_size:
             return losses
         sums = [s + batch.n * v for s, v in zip(sums or [0.0] * len(losses), losses)]
@@ -279,18 +294,18 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
         if not binary:
             raise ConfigError("cross-entropy warm start needs 0/1 outcomes")
 
-    def batch_grad(batch: RctDataset, pred: PredictionMatrix):
+    def batch_grad(block: _Block, pred: PredictionMatrix):
         if objective == "squared-error":
-            return prediction_loss_grad(batch, pred)[1:], ()
-        rows = np.arange(batch.n)
-        w = 1.0 / (batch.n * batch.num_treatments * batch.sample_propensity())
+            return _prediction_loss_grad(block, pred)[1:], ()
+        rows = np.arange(pred.n)
+        w = 1.0 / (block.n * block.num_treatments * block.propensity)
         d_rev = np.zeros_like(pred.revenue)
         d_cost = np.zeros_like(pred.cost)
-        d_rev[rows, batch.treatment] = w * (
-            _sigmoid(pred.revenue[rows, batch.treatment]) - batch.revenue
+        d_rev[rows, block.treatment] = w * (
+            _sigmoid(pred.revenue[rows, block.treatment]) - block.revenue
         )
-        d_cost[rows, batch.treatment] = w * (
-            _sigmoid(pred.cost[rows, batch.treatment]) - batch.cost
+        d_cost[rows, block.treatment] = w * (
+            _sigmoid(pred.cost[rows, block.treatment]) - block.cost
         )
         return (d_rev, d_cost), ()
 
@@ -342,8 +357,9 @@ def save_checkpoint(path: str | Path, params: ModelParams,
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Read a checkpoint; returns params (fresh optimizer state) and extras.
 
-    The file must be exactly as long as its header implies: a file cut short
-    or carrying trailing bytes raises ``ValidationError``.
+    Its layer shapes must be those of its config, and the file exactly as
+    long as its header implies: a wrong shape, a file cut short or trailing
+    bytes raise ``ValidationError``.
     """
     raw = Path(path).read_bytes()
     if raw[:8] != _MAGIC:
@@ -359,6 +375,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         extra = header["extra"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: unreadable checkpoint header: {exc}") from None
+    dims = [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in cfg.dims()]
+    if shapes != dims:
+        raise ValidationError(f"{path}: layer shapes {shapes} do not match the config's {dims}")
     expected = 12 + hlen + 8 * sum(wn + bn for wn, bn in sizes)
     if len(raw) != expected:
         raise ValidationError(

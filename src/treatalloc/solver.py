@@ -160,8 +160,8 @@ def dual_value(pred: PredictionMatrix, lam: float, budget: float) -> float:
 
 
 def lambda_upper_bound(pred: PredictionMatrix) -> float:
-    """A multiplier past every row's last switch point (twice it, plus one,
-    so rounding cannot close the margin): ``decide_dual`` there gives the
+    """A multiplier past every row's last switch point (twice the last one,
+    or 1 when none is positive): ``decide_dual`` there gives the
     minimum-cost allocation."""
     return float(pred._sweep.breaks[-1])
 
@@ -209,7 +209,9 @@ class _Sweep:
                               for j in (old, new))
         self.n = pred.n
         self.ends = np.flatnonzero(np.diff(lam, append=np.inf)) + 1  # per group
-        self.breaks = np.append(lam[self.ends - 1], 2.0 * lam.max(initial=0.0) + 1.0)
+        # twice the last switch point scales with the cost unit; 1 if none is positive
+        top = lam.max(initial=0.0)
+        self.breaks = np.append(lam[self.ends - 1], 2.0 * top if top > 0 else 1.0)
         self.cost_delta = cost[self.new, self.rows] - cost[self.old, self.rows]
 
     @cached_property

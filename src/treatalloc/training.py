@@ -16,18 +16,20 @@ the perturbation backends need full-dataset passes or large batches because
 the matched-set statistics degrade on small ones.
 
 Epochs run on the model's shared loop (``model._fit_epoch``), the same one
-the warm start uses: ``train`` supplies the composite loss and its gradient
-per batch, from one call per loss term that returns its value with its
-gradient (so each multiplier is decided once), checks the loss is finite,
-and keeps the log.
+the warm start uses, which runs each batch in row blocks: ``train`` supplies
+the composite loss and its gradient per block, from one call per loss term
+that returns its value with its gradient (so each multiplier is decided
+once), checks the loss is finite, and keeps the log. Those calls go to the
+kernels' private cores, which take the batch's constants with the block; a
+batch of at most ``model.BLOCK_ROWS`` rows gets the public kernels' bits.
 
 Every decision backend trains on the centred estimates (``centered=True``
-in ``losses`` and ``gradients``): the mean observed reward of the batch is
-taken out of each row's reward before inverse-propensity weighting. On data
-where a large base revenue is shared by all treatments the plain estimates
-are too noisy to learn from, and the decision term then pulls the heads
-away from good allocations; the centred ones have the same expectation at a
-small fraction of the variance.
+in ``losses`` and ``gradients``): the mean observed reward of the batch (of
+all its blocks) is taken out of each row's reward before inverse-propensity
+weighting. On data where a large base revenue is shared by all treatments
+the plain estimates are too noisy to learn from, and the decision term then
+pulls the heads away from good allocations; the centred ones have the same
+expectation at a small fraction of the variance.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ import numpy as np
 from .data import RctDataset
 from .evaluation import _allocator
 from .exceptions import ConfigError, InfeasibleError, NumericError, ValidationError
-from .gradients import dual_flip_gradient, softmax_flip_gradient
-from .losses import LambdaGrid, prediction_loss_grad, tempered_policy_loss_grad
+from .gradients import _dual_flip_gradient, _softmax_flip_gradient
+from .losses import LambdaGrid, _Block, _prediction_loss_grad, _tempered_policy_loss_grad
 from .model import WARM_START_OBJECTIVES, ModelConfig, ModelParams, _fit_epoch, forward, \
     init_params, optimizer_step, warm_start
 
@@ -94,6 +96,8 @@ class TrainConfig:
             raise ConfigError("warm_start_epochs must not exceed epochs")
         if self.lr <= 0:
             raise ConfigError("learning rate must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -124,23 +128,23 @@ class EpochRecord:
     snapshot: tuple[float, ...] | None = None  # per-budget revenue on eval data
 
 
-def _decision_loss_and_grad(data: RctDataset, pred, config: TrainConfig
+def _decision_loss_and_grad(block: _Block, pred, config: TrainConfig
                             ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Backend dispatch: decision loss value plus gradients wrt predictions."""
+    """Backend dispatch: decision loss value plus gradients wrt predictions,
+    for one block of a batch (``losses._whole`` makes a dataset one block)."""
     grid = config.lambda_grid
     if config.backend == "two-stage":
         return 0.0, np.zeros_like(pred.revenue), np.zeros_like(pred.cost)
     if config.backend in ("policy", "entropy"):
         tau = 1.0 if config.backend == "policy" else config.tau
-        return tempered_policy_loss_grad(data, pred, grid, tau=tau, centered=True)
+        return _tempered_policy_loss_grad(block, pred, grid, tau, centered=True)
     if config.backend == "perturb":
-        value, grad = dual_flip_gradient(data, pred, grid, step_floor=config.step_floor,
-                                         centered=True)
+        value, grad = _dual_flip_gradient(block, pred, grid, config.step_floor, centered=True)
     else:
         # perturb-softmax: gradients come from the smoothed score
         # perturbation; the recorded loss is the same matched dual loss
-        value, grad = softmax_flip_gradient(data, pred, grid, step_floor=config.step_floor,
-                                            step_cap=config.step_cap, centered=True)
+        value, grad = _softmax_flip_gradient(block, pred, grid, config.step_floor,
+                                             config.step_cap, centered=True)
     return value, grad.d_revenue, grad.d_cost
 
 
@@ -171,9 +175,9 @@ def train(data: RctDataset, config: TrainConfig,
                    batch_size=config.batch_size,
                    shuffle_seed=config.seed)
 
-    def batch_grad(batch: RctDataset, pred):
-        p_loss, pg_rev, pg_cost = prediction_loss_grad(batch, pred)
-        d_loss, dg_rev, dg_cost = _decision_loss_and_grad(batch, pred, config)
+    def batch_grad(block: _Block, pred):
+        p_loss, pg_rev, pg_cost = _prediction_loss_grad(block, pred)
+        d_loss, dg_rev, dg_cost = _decision_loss_and_grad(block, pred, config)
         if not np.isfinite(config.alpha * p_loss + d_loss):
             raise NumericError(
                 f"non-finite loss at epoch {epoch}: "

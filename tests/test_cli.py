@@ -175,6 +175,7 @@ class TestPipeline:
         from treatalloc.cli import _train_config
         from treatalloc.data import load_csv, read_config
         from treatalloc.gradients import GradientPair
+        from treatalloc.losses import _whole
         from treatalloc.model import backward, forward, load_checkpoint
         from treatalloc.training import _decision_loss_and_grad
 
@@ -191,7 +192,8 @@ class TestPipeline:
         data = load_csv(workdir / "d.csv")
         params, _ = load_checkpoint(workdir / "g.ckpt")
         config = _train_config(read_config(workdir / "perturb.cfg", []))
-        _, d_rev, d_cost = _decision_loss_and_grad(data, forward(params, data.features), config)
+        _, d_rev, d_cost = _decision_loss_and_grad(_whole(data), forward(params, data.features),
+                                                   config)
         with (workdir / "grads.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         m = data.num_treatments
@@ -426,6 +428,53 @@ class TestSolveAndTrainInputs:
         assert code == 2
         assert f"{path}: 2 treatments vs dataset 3" in capsys.readouterr().err
         assert not (two_treatments / "out.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["solve", "train", "report"])
+    def test_directory_in_place_of_a_file_exit_code(self, generated, capsys, verb):
+        folder = generated / "folder"
+        folder.mkdir()
+        assert run(["evaluate", "--data", p(generated / "d.csv"),
+                    "--predictions", p(generated / "t.csv"),
+                    "--out", p(generated / "curve.csv"), "eval.budgets=0.1"]) == 0
+        argv = {
+            "solve": ["solve", "--data", p(generated / "d.csv"), "--checkpoint", p(folder),
+                      "--budget", "20", "--out", p(generated / "alloc.csv")],
+            "train": ["train", "--data", p(folder), "--config", p(generated / "train.cfg"),
+                      "--checkpoint", p(generated / "m.ckpt")],
+            "report": ["report", "--out", p(folder), "--force",
+                       "a=" + p(generated / "curve.csv")],
+        }[verb]
+        assert run(argv) == 1
+        assert str(folder) in capsys.readouterr().err
+        assert not (generated / "alloc.csv").exists() and not (generated / "m.ckpt").exists()
+
+    def test_dataset_not_utf8_exit_code(self, generated, capsys):
+        lines = (generated / "d.csv").read_bytes().split(b"\r\n")
+        lines[2] = lines[2].replace(b"0", b"\xff", 1)
+        (generated / "d.csv").write_bytes(b"\r\n".join(lines))
+        assert self.train(generated) == 2
+        assert f"{generated / 'd.csv'}: line 3: not UTF-8" in capsys.readouterr().err
+        assert not (generated / "m.ckpt").exists()
+
+    def test_config_not_utf8_exit_code(self, workdir, capsys):
+        (workdir / "bad.cfg").write_bytes(b"n=50\nm=3\nd=4\nfamily=\xff\n")
+        code = run(["generate", "--config", p(workdir / "bad.cfg"),
+                    "--out", p(workdir / "x.csv"), "--truth", p(workdir / "y.csv")])
+        assert code == 2
+        assert f"{workdir / 'bad.cfg'}: not UTF-8" in capsys.readouterr().err
+        assert not (workdir / "x.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["generate", "train"])
+    def test_negative_seed_exit_code(self, generated, capsys, verb):
+        if verb == "train":
+            code = self.train(generated, "train.seed=-1")
+        else:
+            code = run(["generate", "--config", p(generated / "gen.cfg"),
+                        "--out", p(generated / "x.csv"), "--truth", p(generated / "y.csv"),
+                        "seed=-3"])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (generated / "m.ckpt").exists() and not (generated / "x.csv").exists()
 
     def test_truncated_checkpoint_exit_code(self, generated, capsys):
         assert self.train(generated) == 0

@@ -340,9 +340,10 @@ class TestExactBudgetSearch:
                             num_treatments=2, propensities=[0.5, 0.5])
         probes = count_calls(monkeypatch, decide_dual, "treatalloc.evaluation.decide_dual")
         # below 1 by one ulp, within the search's slack: the probe above
-        # lam = 1 fails, and the next one probed is above lam = 3
+        # lam = 1 fails, and the next one probed is above lam = 3, in the last
+        # interval (3, 6): it ends at twice the last switch point
         lam, choice, est = allocate_at_budget(data, pred, float(np.nextafter(1.0, 0.0)))
-        assert lam == 3.0 + 4 / 1024
+        assert lam == 3.0 + 3 / 1024
         assert [p for _, p in probes if p > 0] == [1.0 + 1 / 1024, lam]
         assert choice.tolist() == [0, 0, 0, 0] and est.per_capita_cost == 0.5
 

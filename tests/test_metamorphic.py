@@ -50,21 +50,12 @@ def matrices(state, *preds):
     return out
 
 
-def last_interval(pred, lam):
-    """Whether ``lam`` lies past the last switch point, where the search
-    probes towards the upper bound ``2 * max + 1``; its ``+ 1`` does not
-    scale with the costs."""
-    breaks = pred._sweep.breaks
-    return lam > (breaks[-2] if breaks.size > 1 else 0.0)
-
-
 @pytest.mark.parametrize("state", ["cold", "warm"])
 @pytest.mark.parametrize("k", [-3, 5])
 @pytest.mark.parametrize("m", [2, 4])
 class TestCostScaling:
     """Costs and budget times ``s = 2**k``: the multiplier divides by ``s``,
-    the choice stays. Documented exception: past the last switch point the
-    multiplier is only the same allocation's (``last_interval``)."""
+    the choice stays."""
 
     def test_solve_budget(self, rng, state, k, m):
         s = 2.0 ** k
@@ -76,10 +67,9 @@ class TestCostScaling:
                 assert np.array_equal(a.allocation.choice, b.allocation.choice)
                 assert b.allocation.objective == a.allocation.objective
                 assert b.allocation.total_cost == a.allocation.total_cost * s
-                if not last_interval(base, a.lam):
-                    assert b.lam == a.lam / s and b.dual_value == a.dual_value
-                    assert [(lam * s, c) for lam, c in b.trace] == [
-                        (lam, c * s) for lam, c in a.trace]
+                assert b.lam == a.lam / s and b.dual_value == a.dual_value
+                assert [(lam * s, c) for lam, c in b.trace] == [
+                    (lam, c * s) for lam, c in a.trace]
 
     def test_allocate_at_budget(self, rng, state, k, m):
         s = 2.0 ** k
@@ -96,8 +86,7 @@ class TestCostScaling:
                         est_s.matched_fraction) == (est.per_capita_revenue,
                                                     est.per_capita_cost * s,
                                                     est.matched_fraction)
-                if not last_interval(base, lam):
-                    assert lam_s == lam / s
+                assert lam_s == lam / s
 
 
 @pytest.mark.parametrize("state", ["cold", "warm"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,22 @@ class TestCheckpoint:
         saved.write_bytes(saved.read_bytes() + b"\x00")
         with pytest.raises(ValidationError, match="implies"):
             load_checkpoint(saved)
+
+    @pytest.mark.parametrize("shape", [[-4, -4], [2, 8]])
+    def test_layer_shape_must_match_config(self, tmp_path, shape):
+        # as many weights as the (4, 4) first layer of a d = 4 model, so the
+        # length check passes: [-4, -4] failed in reshape, [2, 8] loaded and
+        # failed in forward
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(tiny_config(layer_widths=(4,), input_dim=4)))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        header["layers"][0]["w"] = shape
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+        with pytest.raises(ValidationError, match="layer shapes"):
+            load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):
         params = init_params(tiny_config(seed=2))

@@ -134,11 +134,11 @@ class TestReadOnly:
     def test_writes_through_a_view_base_miss_the_matrix(self):
         base = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 2.0]])
         pred = PredictionMatrix(base[:, :2], base[:, 2:])
-        assert lambda_upper_bound(pred) == 3.0
+        assert lambda_upper_bound(pred) == 2.0
         base[0, 3] = 100.0
         assert pred.cost.tolist() == [[0.0, 1.0], [0.0, 2.0]]
-        assert lambda_upper_bound(pred) == 3.0
-        assert lambda_upper_bound(PredictionMatrix(base[:, :2], base[:, 2:])) == 2.0
+        assert lambda_upper_bound(pred) == 2.0
+        assert lambda_upper_bound(PredictionMatrix(base[:, :2], base[:, 2:])) == 1.0
 
 
 class TestDualValue:
