@@ -13,16 +13,20 @@ codes: 0 success, 1 usage error, 2 validation/config error, 3 numeric or
 infeasibility error. Outputs never overwrite existing files unless
 ``--force`` is given.
 
-Heavy imports happen inside ``run`` so ``--threads`` can cap the worker
-pool before numpy initializes its thread pools.
+Heavy imports happen inside the verbs so ``--threads`` can cap the worker
+pool before numpy starts its thread pools; ``exceptions`` is stdlib-only.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
+
+from .exceptions import (ConfigError, InfeasibleError, NumericError, ParseError, SizeError,
+                         ValidationError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,15 +85,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_clobber(path: str, force: bool) -> None:
-    from .exceptions import ValidationError
-
+    """Refuse, before any work, a directory (exit 1) or, without ``--force``, a file."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not force and Path(path).exists():
         raise ValidationError(f"{path} exists; pass --force to overwrite")
 
 
 def _train_config(values: dict[str, str]):
     from .data import config_section
-    from .exceptions import ConfigError
     from .losses import LambdaGrid
     from .training import TrainConfig
 
@@ -122,7 +126,6 @@ def _load_predictions(path: str, data):
     import numpy as np
 
     from .data import load_counterfactual_csv
-    from .exceptions import ValidationError
     from .solver import PredictionMatrix
 
     ids, matrix = load_counterfactual_csv(path)
@@ -132,7 +135,6 @@ def _load_predictions(path: str, data):
 
 
 def _predictions_for(args, data):
-    from .exceptions import ValidationError
     from .model import forward, load_checkpoint
 
     if args.checkpoint:
@@ -166,6 +168,7 @@ def _cmd_train(args) -> None:
     from .training import train, write_training_log
 
     _check_clobber(args.checkpoint, args.force)
+    _check_clobber(args.checkpoint + ".manifest", True)  # written with it: a directory only
     if args.log:
         _check_clobber(args.log, args.force)
     if args.dump_gradients:
@@ -181,17 +184,17 @@ def _cmd_train(args) -> None:
         import numpy as np
 
         from .data import _write_table
-        from .gradients import GradientPair
         from .losses import _whole
         from .model import forward
-        from .training import _decision_loss_and_grad
+        from .training import _decision_term
 
-        pred = forward(params, data.features)
-        grad = GradientPair(*_decision_loss_and_grad(_whole(data), pred, config)[1:])
-        n, m = grad.d_revenue.shape
+        n, m, term = data.n, data.num_treatments, _decision_term(config)
+        d_rev = d_cost = np.zeros((n, m))  # two-stage has no decision term
+        if term is not None:
+            _, d_rev, d_cost = term(_whole(data), forward(params, data.features))
         _write_table(args.dump_gradients, ["id", "treatment", "d_revenue", "d_cost"],
                      [np.repeat(data.ids, m), np.tile(np.arange(m), n),
-                      grad.d_revenue.ravel(), grad.d_cost.ravel()])
+                      d_rev.ravel(), d_cost.ravel()])
     last = records[-1] if records else None
     if last is not None:
         print(f"trained {config.epochs} epochs; final total loss {last.total:.6g}")
@@ -222,7 +225,6 @@ def _cmd_evaluate(args) -> None:
 
     from .data import CURVE_COLUMNS, _write_table, config_section, load_csv, read_config
     from .evaluation import aucc, cost_curve, default_budget_grid
-    from .exceptions import ValidationError
     from .losses import BudgetGrid
 
     _check_clobber(args.out, args.force)
@@ -248,7 +250,6 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_report(args) -> None:
     from .data import CURVE_COLUMNS, _read_table
-    from .exceptions import ValidationError
 
     _check_clobber(args.out, args.force)
     columns: list[float] | None = None
@@ -288,9 +289,6 @@ def run(argv: list[str]) -> int:
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
-
-    from .exceptions import (ConfigError, InfeasibleError, NumericError,
-                             ParseError, SizeError, ValidationError)
 
     handlers = {
         "generate": _cmd_generate,

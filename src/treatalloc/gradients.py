@@ -52,7 +52,8 @@ reaches single cells through flat indices. The gradients accumulate in
 computed once per call. Training calls the private cores
 (``_dual_flip_gradient``, ``_softmax_flip_gradient``) once per row block,
 with the whole batch's ``n``, propensities and centred baselines (see
-``losses``); the public estimators run their dataset as one block.
+``losses``); the public estimators run their dataset as one block and wrap
+the plain arrays in a ``GradientPair``, which checks they are finite.
 ``flip_fd_gradient`` and ``ips_dual_loss`` stay row-major: the oracle and
 the loss are the references the fast kernels are checked against.
 
@@ -228,11 +229,13 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     _check_pair(data, pred)
     if step_floor <= 0:
         raise ValidationError("step_floor must be > 0")
-    return _dual_flip_gradient(_whole(data), pred, grid, step_floor, centered)
+    loss, d_rev, d_cost = _dual_flip_gradient(_whole(data), pred, grid, step_floor, centered)
+    return loss, GradientPair(d_rev, d_cost)
 
 
 def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
-                        step_floor: float, centered: bool) -> tuple[float, GradientPair]:
+                        step_floor: float, centered: bool
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
     inv_np = 1.0 / (block.n * block.propensity)
     revenue, cost = pred._treatment_major
     d_rev = np.zeros_like(revenue)
@@ -248,7 +251,7 @@ def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
             step = gap / lam
             d_cost -= _flip_head(xt, np.maximum(step, step_floor, out=step), sign)
         d_rev += _flip_head(xt, np.maximum(gap, step_floor, out=gap), sign)
-    return loss, GradientPair(d_rev.T, d_cost.T)
+    return loss, d_rev.T, d_cost.T
 
 
 def gradient_inner_loss(pred: PredictionMatrix, grad: GradientPair) -> float:
@@ -289,12 +292,14 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
     _check_pair(data, pred)
     if not 0 < step_floor <= step_cap:
         raise ValidationError("need 0 < step_floor <= step_cap")
-    return _softmax_flip_gradient(_whole(data), pred, grid, step_floor, step_cap, centered)
+    loss, d_rev, d_cost = _softmax_flip_gradient(_whole(data), pred, grid, step_floor,
+                                                 step_cap, centered)
+    return loss, GradientPair(d_rev, d_cost)
 
 
 def _softmax_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
                            step_floor: float, step_cap: float, centered: bool
-                           ) -> tuple[float, GradientPair]:
+                           ) -> tuple[float, np.ndarray, np.ndarray]:
     n_p = block.n * block.propensity
     inv_np = 1.0 / n_p
     revenue, cost = pred._treatment_major
@@ -314,5 +319,5 @@ def _softmax_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGr
         d_rev += ds
         ds *= -lam
         d_cost += ds
-    return loss, GradientPair(d_rev.T, d_cost.T)
+    return loss, d_rev.T, d_cost.T
 

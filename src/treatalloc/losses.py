@@ -24,20 +24,21 @@ unbiased for the full-information softmax loss up to an O(1/N) term. The
 public functions default to the plain estimate.
 
 Layout: numpy reduces a short last axis row by row, about 30x slower at
-4,096 x 5 than along contiguous memory, so the softmax kernels, and the
-flip kernels in ``gradients``, reduce over axis 0 of the prediction
-matrix's (m, n) copy, made once per matrix and shared with the solver (see
-``solver``), and return their gradients as ``.T`` views. Single cells, such
-as each row's observed treatment, are read and written through flat indices
-into the raveled array. Up to m = 7 both layouts give the same bits.
+4,096 x 5 than along contiguous memory, so every training kernel (the
+prediction and softmax kernels here, the flip kernels in ``gradients``)
+reads the prediction matrix's (m, n) copy, made once per matrix and shared
+with the solver (see ``solver``), and returns its gradients as ``.T`` views.
+Single cells, such as each row's observed treatment, are reached through
+flat indices ``t * n + i``. Up to m = 7 both layouts give the same bits.
 
 Training runs each kernel per row block (``_Block``, ``model.BLOCK_ROWS``
 rows), on the predictions of that block: the (m, n) copy and every
-temporary then hold one block, which stays in cache. Each public kernel is
-the one-block case of a private core (``_prediction_loss_grad`` and so on)
-that takes the constants of the whole batch with the block: ``n``, each
-row's propensity and the centred baselines. Per-row values are then those
-of the whole batch; a loss value is the block's share, added up by the
+temporary then hold one block, which stays in cache. Each public kernel
+checks its arguments, then runs its dataset as one block through a private
+core (``_prediction_loss_grad`` and so on), ``(block, pred) -> (loss,
+d_revenue, d_cost)`` once its settings are bound. A block carries the
+batch's ``n``, propensities and centred baselines, so per-row values are
+those of the whole batch; a loss value is the block's share, added up by the
 caller in block order, so only sums over more than one block change bits.
 """
 
@@ -195,20 +196,21 @@ def prediction_loss_grad(data: RctDataset, pred: PredictionMatrix
     return _prediction_loss_grad(_whole(data), pred)
 
 
-def _prediction_loss_grad(block: _Block, pred: PredictionMatrix
+def _prediction_loss_grad(block: _Block, pred: PredictionMatrix, link=None
                           ) -> tuple[float, np.ndarray, np.ndarray]:
-    rows = np.arange(pred.n)
+    """``link`` (logistic, for the cross-entropy warm start) makes the gradient
+    the cross-entropy's, ``w * (link(fit) - y)``; the value is then ``link(fit)``'s."""
+    obs = block.treatment * pred.n + np.arange(pred.n)  # flat (m, n) index of the observed cells
     w = 1.0 / (block.n * block.num_treatments * block.propensity)
-    # a model's heads are strided views, which ``ravel`` would copy: read
-    # them by (row, column), write the new C-order gradients by flat index
-    dr = pred.revenue[rows, block.treatment] - block.revenue
-    dc = pred.cost[rows, block.treatment] - block.cost
-    obs = rows * block.num_treatments + block.treatment
-    d_rev = np.zeros(pred.revenue.shape)
-    d_cost = np.zeros(pred.cost.shape)
-    d_rev.ravel()[obs] = 2.0 * w * dr
-    d_cost.ravel()[obs] = 2.0 * w * dc
-    return float(np.sum(w * (dr * dr + dc * dc))), d_rev, d_cost
+    fit_rev, fit_cost = (x.ravel().take(obs) for x in pred._treatment_major)
+    if link is not None:
+        fit_rev, fit_cost = link(fit_rev), link(fit_cost)
+    dr, dc = fit_rev - block.revenue, fit_cost - block.cost
+    scale = w if link is not None else 2.0 * w
+    d_rev, d_cost = np.zeros((2, pred.num_treatments, pred.n))
+    d_rev.ravel()[obs] = scale * dr
+    d_cost.ravel()[obs] = scale * dc
+    return float(np.sum(w * (dr * dr + dc * dc))), d_rev.T, d_cost.T
 
 
 def full_mse(truth: CounterfactualMatrix, pred: PredictionMatrix) -> float:

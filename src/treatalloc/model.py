@@ -10,9 +10,10 @@ One private epoch loop (``_fit_epoch``) serves every kind of training: the
 prediction-only warm start here and the decision-aware epochs of
 ``training.train``. It orders and batches the rows, runs forward, backward
 and the optimizer step, and averages the batch losses; callers supply only
-the gradient of their loss with respect to the predictions. A batch runs in
-consecutive blocks of ``BLOCK_ROWS`` rows (views; a smaller batch is one
-block), so a full-batch step holds the data plus one block's temporaries.
+the gradient of their loss with respect to the predictions (the warm start
+through the prediction core). A batch runs in consecutive blocks of
+``BLOCK_ROWS`` rows (views; a smaller batch is one block), so a full-batch
+step holds the data plus one block's temporaries.
 Each block runs forward once (backward reads the layer inputs, the features
 then each hidden activation, that ``forward_cached`` kept), its loss
 gradients and backward; what belongs to the whole batch is computed over it
@@ -176,8 +177,8 @@ def _backprop(params: ModelParams, inputs: list[np.ndarray],
     kind = params.config.activation
     d_weights = [np.empty(0)] * len(params.weights)
     d_biases = [np.empty(0)] * len(params.biases)
-    # C order whatever the layout of ``upstream`` (the flip and policy kernels
-    # return transposed views): the sums below add in memory order
+    # C order whatever the layout of ``upstream`` (the training kernels return
+    # transposed views): the sums below add in memory order
     delta = np.ascontiguousarray(np.concatenate(upstream, axis=1))
     for k in range(len(params.weights) - 1, -1, -1):
         d_weights[k] = inputs[k].T @ delta
@@ -294,20 +295,10 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
         if not binary:
             raise ConfigError("cross-entropy warm start needs 0/1 outcomes")
 
+    link = _sigmoid if objective == "cross-entropy" else None
+
     def batch_grad(block: _Block, pred: PredictionMatrix):
-        if objective == "squared-error":
-            return _prediction_loss_grad(block, pred)[1:], ()
-        rows = np.arange(pred.n)
-        w = 1.0 / (block.n * block.num_treatments * block.propensity)
-        d_rev = np.zeros_like(pred.revenue)
-        d_cost = np.zeros_like(pred.cost)
-        d_rev[rows, block.treatment] = w * (
-            _sigmoid(pred.revenue[rows, block.treatment]) - block.revenue
-        )
-        d_cost[rows, block.treatment] = w * (
-            _sigmoid(pred.cost[rows, block.treatment]) - block.cost
-        )
-        return (d_rev, d_cost), ()
+        return _prediction_loss_grad(block, pred, link)[1:], ()
 
     rng = np.random.default_rng(shuffle_seed)
     for _ in range(epochs):
@@ -334,14 +325,19 @@ def save_checkpoint(path: str | Path, params: ModelParams,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    fh = tmp.open("wb")  # before the try: a path that cannot be opened is not ours to remove
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for w, b in zip(params.weights, params.biases):
+                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
     manifest = [f"format: {_MAGIC.decode()}", "version: 1"]
     manifest.append(f"config: {json.dumps(header['config'], sort_keys=True)}")

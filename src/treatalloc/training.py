@@ -17,11 +17,12 @@ the matched-set statistics degrade on small ones.
 
 Epochs run on the model's shared loop (``model._fit_epoch``), the same one
 the warm start uses, which runs each batch in row blocks: ``train`` supplies
-the composite loss and its gradient per block, from one call per loss term
-that returns its value with its gradient (so each multiplier is decided
-once), checks the loss is finite, and keeps the log. Those calls go to the
-kernels' private cores, which take the batch's constants with the block; a
-batch of at most ``model.BLOCK_ROWS`` rows gets the public kernels' bits.
+the composite loss and its gradient per block, checks the loss is finite,
+and keeps the log. Each loss term is one call to a kernel's private core,
+``(block, pred) -> (loss, d_revenue, d_cost)``, with the batch's constants in
+the block (so each multiplier is decided once); ``_decision_term`` picks the
+backend's once per run. A batch of at most ``model.BLOCK_ROWS`` rows gets the
+public kernels' bits.
 
 Every decision backend trains on the centred estimates (``centered=True``
 in ``losses`` and ``gradients``): the mean observed reward of the batch (of
@@ -37,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -128,24 +130,18 @@ class EpochRecord:
     snapshot: tuple[float, ...] | None = None  # per-budget revenue on eval data
 
 
-def _decision_loss_and_grad(block: _Block, pred, config: TrainConfig
-                            ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Backend dispatch: decision loss value plus gradients wrt predictions,
-    for one block of a batch (``losses._whole`` makes a dataset one block)."""
-    grid = config.lambda_grid
-    if config.backend == "two-stage":
-        return 0.0, np.zeros_like(pred.revenue), np.zeros_like(pred.cost)
-    if config.backend in ("policy", "entropy"):
-        tau = 1.0 if config.backend == "policy" else config.tau
-        return _tempered_policy_loss_grad(block, pred, grid, tau, centered=True)
-    if config.backend == "perturb":
-        value, grad = _dual_flip_gradient(block, pred, grid, config.step_floor, centered=True)
-    else:
-        # perturb-softmax: gradients come from the smoothed score
-        # perturbation; the recorded loss is the same matched dual loss
-        value, grad = _softmax_flip_gradient(block, pred, grid, config.step_floor,
-                                             config.step_cap, centered=True)
-    return value, grad.d_revenue, grad.d_cost
+def _decision_term(config: TrainConfig) -> partial | None:
+    """The backend's decision core on the centred estimates, as ``(block,
+    pred) -> (loss, d_revenue, d_cost)`` (``losses._whole`` makes a dataset
+    one block), or None for ``two-stage``, which has no decision term."""
+    floor = config.step_floor
+    core = {"policy": partial(_tempered_policy_loss_grad, tau=1.0),
+            "entropy": partial(_tempered_policy_loss_grad, tau=config.tau),
+            "perturb": partial(_dual_flip_gradient, step_floor=floor),
+            # smoothed score perturbation; the recorded loss is the same matched loss
+            "perturb-softmax": partial(_softmax_flip_gradient, step_floor=floor,
+                                       step_cap=config.step_cap)}.get(config.backend)
+    return None if core is None else partial(core, grid=config.lambda_grid, centered=True)
 
 
 def train(data: RctDataset, config: TrainConfig,
@@ -175,9 +171,11 @@ def train(data: RctDataset, config: TrainConfig,
                    batch_size=config.batch_size,
                    shuffle_seed=config.seed)
 
+    decision = _decision_term(config)
+
     def batch_grad(block: _Block, pred):
         p_loss, pg_rev, pg_cost = _prediction_loss_grad(block, pred)
-        d_loss, dg_rev, dg_cost = _decision_loss_and_grad(block, pred, config)
+        d_loss, dg_rev, dg_cost = decision(block, pred) if decision else (0.0, 0.0, 0.0)
         if not np.isfinite(config.alpha * p_loss + d_loss):
             raise NumericError(
                 f"non-finite loss at epoch {epoch}: "

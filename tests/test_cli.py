@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +181,7 @@ class TestPipeline:
         from treatalloc.gradients import GradientPair
         from treatalloc.losses import _whole
         from treatalloc.model import backward, forward, load_checkpoint
-        from treatalloc.training import _decision_loss_and_grad
+        from treatalloc.training import _decision_term
 
         assert run(["generate", "--config", p(workdir / "gen.cfg"),
                     "--out", p(workdir / "d.csv"), "--truth", p(workdir / "t.csv"),
@@ -192,8 +196,7 @@ class TestPipeline:
         data = load_csv(workdir / "d.csv")
         params, _ = load_checkpoint(workdir / "g.ckpt")
         config = _train_config(read_config(workdir / "perturb.cfg", []))
-        _, d_rev, d_cost = _decision_loss_and_grad(_whole(data), forward(params, data.features),
-                                                   config)
+        _, d_rev, d_cost = _decision_term(config)(_whole(data), forward(params, data.features))
         with (workdir / "grads.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         m = data.num_treatments
@@ -448,6 +451,31 @@ class TestSolveAndTrainInputs:
         assert str(folder) in capsys.readouterr().err
         assert not (generated / "alloc.csv").exists() and not (generated / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("force", [True, False], ids=["force", "no-force"])
+    @pytest.mark.parametrize("verb", ["generate", "train", "manifest", "solve"])
+    def test_directory_output_exits_before_writing(self, generated, capsys, verb, force):
+        # the directory is the verb's last output: it was found only on
+        # writing there, after the verb had written its other outputs
+        folder = generated / ("m.ckpt.manifest" if verb == "manifest" else "folder")
+        folder.mkdir()
+        before = sorted(generated.iterdir())
+        argv = {
+            "generate": ["generate", "--config", p(generated / "gen.cfg"),
+                         "--out", p(generated / "new.csv"), "--truth", p(folder)],
+            "train": ["train", "--data", p(generated / "d.csv"),
+                      "--config", p(generated / "train.cfg"),
+                      "--checkpoint", p(generated / "m.ckpt"), "--log", p(folder)],
+            "manifest": ["train", "--data", p(generated / "d.csv"),
+                         "--config", p(generated / "train.cfg"),
+                         "--checkpoint", p(generated / "m.ckpt")],
+            "solve": ["solve", "--data", p(generated / "d.csv"),
+                      "--predictions", p(generated / "t.csv"), "--budget", "20",
+                      "--out", p(generated / "alloc.csv"), "--log", p(folder)],
+        }[verb]
+        assert run(argv + ["--force"] * force) == 1
+        assert f"Is a directory: '{folder}'" in capsys.readouterr().err
+        assert sorted(generated.iterdir()) == before and not any(folder.iterdir())
+
     def test_dataset_not_utf8_exit_code(self, generated, capsys):
         lines = (generated / "d.csv").read_bytes().split(b"\r\n")
         lines[2] = lines[2].replace(b"0", b"\xff", 1)
@@ -484,6 +512,19 @@ class TestSolveAndTrainInputs:
                     "--budget", "20", "--out", p(generated / "alloc.csv")])
         assert code == 2
         assert "header" in capsys.readouterr().err
+
+
+def test_imports_leave_numpy_unloaded():
+    # ``--threads`` sets the thread variables before the verbs import numpy
+    import treatalloc
+
+    code = ("import sys, treatalloc, treatalloc.cli; "
+            "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+    src = str(Path(treatalloc.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_errors_exit_one():

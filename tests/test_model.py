@@ -228,6 +228,28 @@ class TestWarmStart:
         warm_start(params, data, epochs=3, objective="cross-entropy")
         assert params.step > 0
 
+    def test_cross_entropy_step_matches_manual_step(self):
+        # one full-batch step: the gradient of the weighted cross-entropy of
+        # the observed logits, w * (sigmoid(z) - y), through backward
+        data, _ = generate_synthetic(GeneratorConfig(n=300, m=3, d=4, noise=0.2), seed=4)
+        data = make_dataset(treatment=data.treatment, revenue=data.revenue > 1.0,
+                            cost=data.cost > np.median(data.cost), num_treatments=3,
+                            features=data.features)
+        config = tiny_config(num_treatments=3, input_dim=4, seed=3)
+        params, manual = init_params(config), init_params(config)
+        warm_start(params, data, epochs=1, objective="cross-entropy", lr=1e-2)
+        pred = forward(manual, data.features)
+        rows, t = np.arange(data.n), data.treatment
+        w = 1.0 / (data.n * 3 * data.sample_propensity())
+        up = []
+        for z, y in ((pred.revenue, data.revenue), (pred.cost, data.cost)):
+            grad = np.zeros((data.n, 3))
+            grad[rows, t] = w * (1.0 / (1.0 + np.exp(-z[rows, t])) - y)
+            up.append(grad)
+        optimizer_step(manual, backward(manual, data.features, GradientPair(*up)), 1e-2)
+        for a, b in zip(params.weights + params.biases, manual.weights + manual.biases):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestDeterminismAndHeads:
     def test_fixed_seed_reproduces_trajectories(self):
@@ -323,6 +345,34 @@ class TestCheckpoint:
         save_checkpoint(a, params, extra={"k": 1})
         save_checkpoint(b, params, extra={"k": 1})
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("failure", ["directory", "write"])
+    def test_failed_save_removes_its_temp_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "m.ckpt"
+        if failure == "directory":  # os.replace cannot put a file over it
+            path.mkdir()
+        else:
+            def broken(*args):
+                raise OSError("disk full")
+            monkeypatch.setattr("treatalloc.model.struct.pack", broken)
+        with pytest.raises(OSError):
+            save_checkpoint(path, init_params(tiny_config()))
+        assert sorted(tmp_path.iterdir()) == ([path] if failure == "directory" else [])
+
+    def test_temp_file_it_cannot_open_is_left_alone(self, tmp_path, monkeypatch):
+        # a read-only file that someone left there; a superuser opens any
+        # file, so the refusal is simulated
+        tmp = tmp_path / "m.ckpt.tmp"
+        tmp.write_text("keep")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+        monkeypatch.setattr("pathlib.Path.open", refuse)
+        with pytest.raises(PermissionError):
+            save_checkpoint(tmp_path / "m.ckpt", init_params(tiny_config()))
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt.tmp"]
+        assert tmp.read_text() == "keep"
 
 
 def test_config_validation():

@@ -9,17 +9,19 @@ from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic, spl
 from treatalloc.evaluation import (_allocator, allocate_at_budget, aucc, cost_curve,
                                    default_budget_grid)
 from treatalloc.exceptions import ConfigError, NumericError
-from treatalloc.gradients import GradientPair, dual_flip_gradient, ips_dual_loss
-from treatalloc.losses import (BudgetGrid, LambdaGrid, _whole, prediction_loss_grad,
+from treatalloc.gradients import (GradientPair, dual_flip_gradient, ips_dual_loss,
+                                  softmax_flip_gradient)
+from treatalloc.losses import (BudgetGrid, LambdaGrid, _prediction_loss_grad, _whole,
+                               prediction_loss_grad,
                                tempered_policy_loss_grad)
-from treatalloc.model import (ModelConfig, backward, forward, forward_cached, init_params,
+from treatalloc.model import (WARM_START_OBJECTIVES, ModelConfig, backward, forward,
+                              forward_cached, init_params,
                               optimizer_step)
 from treatalloc.solver import PredictionMatrix
-from treatalloc.training import (BACKENDS, EpochRecord, TrainConfig,
-                                 _decision_loss_and_grad, format_epoch_record, train,
-                                 write_training_log)
+from treatalloc.training import (BACKENDS, EpochRecord, TrainConfig, _decision_term,
+                                 format_epoch_record, train, write_training_log)
 
-from conftest import count_calls
+from conftest import count_calls, exact
 
 GRID = LambdaGrid((0.2, 0.8))
 
@@ -301,6 +303,49 @@ class TestRowBlocks:
         assert peak / data.n <= 128
 
 
+class TestTermContract:
+    """Every training term is a private core ``(block, pred) -> (loss,
+    d_revenue, d_cost)`` that returns plain arrays; only the public kernels
+    build a ``GradientPair``, whose finiteness check belongs at that entry."""
+
+    @pytest.mark.parametrize("objective", WARM_START_OBJECTIVES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_training_builds_no_gradient_pair(self, tiny_data, binary_data, monkeypatch,
+                                              backend, objective):
+        monkeypatch.setattr(model, "BLOCK_ROWS", 97)
+        builds = count_calls(monkeypatch, GradientPair.__post_init__,
+                             "treatalloc.gradients.GradientPair.__post_init__")
+        data = binary_data if objective == "cross-entropy" else tiny_data
+        params, _ = train(data, small_config(backend=backend, epochs=3, warm_start_epochs=1,
+                                             warm_start_objective=objective))
+        assert params.step == 3 and builds == []
+
+    def test_two_stage_has_no_decision_term(self):
+        assert _decision_term(small_config(backend="two-stage")) is None
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    def test_term_is_the_centred_public_kernel_on_transposed_arrays(self, tiny_data, backend):
+        config = small_config(backend=backend, tau=0.3, step_floor=0.05, step_cap=0.4)
+        params = init_params(ModelConfig(layer_widths=(8,), num_treatments=3, input_dim=4))
+        data, pred = tiny_data, forward(params, tiny_data.features)
+        public = {
+            "policy": lambda: tempered_policy_loss_grad(data, pred, GRID, 1.0, centered=True),
+            "entropy": lambda: tempered_policy_loss_grad(data, pred, GRID, 0.3, centered=True),
+            "perturb": lambda: dual_flip_gradient(data, pred, GRID, 0.05, centered=True),
+            "perturb-softmax": lambda: softmax_flip_gradient(data, pred, GRID, 0.05, 0.4,
+                                                             centered=True),
+        }[backend]()
+        if isinstance(public[1], GradientPair):
+            public = (public[0], public[1].d_revenue, public[1].d_cost)
+        got = _decision_term(config)(_whole(data), pred)
+        assert exact(got) == exact(public)
+        for loss, d_rev, d_cost in (got, _prediction_loss_grad(_whole(data), pred)):
+            assert type(loss) is float
+            for grad in (d_rev, d_cost):
+                assert type(grad) is np.ndarray and grad.shape == (data.n, 3)
+                assert grad.T.flags.c_contiguous
+
+
 class TestCenteredDecisionGradient:
     """The trainer's decision gradients against the plain IPS estimates.
 
@@ -350,9 +395,10 @@ class TestCenteredDecisionGradient:
                                               np.full(self.M, 1 / self.M)), pred)
             for j in range(self.M)], axis=0)
         centred, plain = [], []
+        term = _decision_term(config)
         for _ in range(self.DRAWS):
             data = self.assigned(truth, rng.integers(0, self.M, self.N))
-            _, d_rev, d_cost = _decision_loss_and_grad(_whole(data), pred, config)
+            _, d_rev, d_cost = term(_whole(data), pred)
             centred.append(np.concatenate([d_rev, d_cost]))
             plain.append(self.plain(backend, data, pred))
         centred, plain = np.array(centred), np.array(plain)
