@@ -8,10 +8,11 @@ Verbs: ``generate`` (synthetic dataset plus outcome matrix), ``train``
 Configuration files are flat ``key=value`` text with section prefixes
 (``train.alpha=1.0``, ``eval.budgets=1,2,3``; generator keys carry no
 prefix); trailing ``key=value`` arguments override file entries. Each verb
-rejects unknown keys of its own section and ignores other sections. Exit
-codes: 0 success, 1 usage error, 2 validation/config error, 3 numeric or
-infeasibility error. Outputs never overwrite existing files unless
-``--force`` is given.
+reads its own section, through ``data.generator_config``,
+``training.train_config`` or ``evaluate``'s ``eval.*`` table, before any
+data, and ignores other sections. Exit codes: 0 success, 1 usage error,
+2 validation/config error, 3 numeric or infeasibility error. Outputs never
+overwrite existing files unless ``--force`` is given.
 
 Heavy imports happen inside the verbs so ``--threads`` can cap the worker
 pool before numpy starts its thread pools; ``exceptions`` is stdlib-only.
@@ -84,64 +85,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_clobber(path: str, force: bool) -> None:
-    """Refuse, before any work, a directory (exit 1) or, without ``--force``, a file."""
-    if Path(path).is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not force and Path(path).exists():
-        raise ValidationError(f"{path} exists; pass --force to overwrite")
-
-
-def _train_config(values: dict[str, str]):
-    from .data import config_section
-    from .losses import LambdaGrid
-    from .training import TrainConfig
-
-    def floats(text: str) -> tuple[float, ...]:
-        return tuple(float(v) for v in text.split(","))
-
-    # train.<key> -> parser, in parse order; absent keys take TrainConfig's
-    # defaults, and ``hidden`` sets ``hidden_widths``
-    parsers = {
-        "lambda_grid": lambda v: LambdaGrid(floats(v)), "epochs": int, "backend": str,
-        "alpha": float, "tau": float, "warm_start_epochs": int,
-        "warm_start_objective": str, "lr": float,
-        "batch_size": lambda v: int(v) if v else None, "seed": int,
-        "hidden": lambda v: tuple(int(w) for w in v.split(",")), "activation": str,
-        "eval_every": int, "eval_budgets": lambda v: floats(v) if v else (),
-        "step_floor": float, "step_cap": float,
-    }
-    own = config_section(values, "train", parsers)
-    for key in ("epochs", "lambda_grid"):
-        if key not in own:
-            raise ConfigError(f"train.{key} is required")
-    try:
-        return TrainConfig(**{"hidden_widths" if k == "hidden" else k: parse(own[k])
-                              for k, parse in parsers.items() if k in own})
-    except ValueError as exc:
-        raise ConfigError(f"bad train config value: {exc}") from None
-
-
-def _load_predictions(path: str, data):
-    import numpy as np
-
-    from .data import load_counterfactual_csv
-    from .solver import PredictionMatrix
-
-    ids, matrix = load_counterfactual_csv(path)
-    if not np.array_equal(ids, data.ids):
-        raise ValidationError(f"{path}: ids do not match the dataset")
-    return PredictionMatrix(matrix.revenue, matrix.cost)
+def _check_clobber(force: bool, *paths: str | None) -> None:
+    """Refuse, before any work, an output path (None: not asked for) that
+    names a directory (exit 1) or, without ``--force``, a file."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not force and Path(path).exists():
+            raise ValidationError(f"{path} exists; pass --force to overwrite")
 
 
 def _predictions_for(args, data):
+    import numpy as np
+
+    from .data import load_counterfactual_csv
     from .model import forward, load_checkpoint
+    from .solver import PredictionMatrix
 
     if args.checkpoint:
         params, _ = load_checkpoint(args.checkpoint)
         source, pred = args.checkpoint, forward(params, data.features)
     else:
-        source, pred = args.predictions, _load_predictions(args.predictions, data)
+        source, (ids, matrix) = args.predictions, load_counterfactual_csv(args.predictions)
+        if not np.array_equal(ids, data.ids):
+            raise ValidationError(f"{source}: ids do not match the dataset")
+        pred = PredictionMatrix(matrix.revenue, matrix.cost)
     if pred.num_treatments != data.num_treatments:
         raise ValidationError(
             f"{source}: {pred.num_treatments} treatments vs dataset {data.num_treatments}")
@@ -152,8 +120,7 @@ def _cmd_generate(args) -> None:
     from .data import (generate_synthetic, generator_config, read_config,
                        write_counterfactual_csv, write_csv)
 
-    _check_clobber(args.out, args.force)
-    _check_clobber(args.truth, args.force)
+    _check_clobber(args.force, args.out, args.truth)
     config, seed = generator_config(read_config(args.config, args.overrides))
     data, truth = generate_synthetic(config, seed)
     write_csv(args.out, data)
@@ -165,15 +132,12 @@ def _cmd_generate(args) -> None:
 def _cmd_train(args) -> None:
     from .data import load_csv, read_config
     from .model import save_checkpoint
-    from .training import train, write_training_log
+    from .training import train, train_config, write_training_log
 
-    _check_clobber(args.checkpoint, args.force)
-    _check_clobber(args.checkpoint + ".manifest", True)  # written with it: a directory only
-    if args.log:
-        _check_clobber(args.log, args.force)
-    if args.dump_gradients:
-        _check_clobber(args.dump_gradients, args.force)
-    config = _train_config(read_config(args.config, args.overrides))
+    _check_clobber(args.force, args.checkpoint)
+    _check_clobber(True, args.checkpoint + ".manifest")  # written with it: a directory only
+    _check_clobber(args.force, args.log, args.dump_gradients)
+    config = train_config(read_config(args.config, args.overrides))
     data = load_csv(args.data)
     eval_data = load_csv(args.eval_data) if args.eval_data else None
     params, records = train(data, config, eval_data=eval_data)
@@ -206,9 +170,7 @@ def _cmd_solve(args) -> None:
     from .data import _write_table, load_csv
     from .solver import solve_budget
 
-    _check_clobber(args.out, args.force)
-    if args.log:
-        _check_clobber(args.log, args.force)
+    _check_clobber(args.force, args.out, args.log)
     data = load_csv(args.data)
     pred = _predictions_for(args, data)
     solution = solve_budget(pred, args.budget)
@@ -223,21 +185,18 @@ def _cmd_solve(args) -> None:
 def _cmd_evaluate(args) -> None:
     import numpy as np
 
-    from .data import CURVE_COLUMNS, _write_table, config_section, load_csv, read_config
+    from .data import (CURVE_COLUMNS, _floats, _write_table, config_section, load_csv,
+                       read_config)
     from .evaluation import aucc, cost_curve, default_budget_grid
     from .losses import BudgetGrid
 
-    _check_clobber(args.out, args.force)
-    values = config_section(read_config(args.config, args.overrides), "eval", ("budgets",))
+    _check_clobber(args.force, args.out)
+    budgets = config_section(read_config(args.config, args.overrides), "eval",
+                             {"budgets": lambda v: BudgetGrid(_floats(v)) if v else None}
+                             ).get("budgets")  # empty or absent: the default grid
     data = load_csv(args.data)
     pred = _predictions_for(args, data)
-    raw_budgets = values.get("budgets")
-    if raw_budgets:
-        try:
-            budgets = BudgetGrid(tuple(float(b) for b in raw_budgets.split(",")))
-        except ValueError as exc:
-            raise ValidationError(f"bad eval.budgets: {exc}") from None
-    else:
+    if budgets is None:
         budgets = default_budget_grid(data, pred)
     curve = cost_curve(data, pred, budgets)
     metric = aucc(data, pred) if data.num_treatments == 2 else None  # may raise: before writing
@@ -251,7 +210,7 @@ def _cmd_evaluate(args) -> None:
 def _cmd_report(args) -> None:
     from .data import CURVE_COLUMNS, _read_table
 
-    _check_clobber(args.out, args.force)
+    _check_clobber(args.force, args.out)
     columns: list[float] | None = None
     rows: list[tuple[str, list[float]]] = []
     for item in args.curves:

@@ -1,9 +1,12 @@
 """Randomized-trial datasets: loading, validation, synthesis, splitting.
 
 A dataset holds one observed (treatment, revenue, cost) triple per individual
-plus per-treatment assignment propensities. Synthetic datasets additionally
+plus per-treatment assignment propensities. ``RctDataset``'s constructor
+checks it; ``load_csv`` adds only what a file can get wrong besides
+(duplicate ids, a treatment without samples). Synthetic datasets additionally
 come with a full counterfactual outcome matrix covering every treatment,
-which downstream modules use as a ground-truth oracle.
+which downstream modules use as a ground-truth oracle. ``config_section``
+reads and checks one section of a ``key=value`` config, for every reader.
 
 Every CSV file of the package is read by ``_read_table`` and written by
 ``_write_table``: UTF-8, a header row, CRLF line ends, ints in decimal and
@@ -56,6 +59,8 @@ def _unchecked(cls, **fields):
 class RctDataset:
     """Immutable randomized-trial sample set.
 
+    The constructor checks every field; a treatment outside ``[0, M)``
+    names its row id. ``treatment_counts[j]`` is derived: the count ``N_j``.
     ``propensities[j]`` is the probability that a sample was assigned
     treatment ``j``; it defaults to the empirical share ``N_j / N`` and is
     overridden when the source file carries an explicit propensity column.
@@ -70,8 +75,8 @@ class RctDataset:
     revenue: np.ndarray      # (n,) float64, observed outcome
     cost: np.ndarray         # (n,) float64, observed cost
     num_treatments: int
-    treatment_counts: np.ndarray = field(default=None)  # (m,) int64
-    propensities: np.ndarray = field(default=None)      # (m,) float64
+    treatment_counts: np.ndarray = field(init=False, repr=False)  # (m,) int64
+    propensities: np.ndarray = field(default=None)                # (m,) float64
 
     def __post_init__(self):
         self.ids = _freeze(np.asarray(self.ids, dtype=np.int64))
@@ -87,14 +92,14 @@ class RctDataset:
             if getattr(self, name).shape != (n,):
                 raise ValidationError(f"{name} must have one entry per sample")
         m = self.num_treatments = int(self.num_treatments)
-        if m < 1:
-            raise ValidationError("num_treatments must be >= 1")
         if n and (self.treatment.min() < 0 or self.treatment.max() >= m):
             bad = int(np.argmax((self.treatment < 0) | (self.treatment >= m)))
             raise ValidationError(
-                f"sample id {int(self.ids[bad])}: treatment {int(self.treatment[bad])} "
+                f"row id {int(self.ids[bad])}: treatment {int(self.treatment[bad])} "
                 f"outside [0, {m})"
             )
+        if m < 1:
+            raise ValidationError("num_treatments must be >= 1")
         if not np.isfinite(self.features).all():
             raise ValidationError("features contain non-finite values")
         if not np.isfinite(self.revenue).all() or not np.isfinite(self.cost).all():
@@ -102,14 +107,7 @@ class RctDataset:
         if n and (self.revenue.min() < 0 or self.cost.min() < 0):
             raise ValidationError("observed revenue and cost must be >= 0")
 
-        counts = np.bincount(self.treatment, minlength=m).astype(np.int64)
-        if self.treatment_counts is None:
-            self.treatment_counts = counts
-        else:
-            self.treatment_counts = np.asarray(self.treatment_counts, dtype=np.int64)
-            if not np.array_equal(self.treatment_counts, counts):
-                raise ValidationError("treatment_counts do not match empirical counts")
-        _freeze(self.treatment_counts)
+        counts = self.treatment_counts = _freeze(np.bincount(self.treatment, minlength=m))
 
         if self.propensities is None:
             self.propensities = counts / max(n, 1)
@@ -414,13 +412,13 @@ def _matrix_header(header: list[str]) -> bool:
     return bool(revenues) and header == ["id", *revenues, *costs]
 
 
-def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
+def load_csv(path: str | Path) -> RctDataset:
     """Parse a dataset CSV; malformed rows raise with their line number.
 
-    ``num_treatments`` declares M; when omitted it is inferred as the
-    largest treatment index plus one. Propensities default to the empirical
-    treatment shares unless the file has a ``propensity`` column, in which
-    case all rows of a treatment must agree on its value.
+    M is the largest treatment index plus one; every treatment below it
+    needs a sample, ids must be unique and ``RctDataset`` checks the rest.
+    Propensities default to the empirical treatment shares unless the file
+    has a ``propensity`` column, whose rows of a treatment must agree.
     """
     header, columns = _read_table(
         path, _dataset_header, "id, f0..f{d-1}, treatment, revenue, cost[, propensity]")
@@ -431,18 +429,12 @@ def load_csv(path: str | Path, num_treatments: int | None = None) -> RctDataset:
     uniq, seen = np.unique(ids, return_counts=True)
     if (seen > 1).any():
         raise ValidationError(f"id {int(uniq[np.argmax(seen > 1)])} appears more than once")
-    m = int(num_treatments) if num_treatments is not None else int(treatment.max()) + 1
-    outside = (treatment < 0) | (treatment >= m)
-    if outside.any():
-        bad = int(np.argmax(outside))
+    m = int(treatment.max()) + 1
+    # n rows hold at most n treatments, so the first one missing is at most n
+    missing = np.setdiff1d(np.arange(min(m, treatment.size + 1)), treatment)
+    if missing.size:
         raise ValidationError(
-            f"row id {ids[bad]}: treatment {int(treatment[bad])} outside [0, {m})"
-        )
-    counts = np.bincount(treatment, minlength=m)
-    if (counts == 0).any():
-        missing = int(np.argmax(counts == 0))
-        raise ValidationError(
-            f"treatment {missing} has no samples; per-treatment weights would divide by zero"
+            f"treatment {missing[0]} has no samples; per-treatment weights would divide by zero"
         )
 
     propensities = None
@@ -526,36 +518,47 @@ def read_config(path: str | Path | None, overrides: Iterable[str] = ()
     return values
 
 
-def config_section(values: dict[str, str], section: str, known: Iterable[str]
-                   ) -> dict[str, str]:
-    """Entries of one section with its prefix stripped; unknown keys raise.
+def _floats(text: str) -> tuple[float, ...]:  # a grid key's comma-separated values
+    return tuple(float(v) for v in text.split(","))
 
-    Section ``""`` holds the keys without a prefix (the generator's). Keys
-    of other sections are left to their own readers.
+
+def config_section(values: dict[str, str], section: str,
+                   parsers: dict[str, Callable[[str], object]], required: Iterable[str] = ()
+                   ) -> dict[str, object]:
+    """The entries of one section, keyed without its prefix and parsed in
+    the order of ``parsers``, which names every key of the section.
+
+    Section ``""`` holds the keys without a prefix (the generator's); other
+    sections are left to their own readers. An unknown key, a missing
+    ``required`` one or a ``ValueError`` of a parser raises ``ConfigError``.
     """
     prefix = f"{section}." if section else ""
     own = {k[len(prefix):]: v for k, v in values.items()
            if (k.startswith(prefix) if section else "." not in k)}
-    unknown = sorted(set(own) - set(known))
+    unknown = sorted(set(own) - set(parsers))
     if unknown:
         raise ConfigError(f"unknown {section or 'generator'} config keys: "
                           + ", ".join(prefix + k for k in unknown))
-    return own
+    for key in required:
+        if key not in own:
+            raise ConfigError(f"{section or 'generator'} config needs key {prefix}{key}")
+    parsed = {}
+    for key, parse in parsers.items():
+        if key in own:
+            try:
+                parsed[key] = parse(own[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad {prefix}{key}={own[key]!r}: {exc}") from None
+    return parsed
 
 
 def generator_config(values: dict[str, str]) -> tuple[GeneratorConfig, int]:
-    """Generator config and seed from the unprefixed keys of ``values``."""
-    parsers = {"n": int, "m": int, "d": int, "noise": float, "family": str}
-    own = config_section(values, "", (*parsers, "seed"))
-    try:  # n, m and d are required; the other fields keep their defaults
-        config = GeneratorConfig(**{k: parse(own[k]) for k, parse in parsers.items()
-                                    if k in own or k in ("n", "m", "d")})
-        seed = int(own.get("seed", "0"))
-        if seed < 0:
-            raise ConfigError(f"generator seed must be >= 0, got {seed}")
-    except KeyError as exc:
-        raise ConfigError(f"generator config missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad generator config value: {exc}") from None
+    """Generator config and seed from the unprefixed keys of ``values``;
+    ``n``, ``m`` and ``d`` are required, the other fields keep their defaults."""
+    own = config_section(values, "", {"n": int, "m": int, "d": int, "noise": float,
+                                      "family": str, "seed": int}, required=("n", "m", "d"))
+    seed = own.pop("seed", 0)
+    config = GeneratorConfig(**own)
+    if seed < 0:
+        raise ConfigError(f"generator seed must be >= 0, got {seed}")
     return config, seed
-

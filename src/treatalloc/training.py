@@ -1,4 +1,5 @@
-"""Training loop: composite loss, decision backends, logging.
+"""Training loop: composite loss, decision backends, logging, and
+``train_config``, the only reader of the ``train.*`` config keys.
 
 Each epoch combines the prediction loss (weight ``alpha``) with one decision
 backend:
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RctDataset
+from .data import RctDataset, _floats, config_section
 from .evaluation import _allocator
 from .exceptions import ConfigError, InfeasibleError, NumericError, ValidationError
 from .gradients import _dual_flip_gradient, _softmax_flip_gradient
@@ -118,6 +119,24 @@ class TrainConfig:
                 "eval_budgets": list(self.eval_budgets)}
 
 
+def train_config(values: dict[str, str]) -> TrainConfig:
+    """The training config from the ``train.*`` keys of ``values``: ``epochs``
+    and ``lambda_grid`` are required, absent keys keep ``TrainConfig``'s
+    defaults and ``hidden`` sets ``hidden_widths``. An empty ``batch_size``
+    means full batches, an empty ``eval_budgets`` none."""
+    parsers = {
+        "lambda_grid": lambda v: LambdaGrid(_floats(v)), "epochs": int, "backend": str,
+        "alpha": float, "tau": float, "warm_start_epochs": int,
+        "warm_start_objective": str, "lr": float,
+        "batch_size": lambda v: int(v) if v else None, "seed": int,
+        "hidden": lambda v: tuple(int(w) for w in v.split(",")), "activation": str,
+        "eval_every": int, "eval_budgets": lambda v: _floats(v) if v else (),
+        "step_floor": float, "step_cap": float,
+    }
+    own = config_section(values, "train", parsers, required=("epochs", "lambda_grid"))
+    return TrainConfig(**{"hidden_widths" if k == "hidden" else k: v for k, v in own.items()})
+
+
 @dataclass(frozen=True)
 class EpochRecord:
     """One line of the training log."""
@@ -151,10 +170,15 @@ def train(data: RctDataset, config: TrainConfig,
 
     When ``eval_data`` and ``eval_budgets`` are given, every ``eval_every``-th
     record carries estimated per-capita revenue at those budgets on the
-    held-out data (training data is never used for snapshots).
+    held-out data (training data is never used for snapshots). A given
+    ``eval_data`` is checked against ``data``'s shape before any training.
     """
     if data.n == 0:
         raise ValidationError("training data is empty")
+    shape = (data.num_features, data.num_treatments)
+    if eval_data is not None and (eval_data.num_features, eval_data.num_treatments) != shape:
+        raise ValidationError(f"eval data has (features, treatments) = "
+                              f"{eval_data.num_features, eval_data.num_treatments}, not {shape}")
     model_config = ModelConfig(
         layer_widths=config.hidden_widths,
         num_treatments=data.num_treatments,

@@ -176,12 +176,11 @@ class TestPipeline:
         # pass read them as the (n, M) matrices they stand for
         import numpy as np
 
-        from treatalloc.cli import _train_config
         from treatalloc.data import load_csv, read_config
         from treatalloc.gradients import GradientPair
         from treatalloc.losses import _whole
         from treatalloc.model import backward, forward, load_checkpoint
-        from treatalloc.training import _decision_term
+        from treatalloc.training import _decision_term, train_config
 
         assert run(["generate", "--config", p(workdir / "gen.cfg"),
                     "--out", p(workdir / "d.csv"), "--truth", p(workdir / "t.csv"),
@@ -195,7 +194,7 @@ class TestPipeline:
                     "--dump-gradients", p(workdir / "grads.csv")]) == 0
         data = load_csv(workdir / "d.csv")
         params, _ = load_checkpoint(workdir / "g.ckpt")
-        config = _train_config(read_config(workdir / "perturb.cfg", []))
+        config = train_config(read_config(workdir / "perturb.cfg", []))
         _, d_rev, d_cost = _decision_term(config)(_whole(data), forward(params, data.features))
         with (workdir / "grads.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -366,6 +365,19 @@ class TestSolveAndTrainInputs:
         assert code == 2
         assert "eval_budgets" in capsys.readouterr().err
         assert epochs == []
+        assert not (generated / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("shape", ["m=4", "d=5"], ids=["treatments", "features"])
+    def test_mismatched_eval_data_exit_code(self, generated, capsys, shape):
+        assert run(["generate", "--config", p(generated / "gen.cfg"),
+                    "--out", p(generated / "e.csv"), "--truth", p(generated / "et.csv"),
+                    "n=300", shape]) == 0
+        code = run(["train", "--data", p(generated / "d.csv"),
+                    "--eval-data", p(generated / "e.csv"),
+                    "--config", p(generated / "train.cfg"),
+                    "--checkpoint", p(generated / "m.ckpt"), "train.epochs=6"])
+        assert code == 2
+        assert "eval data has" in capsys.readouterr().err
         assert not (generated / "m.ckpt").exists()
 
     def test_eval_every_below_one_exit_code(self, generated, capsys):

@@ -1,11 +1,12 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from treatalloc.data import (CSV_BLOCK_ROWS, CURVE_COLUMNS, CounterfactualMatrix,
                              GeneratorConfig, RctDataset, _write_table,
-                             generate_synthetic, generator_config, load_csv,
+                             config_section, generate_synthetic, generator_config, load_csv,
                              load_counterfactual_csv, read_config, split,
                              write_counterfactual_csv, write_csv)
 from treatalloc.exceptions import ConfigError, ParseError, ValidationError
@@ -21,30 +22,23 @@ def test_load_csv_empirical_counts(tmp_path):
         "1,-1.0,1,2.0,0.2\n"
         "2,0.25,0,3.0,0.0\n"
     )
-    data = load_csv(f, num_treatments=2)
+    data = load_csv(f)
     assert data.n == 3
     assert np.array_equal(data.treatment_counts, [2, 1])
     assert np.allclose(data.propensities, [2 / 3, 1 / 3])
 
 
-def test_load_csv_treatment_out_of_declared_range(tmp_path):
+@pytest.mark.parametrize("t7, t9, error", [(0, 1, "row id 8: treatment -1 outside [0, 2)"),
+                                            (-3, -2, "row id 7: treatment -3 outside [0, 0)")],
+                         ids=["some", "all"])
+def test_load_csv_negative_treatment_names_row(tmp_path, t7, t9, error):
     f = tmp_path / "d.csv"
     f.write_text(
-        "id,f0,treatment,revenue,cost\n0,0.0,0,1.0,0.0\n1,0.0,5,1.0,0.0\n"
+        f"id,f0,treatment,revenue,cost\n7,0.0,{t7},1.0,0.0\n8,0.0,-1,1.0,0.0\n"
+        f"9,0.0,{t9},1.0,0.0\n"
     )
-    with pytest.raises(ValidationError, match="treatment 5"):
-        load_csv(f, num_treatments=2)
-
-
-@pytest.mark.parametrize("num_treatments", [2, None], ids=["declared-m", "inferred-m"])
-def test_load_csv_negative_treatment_names_row(tmp_path, num_treatments):
-    f = tmp_path / "d.csv"
-    f.write_text(
-        "id,f0,treatment,revenue,cost\n7,0.0,0,1.0,0.0\n8,0.0,-1,1.0,0.0\n"
-        "9,0.0,1,1.0,0.0\n"
-    )
-    with pytest.raises(ValidationError, match="row id 8: treatment -1"):
-        load_csv(f, num_treatments=num_treatments)
+    with pytest.raises(ValidationError, match=re.escape(error)):
+        load_csv(f)
 
 
 def test_load_csv_malformed_row_reports_line(tmp_path):
@@ -56,11 +50,13 @@ def test_load_csv_malformed_row_reports_line(tmp_path):
         load_csv(f)
 
 
-def test_load_csv_missing_treatment_errors(tmp_path):
+@pytest.mark.parametrize("top", [2, 2 ** 40], ids=["two", "huge"])
+def test_load_csv_missing_treatment_errors(tmp_path, top):
+    # no array of M = top + 1 entries is made, however large top is
     f = tmp_path / "d.csv"
-    f.write_text("id,f0,treatment,revenue,cost\n0,0.0,0,1.0,0.0\n")
+    f.write_text(f"id,f0,treatment,revenue,cost\n0,0.0,0,1.0,0.0\n1,0.0,{top},1.0,0.0\n")
     with pytest.raises(ValidationError, match="treatment 1 has no samples"):
-        load_csv(f, num_treatments=2)
+        load_csv(f)
 
 
 def test_load_csv_propensity_column_overrides_empirical(tmp_path):
@@ -102,12 +98,12 @@ def test_load_csv_rejects_zero_or_nan_propensity(tmp_path, p0, p1, message):
         load_csv(f)
 
 
-def test_dataset_validation_rejects_bad_counts():
-    with pytest.raises(ValidationError, match="counts"):
+def test_dataset_treatment_counts_are_derived_not_given():
+    with pytest.raises(TypeError, match="treatment_counts"):
         RctDataset(
             ids=np.arange(2), features=np.zeros((2, 1)),
             treatment=np.array([0, 1]), revenue=np.ones(2), cost=np.zeros(2),
-            num_treatments=2, treatment_counts=np.array([2, 0]),
+            num_treatments=2, treatment_counts=np.array([1, 1]),
         )
 
 
@@ -263,6 +259,17 @@ def test_generator_config_rejects_unknown_keys_ignores_other_sections(tmp_path):
     f.write_text("n=100\nm=3\nd=4\nnosie=5\n")
     with pytest.raises(ConfigError, match="nosie"):
         generator_config(read_config(f))
+
+
+@pytest.mark.parametrize("section, values, message", [
+    ("train", {"train.epochs": "3", "train.typo": "1"}, "unknown train config keys: train.typo"),
+    ("train", {"train.lr": "1", "epochs": "3"}, "train config needs key train.epochs"),
+    ("train", {"train.epochs": "3", "train.lr": "fast"}, "bad train.lr='fast'"),
+    ("", {"epochs": "3", "lr": "x", "train.lr": "1"}, "bad lr='x'"),
+], ids=["unknown", "missing", "unparsable", "unprefixed"])
+def test_config_section_errors_name_the_key(section, values, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_section(values, section, {"epochs": int, "lr": float}, required=("epochs",))
 
 
 def test_generator_config_file(tmp_path):

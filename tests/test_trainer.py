@@ -8,7 +8,7 @@ from treatalloc import model
 from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic, split
 from treatalloc.evaluation import (_allocator, allocate_at_budget, aucc, cost_curve,
                                    default_budget_grid)
-from treatalloc.exceptions import ConfigError, NumericError
+from treatalloc.exceptions import ConfigError, NumericError, ValidationError
 from treatalloc.gradients import (GradientPair, dual_flip_gradient, ips_dual_loss,
                                   softmax_flip_gradient)
 from treatalloc.losses import (BudgetGrid, LambdaGrid, _prediction_loss_grad, _whole,
@@ -231,6 +231,19 @@ class TestTrainLoop:
         assert records[1].snapshot is not None and len(records[1].snapshot) == 2
         assert records[3].snapshot is not None
         assert len(builds) == 2  # one allocator per snapshot, read at every budget
+
+    @pytest.mark.parametrize("budgets", [(0.1,), ()], ids=["budgets", "no-budgets"])
+    @pytest.mark.parametrize("m, d", [(4, 4), (3, 5)], ids=["treatments", "features"])
+    def test_mismatched_eval_data_raises_before_training(self, tiny_data, monkeypatch,
+                                                         m, d, budgets):
+        epochs = count_calls(monkeypatch, model._fit_epoch, "treatalloc.model._fit_epoch",
+                             "treatalloc.training._fit_epoch")
+        eval_data, _ = generate_synthetic(GeneratorConfig(n=60, m=m, d=d), seed=5)
+        config = small_config(epochs=3, warm_start_epochs=1, eval_every=1,
+                              eval_budgets=budgets)
+        with pytest.raises(ValidationError, match="eval data has"):
+            train(tiny_data, config, eval_data=eval_data)
+        assert epochs == []
 
 
 @pytest.fixture(scope="module")
