@@ -10,9 +10,9 @@ Configuration files are flat ``key=value`` text with section prefixes
 prefix); trailing ``key=value`` arguments override file entries. Each verb
 reads its own section, through ``data.generator_config``,
 ``training.train_config`` or ``evaluate``'s ``eval.*`` table, before any
-data, and ignores other sections. Exit codes: 0 success, 1 usage error,
-2 validation/config error, 3 numeric or infeasibility error. Outputs never
-overwrite existing files unless ``--force`` is given.
+data, and ignores other sections. Exit codes: 0 success, 1 usage error, 2
+validation/config error or not enough memory, 3 numeric or infeasibility
+error. Outputs never overwrite existing files unless ``--force`` is given.
 
 Heavy imports happen inside the verbs so ``--threads`` can cap the worker
 pool before numpy starts its thread pools; ``exceptions`` is stdlib-only.
@@ -264,6 +264,9 @@ def run(argv: list[str]) -> int:
     except (InfeasibleError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a size key too large for this machine
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:  # a missing file, a directory in place of one, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,8 +41,9 @@ this jump-over-step structure). At ``lam = 0`` cost perturbations cannot
 move any score, so cost gradients are zero there.
 
 Layout: the fast estimators work treatment-major, as the softmax kernels in
-``losses`` and the solver's probes do: they read the prediction matrix's
-(m, n) copy, made once per matrix (see ``solver``), so every score matrix
+``losses`` and the solver's probes do: they read the (m, n) arrays that a
+prediction matrix stores from the moment it is built (``pred.revenue.T``;
+see ``solver``), with no copy made on first use, so every score matrix
 holds one individual per column. Each multiplier's scores go into one
 buffer per call, in which ``_flip_gaps`` computes the gaps. It finds each
 winner with comparisons only (about 60 us at 8,192 x 5 for the maximum, one
@@ -237,7 +238,7 @@ def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
                         step_floor: float, centered: bool
                         ) -> tuple[float, np.ndarray, np.ndarray]:
     inv_np = 1.0 / (block.n * block.propensity)
-    revenue, cost = pred._treatment_major
+    revenue, cost = pred.revenue.T, pred.cost.T
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     scores = np.empty_like(revenue)  # each multiplier's scores, then gaps
@@ -302,7 +303,7 @@ def _softmax_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGr
                            ) -> tuple[float, np.ndarray, np.ndarray]:
     n_p = block.n * block.propensity
     inv_np = 1.0 / n_p
-    revenue, cost = pred._treatment_major
+    revenue, cost = pred.revenue.T, pred.cost.T
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     scores = np.empty_like(revenue)

@@ -26,10 +26,11 @@ public functions default to the plain estimate.
 Layout: numpy reduces a short last axis row by row, about 30x slower at
 4,096 x 5 than along contiguous memory, so every training kernel (the
 prediction and softmax kernels here, the flip kernels in ``gradients``)
-reads the prediction matrix's (m, n) copy, made once per matrix and shared
-with the solver (see ``solver``), and returns its gradients as ``.T`` views.
-Single cells, such as each row's observed treatment, are reached through
-flat indices ``t * n + i``. Up to m = 7 both layouts give the same bits.
+reads the (m, n) arrays that a prediction matrix stores from the moment it
+is built (``pred.revenue.T``; see ``solver``), with no copy made on first
+use, and returns its gradients as ``.T`` views. Single cells, such as each
+row's observed treatment, are reached through flat indices ``t * n + i``.
+Up to m = 7 both layouts give the same bits.
 
 Training runs each kernel per row block (``_Block``, ``model.BLOCK_ROWS``
 rows), on the predictions of that block: the (m, n) copy and every
@@ -202,7 +203,7 @@ def _prediction_loss_grad(block: _Block, pred: PredictionMatrix, link=None
     the cross-entropy's, ``w * (link(fit) - y)``; the value is then ``link(fit)``'s."""
     obs = block.treatment * pred.n + np.arange(pred.n)  # flat (m, n) index of the observed cells
     w = 1.0 / (block.n * block.num_treatments * block.propensity)
-    fit_rev, fit_cost = (x.ravel().take(obs) for x in pred._treatment_major)
+    fit_rev, fit_cost = (x.T.ravel().take(obs) for x in (pred.revenue, pred.cost))
     if link is not None:
         fit_rev, fit_cost = link(fit_rev), link(fit_cost)
     dr, dc = fit_rev - block.revenue, fit_cost - block.cost
@@ -270,7 +271,7 @@ def _tempered_policy_loss_grad(block: _Block, pred: PredictionMatrix, grid: Lamb
                                ) -> tuple[float, np.ndarray, np.ndarray]:
     obs = block.treatment * pred.n + np.arange(pred.n)  # flat (m, n) index of the observed cells
     weight = 1.0 / (block.n * block.propensity)
-    revenue, cost = pred._treatment_major
+    revenue, cost = pred.revenue.T, pred.cost.T
     d_rev = np.zeros_like(revenue)
     d_cost = np.zeros_like(cost)
     total = 0.0

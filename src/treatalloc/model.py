@@ -20,17 +20,22 @@ gradients and backward; what belongs to the whole batch is computed over it
 (``losses._blocks``). Gradients and losses add up in block order, and the
 batch takes one optimizer step.
 
-Checkpoint layout (versioned flat binary): 8-byte magic ``TACKPT01``, a
-4-byte little-endian header length, a JSON header echoing the model config,
-layer shapes and any extra metadata, then the raw little-endian float64
-parameter arrays in order W0, b0, W1, b1, ... A plain-text manifest with
-the same information is written next to the binary.
+State and checkpoint layout: all parameters live in one float64 vector
+``flat``, in the order W0, b0, W1, b1, ... (each W row-major, fan-in by
+fan-out). ``weights`` and ``biases`` are views of it, and the gradients and
+both moments share its layout, so the update, its checks and the block sums
+run on whole vectors. A checkpoint (versioned flat binary) holds the 8-byte
+magic ``TACKPT01``, a 4-byte little-endian header length, a JSON header
+echoing the model config, layer shapes and any extra metadata, then the
+body: ``flat`` as little-endian float64. A plain-text manifest with the same
+information is written next to the binary.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -64,7 +69,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
+        for name in ("num_treatments", "input_dim"):  # integers: a float is a TypeError
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "layer_widths", tuple(map(operator.index, self.layer_widths)))
         if any(w < 1 for w in self.layer_widths):
             raise ConfigError("hidden widths must be >= 1")
         if self.num_treatments < 1 or self.input_dim < 1:
@@ -81,49 +88,59 @@ class ModelConfig:
         return list(zip(sizes[:-1], sizes[1:]))
 
 
+def _size(config: ModelConfig) -> int:
+    """Length of ``flat``: every layer's weights and bias."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in config.dims())
+
+
+def _layers(flat: np.ndarray, config: ModelConfig
+            ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's weight matrix and bias as views of ``flat`` (State layout)."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in config.dims():
+        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        biases.append(flat[at + fan_in * fan_out:at + (fan_in + 1) * fan_out])
+        at += (fan_in + 1) * fan_out
+    return weights, biases
+
+
 @dataclass(eq=False)
 class ModelParams:
-    """Weights, biases, and optimizer state (first/second moments, step)."""
+    """Parameters as one vector ``flat`` with per-layer views, and the
+    optimizer state: both moments, one row each of ``moments``, and ``step``."""
 
     config: ModelConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray  # (_size(config),) float64, in checkpoint order
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    moments: np.ndarray = field(init=False, repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.m_w:
-            self.m_w = [np.zeros_like(w) for w in self.weights]
-            self.v_w = [np.zeros_like(w) for w in self.weights]
-            self.m_b = [np.zeros_like(b) for b in self.biases]
-            self.v_b = [np.zeros_like(b) for b in self.biases]
+        self.moments = np.zeros((2, self.flat.size))
+        self.weights, self.biases = _layers(self.flat, self.config)
 
     def num_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
 
 @dataclass(eq=False)
 class ParamGrads:
+    """Gradients in the layout of ``ModelParams.flat``, with the same views."""
+
+    flat: np.ndarray
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
 
-    def is_finite(self) -> bool:
-        return all(np.isfinite(g).all() for g in self.d_weights) and \
-            all(np.isfinite(g).all() for g in self.d_biases)
-
 
 def init_params(config: ModelConfig) -> ModelParams:
-    """Scaled uniform fan-in initialization, seed-controlled."""
+    """Scaled uniform fan-in initialization, seed-controlled; zero biases."""
     rng = np.random.default_rng(config.seed)
-    weights, biases = [], []
-    for fan_in, fan_out in config.dims():
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(config=config, weights=weights, biases=biases)
+    params = ModelParams(config, np.zeros(_size(config)))
+    for w in params.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -144,9 +161,7 @@ def forward_cached(params: ModelParams, features: np.ndarray
     """Outputs plus each layer's input (the features, then each activation)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
-        raise ValidationError(
-            f"features must be (n, {params.config.input_dim}), got {x.shape}"
-        )
+        raise ValidationError(f"features must be (n, {params.config.input_dim}), got {x.shape}")
     kind = params.config.activation
     inputs: list[np.ndarray] = []
     h = x
@@ -161,9 +176,9 @@ def forward_cached(params: ModelParams, features: np.ndarray
 
 
 def _predictions(params: ModelParams, out: np.ndarray) -> PredictionMatrix:
-    out = _freeze(out)  # its views need no copy, and forward_cached checked it finite
-    m = params.config.num_treatments
-    return _unchecked(PredictionMatrix, revenue=out[:, :m], cost=out[:, m:])
+    # one (2m, n) copy of ``out``, which forward_cached checked finite (solver's Layout)
+    both, m = _freeze(np.ascontiguousarray(out.T)).T, params.config.num_treatments
+    return _unchecked(PredictionMatrix, revenue=both[:, :m], cost=both[:, m:])
 
 
 def forward(params: ModelParams, features: np.ndarray) -> PredictionMatrix:
@@ -175,17 +190,17 @@ def _backprop(params: ModelParams, inputs: list[np.ndarray],
               upstream: tuple[np.ndarray, np.ndarray]) -> ParamGrads:
     """Reverse pass over the layer inputs that ``forward_cached`` kept."""
     kind = params.config.activation
-    d_weights = [np.empty(0)] * len(params.weights)
-    d_biases = [np.empty(0)] * len(params.biases)
+    flat = np.empty(params.flat.size)
+    grads = ParamGrads(flat, *_layers(flat, params.config))
     # C order whatever the layout of ``upstream`` (the training kernels return
     # transposed views): the sums below add in memory order
     delta = np.ascontiguousarray(np.concatenate(upstream, axis=1))
     for k in range(len(params.weights) - 1, -1, -1):
-        d_weights[k] = inputs[k].T @ delta
-        d_biases[k] = delta.sum(axis=0)
+        np.matmul(inputs[k].T, delta, out=grads.d_weights[k])
+        delta.sum(axis=0, out=grads.d_biases[k])
         if k > 0:
             delta = (delta @ params.weights[k].T) * _activate_grad(inputs[k], kind)
-    return ParamGrads(d_weights, d_biases)
+    return grads
 
 
 def backward(params: ModelParams, features: np.ndarray,
@@ -209,22 +224,18 @@ def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float) -> bool:
     """
     if lr <= 0:
         raise ConfigError("learning rate must be > 0")
-    if not grads.is_finite():
+    if not np.isfinite(grads.flat).all():
         return False
     params.step += 1
-    t = params.step
-    c1 = 1.0 - _BETA1 ** t
-    c2 = 1.0 - _BETA2 ** t
-    for p, m, v, g in zip(params.weights + params.biases, params.m_w + params.m_b,
-                          params.v_w + params.v_b, grads.d_weights + grads.d_biases):
-        m *= _BETA1
-        m += (1 - _BETA1) * g
-        v *= _BETA2
-        v += (1 - _BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
-    for w in params.weights:
-        if not np.isfinite(w).all():
-            raise NumericError("non-finite parameters after update")
+    c1, c2 = 1.0 - _BETA1 ** params.step, 1.0 - _BETA2 ** params.step
+    (m, v), g = params.moments, grads.flat
+    m *= _BETA1
+    m += (1 - _BETA1) * g
+    v *= _BETA2
+    v += (1 - _BETA2) * g * g
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+    if not np.isfinite(params.flat).all():
+        raise NumericError("non-finite parameters after update")
     return True
 
 
@@ -265,8 +276,7 @@ def _fit_epoch(params: ModelParams, data: RctDataset, batch_grad: BatchGrad,
             if grads is None:
                 grads, losses = add, part
                 continue
-            for total, g in zip(grads.d_weights + grads.d_biases, add.d_weights + add.d_biases):
-                total += g
+            grads.flat += add.flat
             losses = tuple(a + b for a, b in zip(losses, part))
         step(params, grads, lr)
         if not batch_size:
@@ -317,10 +327,8 @@ def save_checkpoint(path: str | Path, params: ModelParams,
     header = {
         "version": 1,
         "config": dataclasses.asdict(params.config),
-        "layers": [
-            {"w": list(w.shape), "b": list(b.shape)}
-            for w, b in zip(params.weights, params.biases)
-        ],
+        "layers": [{"w": [fan_in, fan_out], "b": [fan_out]}
+                   for fan_in, fan_out in params.config.dims()],
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -331,9 +339,7 @@ def save_checkpoint(path: str | Path, params: ModelParams,
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            for w, b in zip(params.weights, params.biases):
-                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            fh.write(params.flat.astype("<f8", copy=False))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -367,25 +373,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
         cfg = ModelConfig(**header["config"])
         shapes = [(tuple(layer["w"]), tuple(layer["b"])) for layer in header["layers"]]
-        sizes = [(int(np.prod(w)), int(np.prod(b))) for w, b in shapes]
         extra = header["extra"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: unreadable checkpoint header: {exc}") from None
     dims = [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in cfg.dims()]
     if shapes != dims:
         raise ValidationError(f"{path}: layer shapes {shapes} do not match the config's {dims}")
-    expected = 12 + hlen + 8 * sum(wn + bn for wn, bn in sizes)
+    expected = 12 + hlen + 8 * _size(cfg)
     if len(raw) != expected:
-        raise ValidationError(
-            f"{path}: {len(raw)} bytes, but its header implies {expected}"
-        )
-    offset = 12 + hlen
-    weights, biases = [], []
-    for (w_shape, b_shape), (wn, bn) in zip(shapes, sizes):
-        weights.append(np.frombuffer(raw, dtype="<f8", count=wn, offset=offset)
-                       .reshape(w_shape).copy())
-        offset += 8 * wn
-        biases.append(np.frombuffer(raw, dtype="<f8", count=bn, offset=offset)
-                      .reshape(b_shape).copy())
-        offset += 8 * bn
-    return ModelParams(config=cfg, weights=weights, biases=biases), extra
+        raise ValidationError(f"{path}: {len(raw)} bytes, but its header implies {expected}")
+    flat = np.frombuffer(raw, dtype="<f8", offset=12 + hlen).astype(np.float64)
+    return ModelParams(cfg, flat), extra

@@ -13,15 +13,16 @@ and makes its ``lam = 0`` decision, where every search starts, once.
 A brute-force enumerator serves as the exact oracle on small instances.
 
 Layout: numpy reduces a short last axis one row at a time, so a prediction
-matrix keeps one treatment-major copy of its data, (m, n) C-contiguous
-arrays made once per matrix on first use and read-only like the matrix.
-Every probe, dual bound and sweep, and the training kernels in ``losses``
-and ``gradients``, read that copy, so a per-individual maximum is a reduce
-over contiguous rows. numpy's ``argmax`` has no such reduce, so each winner
-is found with comparisons only (``_first``: the lowest index equal to the
-maximum, the tie rule of ``argmax``; finite multipliers and predictions
-give no NaN score), and single cells are reached through flat indices
-``j * n + i`` into the raveled copy.
+matrix stores its data treatment-major: each of revenue and cost is one
+read-only (m, n) C-contiguous array, copied from the input when the matrix
+is built, and the (n, m) fields are its ``.T`` views; no copy is made on
+first use. Every probe, dual bound and sweep, and the training kernels in
+``losses`` and ``gradients``, read those (m, n) arrays, so a per-individual
+maximum is a reduce over contiguous rows. numpy's ``argmax`` has no such
+reduce, so each winner is found with comparisons only (``_first``: the
+lowest index equal to the maximum, the tie rule of ``argmax``; finite
+multipliers and predictions give no NaN score), and single cells are
+reached through flat indices ``j * n + i`` into a raveled (m, n) array.
 """
 
 from __future__ import annotations
@@ -42,26 +43,22 @@ _MAX_ASSIGNMENTS = 2_000_000  # brute_force_oracle's enumeration cap
 class PredictionMatrix:
     """Predicted revenue and cost for every individual x treatment, read-only.
 
-    It takes over the arrays handed to it, as ``RctDataset`` does: writing to
-    them through another reference is unsupported (the cached sweep goes stale)."""
+    It copies the arrays handed to it (Layout), so later writes to them do
+    not reach it or its cached sweep."""
 
-    revenue: np.ndarray  # (n, m)
+    revenue: np.ndarray  # (n, m), a view of a (m, n) C-contiguous array
     cost: np.ndarray     # (n, m)
 
     def __post_init__(self):
-        self.revenue = _freeze(np.asarray(self.revenue, dtype=np.float64))
-        self.cost = _freeze(np.asarray(self.cost, dtype=np.float64))
+        self.revenue, self.cost = (
+            _freeze(np.array(np.asarray(x).T, dtype=np.float64, order="C")).T
+            for x in (self.revenue, self.cost))
         if self.revenue.ndim != 2 or self.revenue.shape != self.cost.shape:
             raise ValidationError("revenue and cost must share shape (n, m)")
         if self.revenue.shape[1] < 1:
             raise ValidationError("prediction matrices need at least one treatment")
         if not (np.isfinite(self.revenue).all() and np.isfinite(self.cost).all()):
             raise ValidationError("prediction matrices must be finite")
-
-    @cached_property
-    def _treatment_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (m, n) C-contiguous copies of revenue and cost (Layout)."""
-        return tuple(_freeze(np.ascontiguousarray(x.T)) for x in (self.revenue, self.cost))
 
     @cached_property
     def _unconstrained(self) -> Allocation:
@@ -129,13 +126,13 @@ def _first(hit: np.ndarray) -> np.ndarray:
 def _scores(pred: PredictionMatrix, lam: float) -> np.ndarray:
     """(m, n) scores ``revenue - lam * cost`` in one fresh array."""
     _check_multiplier(lam)
-    revenue, cost = pred._treatment_major
+    revenue, cost = pred.revenue.T, pred.cost.T
     scores = np.multiply(lam, cost)
     return np.subtract(revenue, scores, out=scores)
 
 
 def _allocation_from_choice(pred: PredictionMatrix, choice: np.ndarray) -> Allocation:
-    revenue, cost = pred._treatment_major
+    revenue, cost = pred.revenue.T, pred.cost.T
     cells = np.multiply(choice, pred.n, dtype=np.intp) + np.arange(pred.n)
     return Allocation(
         choice=choice.astype(np.int64),
@@ -177,7 +174,7 @@ class _Sweep:
     ``start_cost``, the predicted cost at ``lam = 0``."""
 
     def __init__(self, pred: PredictionMatrix):
-        revenue, cost = r, c = pred._treatment_major
+        revenue, cost = r, c = pred.revenue.T, pred.cost.T
         cur = pred._unconstrained.choice.copy()
         self.start_cost = pred._unconstrained.total_cost
         at = np.zeros(pred.n)  # multiplier of each row's latest move

@@ -526,6 +526,29 @@ class TestSolveAndTrainInputs:
         assert "header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["generate", "train"])
+def test_out_of_memory_exits_two(workdir, monkeypatch, capsys, verb):
+    # a huge size key (n=1000000000000, train.hidden=4000000000) fails to
+    # allocate; simulated here, so nothing large is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    gen = ["generate", "--config", p(workdir / "gen.cfg"), "--out", p(workdir / "d.csv"),
+           "--truth", p(workdir / "t.csv"), "n=50"]
+    if verb == "generate":
+        monkeypatch.setattr("treatalloc.data.generate_synthetic", exhausted)
+        argv, outputs = gen, ["d.csv", "t.csv"]
+    else:
+        assert run(gen) == 0
+        monkeypatch.setattr("treatalloc.training.init_params", exhausted)
+        argv = ["train", "--data", p(workdir / "d.csv"), "--config", p(workdir / "train.cfg"),
+                "--checkpoint", p(workdir / "m.ckpt"), "--log", p(workdir / "train.log")]
+        outputs = ["m.ckpt", "m.ckpt.manifest", "m.ckpt.tmp", "train.log"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: not enough memory: Unable to allocate 14.6 TiB\n"
+    assert not any((workdir / name).exists() for name in outputs)
+
+
 def test_imports_leave_numpy_unloaded():
     # ``--threads`` sets the thread variables before the verbs import numpy
     import treatalloc

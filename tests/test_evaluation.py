@@ -378,21 +378,24 @@ class TestOneSweepPerMatrix:
             assert allocate_at_budget(data, pred, budget)[0] > 0.0
         assert len(builds) == 1
 
-    def test_one_treatment_major_copy_per_matrix(self, monkeypatch):
-        copies = count_calls(monkeypatch, PredictionMatrix._treatment_major,
-                             "treatalloc.solver.PredictionMatrix._treatment_major")
+    def test_one_treatment_major_copy_per_matrix(self):
+        # the (m, n) copies are made when the matrix is built; searches read
+        # them and cache nothing but the lam = 0 decision and the sweep
         data, pred = self.noisy(5)
+        arrays = [x.base for x in (pred.revenue, pred.cost)]
+        for copy, field in zip(arrays, (pred.revenue, pred.cost)):
+            assert copy.flags.c_contiguous and copy.flags.owndata
+            assert np.array_equal(copy, field.T)
+            with pytest.raises(ValueError):
+                copy[0, 0] = 1.0
         top = decide_dual(pred, 0.0).total_cost
         for share in (0.3, 0.7):
             assert solve_budget(pred, share * top).lam > 0.0
         assert lambda_upper_bound(pred) > 0.0
         cost_curve(data, pred, default_budget_grid(data, pred))
         assert allocate_at_budget(data, pred, 0.2)[0] > 0.0
-        assert len(copies) == 1
-        for copy, full in zip(pred._treatment_major, (pred.revenue, pred.cost)):
-            assert copy.flags.c_contiguous and np.array_equal(copy, full.T)
-            with pytest.raises(ValueError):
-                copy[0, 0] = 1.0
+        assert sorted(vars(pred)) == ["_sweep", "_unconstrained", "cost", "revenue"]
+        assert pred.revenue.base is arrays[0] and pred.cost.base is arrays[1]
 
     def test_one_unconstrained_decision_per_matrix(self, monkeypatch):
         data, pred = self.noisy(6)

@@ -13,7 +13,7 @@ import pytest
 from treatalloc.evaluation import allocate_at_budget
 from treatalloc.solver import PredictionMatrix, decide_dual, lambda_upper_bound, solve_budget
 
-from conftest import dyadic_instance, make_dataset, tie_heavy_instance
+from conftest import dyadic_instance, exact, make_dataset, tie_heavy_instance
 
 N = 16
 SHARES = (0.0, 0.2, 0.45, 0.7, 0.95, 1.0)  # budgets between the floor and the top
@@ -109,6 +109,17 @@ class TestRowPermutation:
                 assert (b.allocation.objective, b.allocation.total_cost) == (
                     a.allocation.objective, a.allocation.total_cost)
 
+    def test_decide_dual(self, rng, state, builder):
+        for m in (2, 3, 5):
+            pred, _ = case(rng, m, builder)
+            perm = rng.permutation(N)
+            base, moved = matrices(state, pred,
+                                   PredictionMatrix(pred.revenue[perm], pred.cost[perm]))
+            for lam in (0.0, *base._sweep.breaks):
+                a, b = decide_dual(base, float(lam)), decide_dual(moved, float(lam))
+                assert np.array_equal(b.choice, a.choice[perm])
+                assert (b.objective, b.total_cost) == (a.objective, a.total_cost)
+
     def test_allocate_at_budget(self, rng, state, builder):
         for m in (2, 4):
             pred, data = case(rng, m, builder)
@@ -123,3 +134,34 @@ class TestRowPermutation:
                 assert lam_p == lam
                 assert np.array_equal(choice_p, choice[perm])
                 assert est_p.per_capita_cost == est.per_capita_cost
+
+
+def input_layouts(pred):
+    """``pred``'s arrays as C-ordered, Fortran-ordered, strided (the two heads
+    of one (n, 2m) array, as a model writes them) and read-only inputs."""
+    m = pred.num_treatments
+    heads = np.concatenate([pred.revenue, pred.cost], axis=1)
+    frozen = pred.revenue.copy(), pred.cost.copy()
+    for arr in frozen:
+        arr.flags.writeable = False
+    return {"C": (pred.revenue.copy(), pred.cost.copy()),
+            "F": (np.asfortranarray(pred.revenue), np.asfortranarray(pred.cost)),
+            "strided": (heads[:, :m], heads[:, m:]),
+            "read-only": frozen}
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_input_layout_leaves_the_bits(rng, m):
+    """However its inputs are laid out, a matrix decides and sweeps alike."""
+    for _ in range(3):
+        pred, _ = case(rng, m)
+        results = []
+        for revenue, cost in input_layouts(pred).values():
+            built = PredictionMatrix(revenue, cost)
+            sweep = built._sweep
+            lams = (0.0, *sweep.breaks, *(0.5 * (sweep.breaks[1:] + sweep.breaks[:-1])))
+            results.append((
+                exact([decide_dual(built, float(lam)) for lam in lams]),
+                exact([getattr(sweep, name) for name in
+                       ("rows", "old", "new", "ends", "breaks", "cost_delta", "start_cost")])))
+        assert all(result == results[0] for result in results[1:])

@@ -167,6 +167,36 @@ class TestOptimizer:
         for w, b in zip(params.weights, before):
             np.testing.assert_array_equal(w, b)
 
+    def test_matches_a_per_layer_reference_bit_for_bit(self, rng):
+        # Adam written per layer, as in Kingma & Ba (2015), on a 3-layer tanh
+        # model: the whole-vector update must give the same bits
+        params = init_params(tiny_config(layer_widths=(6, 4), activation="tanh", seed=5))
+        ref = [p.copy() for p in params.weights + params.biases]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        x = rng.standard_normal((9, 3))
+        for t in range(1, 6):
+            up = GradientPair(rng.standard_normal((9, 2)), rng.standard_normal((9, 2)))
+            grads = backward(params, x, up)
+            assert optimizer_step(params, grads, lr=0.05)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for p, (m, v), g in zip(ref, moments, grads.d_weights + grads.d_biases):
+                m *= 0.9
+                m += (1 - 0.9) * g
+                v *= 0.999
+                v += (1 - 0.999) * g * g
+                p -= 0.05 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            for got, want in zip(params.weights + params.biases, ref):
+                assert got.tobytes() == want.tobytes()
+
+    def test_bias_made_non_finite_raises(self):
+        params = init_params(tiny_config())
+        params.biases[-1][0] = np.finfo(np.float64).max
+        grads = backward(params, np.ones((1, 3)),
+                         GradientPair(np.zeros((1, 2)), np.zeros((1, 2))))
+        grads.d_biases[-1][0] = -1.0  # Adam's first step moves it by lr: past the largest float
+        with pytest.raises(NumericError, match="after update"), np.errstate(over="ignore"):
+            optimizer_step(params, grads, lr=1e300)
+
     def test_quadratic_bowl_converges(self, rng):
         # realizable affine target: the squared loss bowl bottoms out at zero
         config = tiny_config(layer_widths=(), num_treatments=1, input_dim=2, seed=1)
@@ -296,6 +326,28 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         assert (tmp_path / "model.ckpt.manifest").exists()
 
+    def test_body_is_the_flat_vector(self, tmp_path, rng):
+        params = init_params(tiny_config(layer_widths=(7, 3), seed=4))
+        params.flat += 0.01 * rng.standard_normal(params.flat.size)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        raw, body = path.read_bytes(), params.flat.astype("<f8").tobytes()
+        assert body == b"".join(a.astype("<f8").tobytes() for pair in
+                                zip(params.weights, params.biases) for a in pair)
+        assert raw[12 + int.from_bytes(raw[8:12], "little"):] == body
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, rng):
+        params = init_params(tiny_config(layer_widths=(4, 2), activation="tanh", seed=6))
+        params.flat += rng.standard_normal(params.flat.size)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(first, params, extra={"k": [1, 2]})
+        loaded, extra = load_checkpoint(first)
+        save_checkpoint(second, loaded, extra=extra)
+        assert first.read_bytes() == second.read_bytes()
+        assert (tmp_path / "a.ckpt.manifest").read_bytes() == \
+            (tmp_path / "b.ckpt.manifest").read_bytes()
+        assert loaded.flat.flags.writeable and loaded.flat.dtype == np.float64
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -337,6 +389,22 @@ class TestCheckpoint:
         blob = json.dumps(header).encode("utf-8")
         path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
         with pytest.raises(ValidationError, match="layer shapes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("num_treatments", 2.0),
+                                            ("layer_widths", [float("inf")])])
+    def test_config_counts_must_be_integers(self, tmp_path, key, value):
+        # 2.0 treatments loaded and failed in forward's slicing with TypeError;
+        # an infinite width raised OverflowError while the header was read
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(tiny_config()))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        header["config"][key] = value
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+        with pytest.raises(ValidationError, match="unreadable checkpoint header"):
             load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):

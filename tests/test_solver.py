@@ -124,12 +124,25 @@ class TestReadOnly:
             PredictionMatrix(np.zeros(shape), np.zeros(shape))
 
     def test_arrays_refuse_writes(self):
+        # the matrix's arrays are its own read-only copies; the caller's stay
+        # writeable, and writes to them do not reach the matrix
         revenue, cost = np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]])
         pred = PredictionMatrix(revenue, cost)
-        for arr in (pred.revenue, pred.cost, revenue, cost):
+        for arr in (pred.revenue, pred.cost, pred.revenue.T, pred.cost.T):
             with pytest.raises(ValueError):
-                arr[0, 1] = 5.0
+                arr[0, 0] = 5.0
+        revenue[0, 1] = cost[0, 1] = 5.0
         assert pred.revenue.tolist() == pred.cost.tolist() == [[0.0, 1.0]]
+
+    def test_writes_through_an_alias_miss_the_matrix(self):
+        rev, cost = np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [0.0, 2.0]])
+        alias = cost[:]
+        pred = PredictionMatrix(rev, cost)
+        assert lambda_upper_bound(pred) == 2.0
+        alias[0, 1] = 100.0
+        assert pred.cost.tolist() == [[0.0, 1.0], [0.0, 2.0]]
+        assert lambda_upper_bound(pred) == 2.0
+        assert lambda_upper_bound(PredictionMatrix(rev, cost)) == 1.0
 
     def test_writes_through_a_view_base_miss_the_matrix(self):
         base = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 2.0]])
@@ -431,8 +444,13 @@ class TestTreatmentMajorDecisions:
                     assert np.array_equal(getattr(sweep, name), getattr(sweeps[0], name))
 
     def test_heads_are_strided_and_copies_contiguous(self, rng):
-        pred = layouts(BUILDERS["random"](rng, 5, 3))["heads"]
-        assert not pred.revenue.flags.c_contiguous
-        for copy, full in zip(pred._treatment_major, (pred.revenue, pred.cost)):
-            assert copy.flags.c_contiguous and not copy.flags.writeable
-            assert np.array_equal(copy, full.T)
+        # strided heads go in; each field is a .T view of a read-only (m, n)
+        # C-contiguous copy, shared with nothing the caller holds
+        base = BUILDERS["random"](rng, 5, 3)
+        m = base.num_treatments
+        heads = np.concatenate([base.revenue, base.cost], axis=1)
+        pred = PredictionMatrix(heads[:, :m], heads[:, m:])
+        assert not heads[:, :m].flags.c_contiguous
+        for field, given in zip((pred.revenue, pred.cost), (heads[:, :m], heads[:, m:])):
+            assert field.T.flags.c_contiguous and not field.T.flags.writeable
+            assert np.array_equal(field, given) and not np.shares_memory(field, heads)
