@@ -100,16 +100,14 @@ def _predictions_for(args, data):
 
     from .data import load_counterfactual_csv
     from .model import forward, load_checkpoint
-    from .solver import PredictionMatrix
 
     if args.checkpoint:
         params, _ = load_checkpoint(args.checkpoint)
         source, pred = args.checkpoint, forward(params, data.features)
     else:
-        source, (ids, matrix) = args.predictions, load_counterfactual_csv(args.predictions)
+        source, (ids, pred) = args.predictions, load_counterfactual_csv(args.predictions)
         if not np.array_equal(ids, data.ids):
             raise ValidationError(f"{source}: ids do not match the dataset")
-        pred = PredictionMatrix(matrix.revenue, matrix.cost)
     if pred.num_treatments != data.num_treatments:
         raise ValidationError(
             f"{source}: {pred.num_treatments} treatments vs dataset {data.num_treatments}")
@@ -159,11 +157,8 @@ def _cmd_train(args) -> None:
         _write_table(args.dump_gradients, ["id", "treatment", "d_revenue", "d_cost"],
                      [np.repeat(data.ids, m), np.tile(np.arange(m), n),
                       d_rev.ravel(), d_cost.ravel()])
-    last = records[-1] if records else None
-    if last is not None:
-        print(f"trained {config.epochs} epochs; final total loss {last.total:.6g}")
-    else:
-        print("trained 0 epochs")
+    print(f"trained {config.epochs} epochs"
+          + (f"; final total loss {records[-1].total:.6g}" if records else ""))
 
 
 def _cmd_solve(args) -> None:

@@ -5,8 +5,12 @@ plus per-treatment assignment propensities. ``RctDataset``'s constructor
 checks it; ``load_csv`` adds only what a file can get wrong besides
 (duplicate ids, a treatment without samples). Synthetic datasets additionally
 come with a full counterfactual outcome matrix covering every treatment,
-which downstream modules use as a ground-truth oracle. ``config_section``
-reads and checks one section of a ``key=value`` config, for every reader.
+which downstream modules use as a ground-truth oracle. It is a
+``CounterfactualMatrix``, the name the ground truth gives
+``solver.PredictionMatrix``: truth and predictions are one type, which
+copies the arrays handed to it. Only ``RctDataset`` takes over its arrays.
+``config_section`` reads and checks one section of a ``key=value`` config,
+for every reader.
 
 Every CSV file of the package is read by ``_read_table`` and written by
 ``_write_table``: UTF-8, a header row, CRLF line ends, ints in decimal and
@@ -34,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, ParseError, ValidationError
+from .solver import PredictionMatrix as CounterfactualMatrix
 
 GENERATOR_FAMILIES = ("saturating", "linear", "hetero")
 
@@ -67,6 +72,7 @@ class RctDataset:
     It takes over the arrays handed to it: they are marked read-only in place
     (a view whose base can still be written is copied first), so writing to
     them through another reference, such as an earlier view, is unsupported.
+    The outcome matrices copy theirs instead (``solver.PredictionMatrix``).
     """
 
     ids: np.ndarray          # (n,) int64
@@ -147,34 +153,6 @@ class RctDataset:
                           treatment_counts=counts, propensities=_freeze(counts / idx.size))
 
 
-@dataclass(eq=False)
-class CounterfactualMatrix:
-    """Ground-truth outcomes for every individual x treatment (synthetic only)."""
-
-    revenue: np.ndarray  # (n, m)
-    cost: np.ndarray     # (n, m)
-
-    def __post_init__(self):
-        self.revenue = _freeze(np.asarray(self.revenue, dtype=np.float64))
-        self.cost = _freeze(np.asarray(self.cost, dtype=np.float64))
-        if self.revenue.ndim != 2 or self.revenue.shape != self.cost.shape:
-            raise ValidationError("revenue and cost matrices must share shape (n, m)")
-        if not (np.isfinite(self.revenue).all() and np.isfinite(self.cost).all()):
-            raise ValidationError("counterfactual matrices must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.revenue.shape[0]
-
-    @property
-    def num_treatments(self) -> int:
-        return self.revenue.shape[1]
-
-    def take(self, indices: np.ndarray) -> "CounterfactualMatrix":
-        idx = np.asarray(indices, dtype=np.int64)
-        return CounterfactualMatrix(self.revenue[idx], self.cost[idx])
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Shape and response family of a synthetic randomized trial.
@@ -233,12 +211,14 @@ def generate_synthetic(config: GeneratorConfig, seed: int
     counterfactual matrix, so the observed columns match it bit-exactly;
     revenues are clipped at zero to keep observations nonnegative. Costs are
     noise-free and nondecreasing in the treatment index, with treatment 0
-    free.
+    free. A noise level so large that revenue overflows raises ConfigError.
     """
     rng = np.random.default_rng(seed)
     n, m, d = config.n, config.m, config.d
     x = rng.standard_normal((n, d))
-    u = np.arange(m) / (m - 1)  # treatment intensity in [0, 1]
+    # treatment intensity in [0, 1], a column: the outcome arrays are built
+    # (m, n), the matrix's own layout (see ``solver``), so it takes them as is
+    u = (np.arange(m) / (m - 1))[:, None]
 
     def unit_direction() -> np.ndarray:
         w = rng.standard_normal(d)
@@ -261,35 +241,39 @@ def generate_synthetic(config: GeneratorConfig, seed: int
                 - 2.2 * np.clip(s - 1.2, 0.0, 1.2))
         base = 3.0 + 0.5 * _sigmoid(2.0 * (x @ w_base))
         g = (1.0 - np.exp(-2.0 * u)) / (1.0 - np.exp(-2.0))
-        revenue = base[:, None] + 1.4 * resp[:, None] * g[None, :]
+        revenue = base + 1.4 * resp * g
     else:
         base = 1.0 + _sigmoid(2.0 * (x @ w_base))          # (n,), in (1, 2)
         resp = _sigmoid(2.0 * (x @ w_resp))                # responsiveness, (0, 1)
         if config.family == "linear":
-            gain = resp[:, None] * u[None, :]
+            gain = resp * u
         else:
             # saturating response, normalized so the top treatment gains `resp`
             curv = 1.0 + 3.0 * _sigmoid(2.0 * (x @ w_curv))
-            g = 1.0 - np.exp(-curv[:, None] * u[None, :])
-            gain = resp[:, None] * g / (1.0 - np.exp(-curv[:, None]))
-        revenue = base[:, None] + 2.0 * gain
+            g = 1.0 - np.exp(-curv * u)
+            gain = resp * g / (1.0 - np.exp(-curv))
+        revenue = base + 2.0 * gain
 
     if config.noise > 0:
-        revenue = revenue + config.noise * rng.standard_normal((n, m))
-    revenue = np.maximum(revenue, 0.0)
-    cost = slope[:, None] * u[None, :]
+        with np.errstate(over="ignore"):  # a huge noise level: checked below
+            revenue += config.noise * rng.standard_normal((n, m)).T
+    np.maximum(revenue, 0.0, out=revenue)
+    if not np.isfinite(revenue).all():
+        raise ConfigError(f"noise level {config.noise} overflows the revenue")
+    cost = slope * u
 
-    truth = CounterfactualMatrix(revenue=revenue, cost=cost)
     t = rng.integers(0, m, size=n)
-    rows = np.arange(n)
+    cells = t * n + np.arange(n)  # flat (m, n) index of each observed outcome
     data = RctDataset(
         ids=np.arange(n, dtype=np.int64),
         features=x,
         treatment=t,
-        revenue=truth.revenue[rows, t],
-        cost=truth.cost[rows, t],
+        revenue=revenue.ravel().take(cells),
+        cost=cost.ravel().take(cells),
         num_treatments=m,
     )
+    # valid by construction: finite, (m, n) and m >= 2
+    truth = _unchecked(CounterfactualMatrix, revenue=_freeze(revenue).T, cost=_freeze(cost).T)
     return data, truth
 
 
@@ -474,8 +458,8 @@ def load_counterfactual_csv(path: str | Path) -> tuple[np.ndarray, Counterfactua
     m = len(header) // 2
     if columns[0].size == 0:
         raise ValidationError("outcome matrix has no data rows")
-    return columns[0], CounterfactualMatrix(np.stack(columns[1:1 + m], axis=1),
-                                            np.stack(columns[1 + m:], axis=1))
+    return columns[0], CounterfactualMatrix(np.stack(columns[1:1 + m]).T,
+                                            np.stack(columns[1 + m:]).T)
 
 
 def write_counterfactual_csv(path: str | Path, ids: np.ndarray,

@@ -42,19 +42,18 @@ move any score, so cost gradients are zero there.
 
 Layout: the fast estimators work treatment-major, as the softmax kernels in
 ``losses`` and the solver's probes do: they read the (m, n) arrays that a
-prediction matrix stores from the moment it is built (``pred.revenue.T``;
-see ``solver``), with no copy made on first use, so every score matrix
-holds one individual per column. Each multiplier's scores go into one
-buffer per call, in which ``_flip_gaps`` computes the gaps. It finds each
-winner with comparisons only (about 60 us at 8,192 x 5 for the maximum, one
-comparison and ``solver._first``, against about 250 us for ``argmax``) and
-reaches single cells through flat indices. The gradients accumulate in
-(m, n) and are returned as ``.T`` views; the inverse-propensity weights are
-computed once per call. Training calls the private cores
-(``_dual_flip_gradient``, ``_softmax_flip_gradient``) once per row block,
-with the whole batch's ``n``, propensities and centred baselines (see
-``losses``); the public estimators run their dataset as one block and wrap
-the plain arrays in a ``GradientPair``, which checks they are finite.
+prediction matrix stores (``pred.revenue.T``; see ``solver``), so every
+score matrix holds one individual per column. Each multiplier's scores go
+into one buffer per call, in which ``_flip_gaps`` computes the gaps. It
+finds each winner with comparisons only (about 60 us at 8,192 x 5 for the
+maximum, one comparison and ``solver._first``, against about 250 us for
+``argmax``) and reaches single cells through flat indices. The gradients
+accumulate in (m, n) and are returned as ``.T`` views; the
+inverse-propensity weights are computed once per call. Training calls the
+private cores (``_dual_flip_gradient``, ``_softmax_flip_gradient``) once per
+row block, with the whole batch's ``n``, propensities and centred baselines
+(see ``losses``); the public estimators run their dataset as one block and
+wrap the plain arrays in a ``GradientPair``, which checks they are finite.
 ``flip_fd_gradient`` and ``ips_dual_loss`` stay row-major: the oracle and
 the loss are the references the fast kernels are checked against.
 

@@ -26,10 +26,10 @@ public functions default to the plain estimate.
 Layout: numpy reduces a short last axis row by row, about 30x slower at
 4,096 x 5 than along contiguous memory, so every training kernel (the
 prediction and softmax kernels here, the flip kernels in ``gradients``)
-reads the (m, n) arrays that a prediction matrix stores from the moment it
-is built (``pred.revenue.T``; see ``solver``), with no copy made on first
-use, and returns its gradients as ``.T`` views. Single cells, such as each
-row's observed treatment, are reached through flat indices ``t * n + i``.
+reads the (m, n) arrays that a prediction matrix stores (``pred.revenue.T``;
+see ``solver``) and returns its gradients as ``.T`` views. Single cells, such
+as each row's observed treatment, are reached through flat indices
+``t * n + i``.
 Up to m = 7 both layouts give the same bits.
 
 Training runs each kernel per row block (``_Block``, ``model.BLOCK_ROWS``
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CounterfactualMatrix, RctDataset
+from .data import RctDataset
 from .exceptions import ConfigError, ValidationError
 from .solver import PredictionMatrix
 
@@ -214,7 +214,7 @@ def _prediction_loss_grad(block: _Block, pred: PredictionMatrix, link=None
     return float(np.sum(w * (dr * dr + dc * dc))), d_rev.T, d_cost.T
 
 
-def full_mse(truth: CounterfactualMatrix, pred: PredictionMatrix) -> float:
+def full_mse(truth: PredictionMatrix, pred: PredictionMatrix) -> float:
     """Mean squared error over the whole outcome matrix (synthetic only)."""
     if truth.revenue.shape != pred.revenue.shape:
         raise ValidationError("truth and prediction shapes differ")
@@ -288,7 +288,7 @@ def _tempered_policy_loss_grad(block: _Block, pred: PredictionMatrix, grid: Lamb
     return total, d_rev.T, d_cost.T
 
 
-def oracle_dual_losses(truth: CounterfactualMatrix, pred: PredictionMatrix,
+def oracle_dual_losses(truth: PredictionMatrix, pred: PredictionMatrix,
                        grid: LambdaGrid, tau: float) -> tuple[float, float, float]:
     """Full-information decision losses (synthetic verification references).
 

@@ -15,14 +15,15 @@ A brute-force enumerator serves as the exact oracle on small instances.
 Layout: numpy reduces a short last axis one row at a time, so a prediction
 matrix stores its data treatment-major: each of revenue and cost is one
 read-only (m, n) C-contiguous array, copied from the input when the matrix
-is built, and the (n, m) fields are its ``.T`` views; no copy is made on
-first use. Every probe, dual bound and sweep, and the training kernels in
-``losses`` and ``gradients``, read those (m, n) arrays, so a per-individual
-maximum is a reduce over contiguous rows. numpy's ``argmax`` has no such
-reduce, so each winner is found with comparisons only (``_first``: the
-lowest index equal to the maximum, the tie rule of ``argmax``; finite
-multipliers and predictions give no NaN score), and single cells are
-reached through flat indices ``j * n + i`` into a raveled (m, n) array.
+is built (only ``data.RctDataset`` takes over the arrays handed to it), and
+the (n, m) fields are its ``.T`` views. Every probe, dual bound and sweep,
+and the training kernels in ``losses`` and ``gradients``, read those (m, n)
+arrays, so a per-individual maximum is a reduce over contiguous rows.
+numpy's ``argmax`` has no such reduce, so each winner is found with
+comparisons only (``_first``: the lowest index equal to the maximum, the tie
+rule of ``argmax``; finite multipliers and predictions give no NaN score),
+and single cells are reached through flat indices ``j * n + i`` into a
+raveled (m, n) array.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _freeze
 from .exceptions import InfeasibleError, SizeError, ValidationError
 
 _MAX_ASSIGNMENTS = 2_000_000  # brute_force_oracle's enumeration cap
@@ -41,7 +41,9 @@ _MAX_ASSIGNMENTS = 2_000_000  # brute_force_oracle's enumeration cap
 
 @dataclass(eq=False)
 class PredictionMatrix:
-    """Predicted revenue and cost for every individual x treatment, read-only.
+    """Revenue and cost for every individual x treatment, read-only: a
+    model's predictions or, as ``data.CounterfactualMatrix``, the synthetic
+    ground truth.
 
     It copies the arrays handed to it (Layout), so later writes to them do
     not reach it or its cached sweep."""
@@ -50,15 +52,16 @@ class PredictionMatrix:
     cost: np.ndarray     # (n, m)
 
     def __post_init__(self):
-        self.revenue, self.cost = (
-            _freeze(np.array(np.asarray(x).T, dtype=np.float64, order="C")).T
-            for x in (self.revenue, self.cost))
+        self.revenue, self.cost = (np.array(np.asarray(x).T, dtype=np.float64, order="C")
+                                   for x in (self.revenue, self.cost))
+        self.revenue.flags.writeable = self.cost.flags.writeable = False
+        self.revenue, self.cost = self.revenue.T, self.cost.T
         if self.revenue.ndim != 2 or self.revenue.shape != self.cost.shape:
             raise ValidationError("revenue and cost must share shape (n, m)")
         if self.revenue.shape[1] < 1:
-            raise ValidationError("prediction matrices need at least one treatment")
+            raise ValidationError("outcome matrices need at least one treatment")
         if not (np.isfinite(self.revenue).all() and np.isfinite(self.cost).all()):
-            raise ValidationError("prediction matrices must be finite")
+            raise ValidationError("outcome matrices must be finite")
 
     @cached_property
     def _unconstrained(self) -> Allocation:
@@ -66,7 +69,8 @@ class PredictionMatrix:
         in the smallest unsigned int type, as it lives as long as the matrix."""
         alloc = decide_dual(self, 0.0)
         small = alloc.choice.astype(np.min_scalar_type(self.num_treatments - 1))
-        return replace(alloc, choice=_freeze(small))
+        small.flags.writeable = False
+        return replace(alloc, choice=small)
 
     @cached_property
     def _sweep(self) -> _Sweep:
@@ -79,6 +83,10 @@ class PredictionMatrix:
     @property
     def num_treatments(self) -> int:
         return self.revenue.shape[1]
+
+    def take(self, indices: np.ndarray) -> PredictionMatrix:
+        """The rows at ``indices``, in their order, as a new matrix."""
+        return PredictionMatrix(self.revenue[indices], self.cost[indices])
 
 
 @dataclass(frozen=True)
@@ -272,17 +280,15 @@ def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
     return DualSolution(lam, alloc, dual_value(pred, lam, budget), tuple(trace))
 
 
-def brute_force_oracle(truth, budget: float) -> Allocation:
+def brute_force_oracle(truth: PredictionMatrix, budget: float) -> Allocation:
     """Exact optimum by enumerating all M^N assignments (tiny instances only).
 
-    ``truth`` is anything with (n, m) ``revenue`` and ``cost`` arrays.
     Assignments costing more than the budget are skipped; the feasible
-    assignment with maximum revenue wins. The winning choice is re-scored
+    assignment with maximum revenue wins. The winning choice is scored
     through the same reduction as the dual allocations so objective values
     of identical choices agree bitwise.
     """
-    revenue = np.asarray(truth.revenue, dtype=np.float64)
-    cost = np.asarray(truth.cost, dtype=np.float64)
+    revenue, cost = truth.revenue, truth.cost
     n, m = revenue.shape
     if n == 0:
         return Allocation(choice=np.zeros(0, dtype=np.int64), objective=0.0,
@@ -314,4 +320,4 @@ def brute_force_oracle(truth, budget: float) -> Allocation:
     for i in range(n - 1, -1, -1):
         choice[i] = best % m
         best //= m
-    return _allocation_from_choice(PredictionMatrix(revenue, cost), choice)
+    return _allocation_from_choice(truth, choice)

@@ -123,14 +123,15 @@ def train_config(values: dict[str, str]) -> TrainConfig:
     """The training config from the ``train.*`` keys of ``values``: ``epochs``
     and ``lambda_grid`` are required, absent keys keep ``TrainConfig``'s
     defaults and ``hidden`` sets ``hidden_widths``. An empty ``batch_size``
-    means full batches, an empty ``eval_budgets`` none."""
+    means full batches, an empty ``hidden`` linear heads and an empty
+    ``eval_budgets`` none."""
     parsers = {
         "lambda_grid": lambda v: LambdaGrid(_floats(v)), "epochs": int, "backend": str,
         "alpha": float, "tau": float, "warm_start_epochs": int,
         "warm_start_objective": str, "lr": float,
         "batch_size": lambda v: int(v) if v else None, "seed": int,
-        "hidden": lambda v: tuple(int(w) for w in v.split(",")), "activation": str,
-        "eval_every": int, "eval_budgets": lambda v: _floats(v) if v else (),
+        "hidden": lambda v: tuple(int(w) for w in v.split(",")) if v else (),
+        "activation": str, "eval_every": int, "eval_budgets": lambda v: _floats(v) if v else (),
         "step_floor": float, "step_cap": float,
     }
     own = config_section(values, "train", parsers, required=("epochs", "lambda_grid"))
@@ -250,5 +251,6 @@ def format_epoch_record(rec: EpochRecord) -> str:
 
 
 def write_training_log(path: str | Path, records: list[EpochRecord]) -> None:
-    lines = [format_epoch_record(r) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line per record; no record (every epoch a warm-start one), no line."""
+    Path(path).write_text("".join(format_epoch_record(r) + "\n" for r in records),
+                          encoding="utf-8")

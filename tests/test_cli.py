@@ -343,6 +343,23 @@ class TestSolveAndTrainInputs:
         assert extra["train_config"]["step_floor"] == 0.05
         assert extra["train_config"]["step_cap"] == 0.25
 
+    def test_empty_hidden_trains_linear_heads(self, generated):
+        from treatalloc.model import load_checkpoint
+
+        assert self.train(generated, "train.hidden=") == 0
+        params, extra = load_checkpoint(generated / "m.ckpt")
+        assert params.config.layer_widths == ()
+        assert extra["train_config"]["hidden_widths"] == []
+
+    def test_all_warm_start_run_reports_its_epochs(self, generated, capsys):
+        code = run(["train", "--data", p(generated / "d.csv"),
+                    "--config", p(generated / "train.cfg"),
+                    "--checkpoint", p(generated / "m.ckpt"), "--log", p(generated / "train.log"),
+                    "train.epochs=3", "train.warm_start_epochs=3"])
+        assert code == 0
+        assert capsys.readouterr().out == "trained 3 epochs\n"
+        assert (generated / "train.log").read_bytes() == b""
+
     def test_unknown_train_key_exit_code(self, generated, capsys):
         assert self.train(generated, "train.step_floor=0.05",
                           "train.no_such_key=1") == 2

@@ -10,6 +10,7 @@ from treatalloc.data import (CSV_BLOCK_ROWS, CURVE_COLUMNS, CounterfactualMatrix
                              load_counterfactual_csv, read_config, split,
                              write_counterfactual_csv, write_csv)
 from treatalloc.exceptions import ConfigError, ParseError, ValidationError
+from treatalloc.solver import PredictionMatrix, solve_budget
 
 from conftest import make_dataset, same_dataset
 
@@ -157,6 +158,11 @@ def test_generate_config_rejects_nan_noise():
         GeneratorConfig(n=10, m=2, d=3, noise=float("nan"))
 
 
+def test_generate_rejects_a_noise_level_that_overflows():
+    with pytest.raises(ConfigError, match=r"noise level 1e\+308 overflows"):
+        generate_synthetic(GeneratorConfig(n=50, m=3, d=2, noise=1e308), seed=0)
+
+
 def test_load_csv_rejects_duplicate_ids(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("id,f0,treatment,revenue,cost\n"
@@ -299,6 +305,46 @@ def test_views_of_a_writeable_base_are_copied():
     assert truth.revenue.tolist() == before[:, 4:5].tolist()
     assert truth.cost.tolist() == before[:, 5:].tolist()
     assert base.flags.writeable
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_truth_copies_the_arrays_handed_to_it(order):
+    revenue, cost = (np.array(a, order=order) for a in (np.arange(6.0).reshape(3, 2),
+                                                         np.ones((3, 2))))
+    truth = CounterfactualMatrix(revenue, cost)
+    assert revenue.flags.writeable and cost.flags.writeable
+    revenue += 1.0
+    cost[0, 0] = 9.0
+    assert truth.revenue.tolist() == (revenue - 1.0).tolist()
+    assert truth.cost.tolist() == np.ones((3, 2)).tolist()
+    assert not (truth.revenue.flags.writeable or truth.cost.flags.writeable)
+
+
+def test_truth_and_predictions_are_one_type():
+    assert CounterfactualMatrix is PredictionMatrix
+    _, truth = generate_synthetic(GeneratorConfig(n=7, m=3, d=2), seed=1)
+    for treatment_major in (truth.revenue.T, truth.cost.T):
+        assert treatment_major.shape == (3, 7)
+        assert treatment_major.flags.c_contiguous and not treatment_major.flags.writeable
+
+
+def test_loaded_outcome_matrix_goes_to_the_solver_as_is(tmp_path):
+    _, truth = generate_synthetic(GeneratorConfig(n=50, m=3, d=2), seed=5)
+    write_counterfactual_csv(tmp_path / "t.csv", np.arange(50), truth)
+    _, matrix = load_counterfactual_csv(tmp_path / "t.csv")
+    budget = 0.5 * float(truth.cost.max(axis=1).sum())
+    got, want = solve_budget(matrix, budget), solve_budget(truth, budget)
+    assert got.lam == want.lam
+    assert got.allocation.choice.tolist() == want.allocation.choice.tolist()
+    assert got.allocation.objective == want.allocation.objective
+
+
+def test_truth_take_equals_the_fancy_indexed_rows():
+    _, truth = generate_synthetic(GeneratorConfig(n=20, m=3, d=2), seed=2)
+    idx = np.array([5, 0, 19, 5])
+    part = truth.take(idx)
+    assert part.revenue.tolist() == truth.revenue[idx].tolist()
+    assert part.cost.tolist() == truth.cost[idx].tolist()
 
 
 DATASET = "id,f0,treatment,revenue,cost\n0,0.5,0,1.0,0.25\n1,-1.5,1,2.0,0.5\n"

@@ -1,7 +1,9 @@
 """Static hygiene of ``src/treatalloc``, read with ``ast``: no unused import,
-and no module-level private function or class that only tests reach."""
+no module-level private function or class that only tests reach, and the
+layering of the modules' top-level imports."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import treatalloc
@@ -59,3 +61,25 @@ def test_every_private_definition_is_used_in_src():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in used]
     assert unused == []
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Package modules a module imports at its top level (the CLI's lazy
+    imports inside its verbs are not layering)."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    return imported
+
+
+IMPORTS = {name.removesuffix(".py"): _package_imports(tree) for name, tree in TREES.items()}
+
+
+def test_module_imports_form_a_dag():
+    graphlib.TopologicalSorter(IMPORTS).prepare()  # raises CycleError on a cycle
+
+
+def test_solver_imports_only_exceptions():
+    # the prediction matrix, and with it the ground truth, sits below ``data``
+    assert IMPORTS["solver"] == {"exceptions"}

@@ -16,6 +16,16 @@ bytes appended, is given to ``solve --checkpoint``. No exception escapes
 ``forward``), a nonzero exit writes nothing, and an exit 0 writes an
 allocation that reads back. The mutations come from the fixed seed in
 ``CHECKPOINT_SEED``.
+
+The outcome-CSV kind: the harness's outcome matrix, cut at sampled byte
+offsets, with flipped bytes, a dropped or doubled line or column, a probe
+value in a field (``OUTCOME_FIELDS``) or an edited header, is given to
+``solve --predictions`` and ``evaluate --predictions``. No exception escapes
+``cli.run``; a file the reader refuses, or whose ids or treatment count
+differ from the dataset's, exits 2 and writes nothing; any other file exits
+0 (``solve``, whose budget fits every allocation) or 0 or 3 (``evaluate``)
+and an exit 0 writes an output that reads back. The mutations come from the
+fixed seed in ``OUTCOME_SEED``.
 """
 
 import csv
@@ -26,7 +36,8 @@ import numpy as np
 import pytest
 
 from treatalloc.cli import run
-from treatalloc.data import GeneratorConfig
+from treatalloc.data import CURVE_COLUMNS, GeneratorConfig, load_counterfactual_csv
+from treatalloc.exceptions import ParseError, ValidationError
 from treatalloc.model import ModelConfig, init_params, save_checkpoint
 from treatalloc.losses import LambdaGrid
 from treatalloc.training import TrainConfig, train_config
@@ -196,3 +207,90 @@ def test_mutated_checkpoint_exits_cleanly(inputs, checkpoint, tmp_path, capsys):
             assert all(0 <= int(choice) < 3 for _, choice in rows[1:]), name
             out.unlink()
     assert codes == {0, 2, 3}
+
+
+OUTCOME_SEED = 23
+# "\u0661" is a non-ASCII digit one; b"\xff" is no UTF-8 text
+OUTCOME_FIELDS = (b"nan", b"inf", b"-inf", b"1e400", b"-0", b"9223372036854775808",
+                  b"1" + b"0" * 30, "\u0661".encode(), b"1\xff", b"")
+OUTCOME_HEADERS = (b"", b"ID,r0,r1,r2,c0,c1,c2", b" id , r0 ,r1,r2,c0,c1,c2",
+                   b"id,r0,r1,r2,c0,c1", b"id,r0,r1,r2,c0,c1,c2,c3", b"id,r1,r0,r2,c0,c1,c2",
+                   b"id,c0,c1,c2,r0,r1,r2", b"id,r0,c0", b"id;r0;r1;r2;c0;c1;c2",
+                   b"id,r0,r1,r2,c0,c1,c2,")
+
+
+def _outcome_mutants(raw):
+    """(name, bytes) of every mutation of the outcome CSV ``raw``, drawn
+    from ``OUTCOME_SEED``."""
+    rng = np.random.default_rng(OUTCOME_SEED)
+    lines = raw.split(b"\r\n")[:-1]  # the header and the rows, without line ends
+    cells = [line.split(b",") for line in lines]
+
+    def joined(rows):
+        return b"".join(row + b"\r\n" for row in rows)
+
+    for k in sorted({0, 1, len(lines[0]), len(lines[0]) + 2, len(raw) - 2, len(raw) - 1,
+                     *rng.integers(1, len(raw), 10).tolist()}):
+        yield f"cut at {k}", raw[:k]
+    for k, mask in zip(rng.integers(0, len(raw), 16), rng.integers(1, 256, 16)):
+        flipped = bytearray(raw)
+        flipped[k] ^= mask
+        yield f"byte {k} ^ {mask}", bytes(flipped)
+    for i in (0, 1, len(lines) - 1, int(rng.integers(2, len(lines) - 1))):
+        yield f"line {i} dropped", joined(lines[:i] + lines[i + 1:])
+        yield f"line {i} doubled", joined(lines[:i + 1] + lines[i:])
+    for j in (0, 1, len(cells[0]) - 1):
+        yield f"column {j} dropped", joined(b",".join(row[:j] + row[j + 1:]) for row in cells)
+        yield f"column {j} doubled", joined(b",".join(row[:j + 1] + row[j:]) for row in cells)
+    for value in OUTCOME_FIELDS:
+        for j in (0, int(rng.integers(1, len(cells[0])))):  # the id, then a value
+            i = int(rng.integers(1, len(lines)))
+            edited = [list(row) for row in cells]
+            edited[i][j] = value
+            yield f"line {i} field {j} = {value!r}", joined(b",".join(row) for row in edited)
+    for header in OUTCOME_HEADERS:
+        yield f"header {header!r}", joined([header] + lines[1:])
+
+
+def _reader_accepts(path, ids, m):
+    """Whether ``path`` reads as an outcome matrix for these ids and ``m``."""
+    try:
+        read, matrix = load_counterfactual_csv(path)
+    except (ParseError, ValidationError):
+        return False
+    return np.array_equal(read, ids) and matrix.num_treatments == m
+
+
+def test_mutated_outcome_csv_exits_cleanly(inputs, tmp_path, capsys):
+    raw = (inputs / "t.csv").read_bytes()
+    ids, _ = load_counterfactual_csv(inputs / "t.csv")
+    codes = {"solve": set(), "evaluate": set()}
+    for name, blob in _outcome_mutants(raw):
+        (tmp_path / "t.csv").write_bytes(blob)
+        accepted = _reader_accepts(tmp_path / "t.csv", ids, 3)
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        for verb, extra, allowed in (("solve", ["--budget", "1e9"], {0}),
+                                     ("evaluate", [], {0, 3})):
+            target = out / f"{verb}.csv"
+            code = run([verb, "--data", str(inputs / "d.csv"),
+                        "--predictions", str(tmp_path / "t.csv"), "--out", str(target), *extra])
+            err = capsys.readouterr().err
+            codes[verb].add(code)
+            assert code in (allowed if accepted else {2}), (verb, name)
+            if code:
+                assert err.startswith("error: "), (verb, name)
+                assert not any(out.iterdir()), (verb, name)
+                continue
+            with open(target, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            if verb == "solve":
+                assert rows[0] == ["id", "choice"], name
+                assert [int(i) for i, _ in rows[1:]] == ids.tolist(), name
+                assert all(0 <= int(choice) < 3 for _, choice in rows[1:]), name
+            else:
+                assert rows[0] == CURVE_COLUMNS and len(rows) > 1, name
+                assert all(len(row) == 4 for row in rows[1:]), name
+                np.array(rows[1:], dtype=float)  # every cell a number
+            target.unlink()
+    assert codes["solve"] == {0, 2}
