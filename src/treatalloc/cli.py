@@ -85,14 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_clobber(force: bool, *paths: str | None) -> None:
-    """Refuse, before any work, an output path (None: not asked for) that
-    names a directory (exit 1) or, without ``--force``, a file."""
-    for path in filter(None, paths):
+def _check_clobber(force: bool, *paths: str | None, beside: tuple[str, ...] = ()) -> None:
+    """Refuse, before any work, output paths (None: not asked for) of which one names a
+    directory (exit 1) or, without ``--force``, a file, or two resolve to one file (exit 2);
+    ``beside`` are written along with an output and may exist."""
+    paths = (*filter(None, paths), *beside)
+    resolved = [os.path.realpath(path) for path in paths]  # a symlink loop raises no error
+    for i, (path, key) in enumerate(zip(paths, resolved)):
         if Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not force and Path(path).exists():
+        if not force and path not in beside and Path(path).exists():
             raise ValidationError(f"{path} exists; pass --force to overwrite")
+        if key in resolved[:i]:
+            raise ValidationError(f"{paths[resolved.index(key)]} and {path} name one file")
 
 
 def _predictions_for(args, data):
@@ -132,9 +137,8 @@ def _cmd_train(args) -> None:
     from .model import save_checkpoint
     from .training import train, train_config, write_training_log
 
-    _check_clobber(args.force, args.checkpoint)
-    _check_clobber(True, args.checkpoint + ".manifest")  # written with it: a directory only
-    _check_clobber(args.force, args.log, args.dump_gradients)
+    _check_clobber(args.force, args.checkpoint, args.log, args.dump_gradients,
+                   beside=(args.checkpoint + ".manifest",))
     config = train_config(read_config(args.config, args.overrides))
     data = load_csv(args.data)
     eval_data = load_csv(args.eval_data) if args.eval_data else None

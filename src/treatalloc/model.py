@@ -6,6 +6,12 @@ route externally estimated gradient matrices (which autodiff cannot
 produce for piecewise-constant losses) straight into the output layer.
 Updates use adaptive moments with bias correction.
 
+Layout: every layer's activations are feature-major, (width, n), as a
+prediction matrix stores its data (``solver``): a layer is ``W.T @ h`` plus
+its bias along contiguous rows, the (2M, n) output is the matrix's storage as
+it stands, and backward stacks the kernels' (M, n) gradients into one
+C-ordered (2M, n) delta, so each bias gradient sums contiguous memory.
+
 One private epoch loop (``_fit_epoch``) serves every kind of training: the
 prediction-only warm start here and the decision-aware epochs of
 ``training.train``. It orders and batches the rows, runs forward, backward
@@ -13,12 +19,11 @@ and the optimizer step, and averages the batch losses; callers supply only
 the gradient of their loss with respect to the predictions (the warm start
 through the prediction core). A batch runs in consecutive blocks of
 ``BLOCK_ROWS`` rows (views; a smaller batch is one block), so a full-batch
-step holds the data plus one block's temporaries.
-Each block runs forward once (backward reads the layer inputs, the features
-then each hidden activation, that ``forward_cached`` kept), its loss
-gradients and backward; what belongs to the whole batch is computed over it
-(``losses._blocks``). Gradients and losses add up in block order, and the
-batch takes one optimizer step.
+step holds the data plus one block's temporaries. Each block runs forward
+once (backward reads the layer inputs that ``forward_cached`` kept), its
+loss gradients and backward; what belongs to the whole batch is computed
+over it (``losses._blocks``). Gradients and losses add up in block order,
+and the batch takes one optimizer step.
 
 State and checkpoint layout: all parameters live in one float64 vector
 ``flat``, in the order W0, b0, W1, b1, ... (each W row-major, fan-in by
@@ -44,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import RctDataset, _freeze, _sigmoid, _unchecked
+from .data import RctDataset, _sigmoid, _unchecked
 from .exceptions import ConfigError, NumericError, ValidationError
 from .gradients import GradientPair
 from .losses import _Block, _blocks, _prediction_loss_grad
@@ -145,40 +150,31 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the activation, from its output ``h``."""
-    if kind == "relu":
-        return (h > 0).astype(np.float64)
-    return 1.0 - h * h
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
 def forward_cached(params: ModelParams, features: np.ndarray
                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Outputs plus each layer's input (the features, then each activation)."""
+    """(2M, n) outputs plus each layer's (width, n) input: ``features.T``, then each activation."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ValidationError(f"features must be (n, {params.config.input_dim}), got {x.shape}")
-    kind = params.config.activation
-    inputs: list[np.ndarray] = []
-    h = x
-    last = len(params.weights) - 1
+    kind, inputs, h = params.config.activation, [], x.T
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        z = h @ w + b
+        z = w.T @ h
+        z += b[:, None]
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite activations in layer {k}")
-        h = z if k == last else _activate(z, kind)
+        h = z if k == len(params.weights) - 1 else _activate(z, kind)
     return h, inputs
 
 
 def _predictions(params: ModelParams, out: np.ndarray) -> PredictionMatrix:
-    # one (2m, n) copy of ``out``, which forward_cached checked finite (solver's Layout)
-    both, m = _freeze(np.ascontiguousarray(out.T)).T, params.config.num_treatments
-    return _unchecked(PredictionMatrix, revenue=both[:, :m], cost=both[:, m:])
+    # ``out``: (2m, n), C-contiguous, checked finite; the matrix's storage (solver's Layout)
+    out.flags.writeable, m = False, params.config.num_treatments
+    return _unchecked(PredictionMatrix, revenue=out[:m].T, cost=out[m:].T)
 
 
 def forward(params: ModelParams, features: np.ndarray) -> PredictionMatrix:
@@ -192,14 +188,14 @@ def _backprop(params: ModelParams, inputs: list[np.ndarray],
     kind = params.config.activation
     flat = np.empty(params.flat.size)
     grads = ParamGrads(flat, *_layers(flat, params.config))
-    # C order whatever the layout of ``upstream`` (the training kernels return
-    # transposed views): the sums below add in memory order
-    delta = np.ascontiguousarray(np.concatenate(upstream, axis=1))
+    # C order whatever ``upstream``'s layout: the row sums, and so their bits, do not follow it
+    delta = np.ascontiguousarray(np.concatenate([u.T for u in upstream]))
     for k in range(len(params.weights) - 1, -1, -1):
-        np.matmul(inputs[k].T, delta, out=grads.d_weights[k])
-        delta.sum(axis=0, out=grads.d_biases[k])
+        np.matmul(delta, inputs[k].T, out=grads.d_weights[k].T)
+        delta.sum(axis=1, out=grads.d_biases[k])
         if k > 0:
-            delta = (delta @ params.weights[k].T) * _activate_grad(inputs[k], kind)
+            delta = params.weights[k] @ delta  # then times the activation's derivative
+            delta *= inputs[k] > 0 if kind == "relu" else 1.0 - inputs[k] * inputs[k]
     return grads
 
 
@@ -208,7 +204,7 @@ def backward(params: ModelParams, features: np.ndarray,
     """Exact reverse-mode gradients of ``<upstream, outputs>``.
 
     ``upstream`` holds d(loss)/d(revenue) and d(loss)/d(cost), each (n, M);
-    they are concatenated into the 2M-wide output gradient.
+    they are stacked into the (2M, n) output gradient.
     """
     x = np.asarray(features, dtype=np.float64)
     if upstream.d_revenue.shape != (x.shape[0], params.config.num_treatments):

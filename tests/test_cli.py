@@ -505,6 +505,39 @@ class TestSolveAndTrainInputs:
         assert f"Is a directory: '{folder}'" in capsys.readouterr().err
         assert sorted(generated.iterdir()) == before and not any(folder.iterdir())
 
+    @pytest.mark.parametrize("force", [True, False], ids=["force", "no-force"])
+    @pytest.mark.parametrize("verb", ["generate", "train", "manifest", "solve"])
+    def test_two_outputs_naming_one_file_exit_two(self, generated, capsys, verb, force):
+        # the later write used to replace the earlier one and the verb exited 0
+        one = p(generated / "one")
+        other = os.path.join(p(generated), ".", "one")  # the same file, spelt otherwise
+        before = sorted(generated.iterdir())
+        argv = {
+            "generate": ["generate", "--config", p(generated / "gen.cfg"),
+                         "--out", one, "--truth", other],
+            "train": ["train", "--data", p(generated / "d.csv"),
+                      "--config", p(generated / "train.cfg"),
+                      "--checkpoint", one, "--log", other],
+            "manifest": ["train", "--data", p(generated / "d.csv"),
+                         "--config", p(generated / "train.cfg"),
+                         "--checkpoint", one, "--log", other + ".manifest"],
+            "solve": ["solve", "--data", p(generated / "d.csv"),
+                      "--predictions", p(generated / "t.csv"), "--budget", "20",
+                      "--out", one, "--log", other],
+        }[verb]
+        assert run(argv + ["--force"] * force) == 2
+        assert "name one file" in capsys.readouterr().err
+        assert sorted(generated.iterdir()) == before
+
+    def test_output_on_a_symlink_loop_exits_one(self, generated, capsys):
+        # resolving the loop to compare outputs must not raise; writing there fails
+        loop = generated / "loop"
+        loop.symlink_to(generated / "pool")
+        (generated / "pool").symlink_to(loop)
+        assert run(["solve", "--data", p(generated / "d.csv"), "--predictions",
+                    p(generated / "t.csv"), "--budget", "20", "--out", p(loop)]) == 1
+        assert "error: " in capsys.readouterr().err
+
     def test_dataset_not_utf8_exit_code(self, generated, capsys):
         lines = (generated / "d.csv").read_bytes().split(b"\r\n")
         lines[2] = lines[2].replace(b"0", b"\xff", 1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from treatalloc import model
 from treatalloc.data import GeneratorConfig, generate_synthetic
 from treatalloc.exceptions import ConfigError, NumericError, ValidationError
 from treatalloc.gradients import GradientPair
@@ -55,10 +56,10 @@ class TestForward:
     def test_output_split_is_revenue_then_cost(self, rng):
         params = init_params(tiny_config(num_treatments=3))
         x = rng.standard_normal((2, 3))
-        out, _ = forward_cached(params, x)
+        out, _ = forward_cached(params, x)  # (2m, n): revenue rows, then cost rows
         pred = forward(params, x)
-        np.testing.assert_array_equal(out[:, :3], pred.revenue)
-        np.testing.assert_array_equal(out[:, 3:], pred.cost)
+        np.testing.assert_array_equal(out[:3], pred.revenue.T)
+        np.testing.assert_array_equal(out[3:], pred.cost.T)
 
     def test_non_finite_activation_names_layer(self):
         params = init_params(tiny_config())
@@ -133,6 +134,68 @@ class TestBackward:
                     assert gflat[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+def row_major_reference(params, x, upstream):
+    """Forward outputs (n, 2M) and backward gradients of ``<upstream, outputs>``,
+    written row-major: each layer's activations are (n, width)."""
+    relu = params.config.activation == "relu"
+    hs, h = [], x
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        hs.append(h)
+        z = h @ w + b
+        h = z if k == len(params.weights) - 1 else (np.maximum(z, 0.0) if relu else np.tanh(z))
+    delta = np.concatenate(upstream, axis=1)
+    d_weights, d_biases = [], []
+    for k in range(len(params.weights) - 1, -1, -1):
+        d_weights.insert(0, hs[k].T @ delta)
+        d_biases.insert(0, delta.sum(axis=0))
+        if k > 0:
+            delta = (delta @ params.weights[k].T) * ((hs[k] > 0) if relu else 1.0 - hs[k] ** 2)
+    return h, d_weights, d_biases
+
+
+def assert_close_relative(got, want, rel=1e-12):
+    """Equal within ``rel`` of the reference's largest magnitude."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+class TestLayoutContract:
+    """Every layer runs feature-major, (width, n); the results are the
+    row-major network's up to rounding."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096, 4100])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(), (16,), (16, 8), (64, 32, 32)],
+                             ids=["linear", "16", "16-8", "64-32-32"])
+    def test_matches_a_row_major_reference(self, rng, hidden, activation, rows):
+        params = init_params(ModelConfig(hidden, num_treatments=5, input_dim=10,
+                                         activation=activation, seed=7))
+        params.flat += 0.1 * rng.standard_normal(params.flat.size)  # biases off zero
+        x = rng.standard_normal((rows, 10))
+        up = GradientPair(rng.standard_normal((rows, 5)), rng.standard_normal((rows, 5)))
+        out, d_weights, d_biases = row_major_reference(params, x, (up.d_revenue, up.d_cost))
+        pred = forward(params, x)
+        assert_close_relative(pred.revenue, out[:, :5])
+        assert_close_relative(pred.cost, out[:, 5:])
+        grads = backward(params, x, up)
+        for got, want in zip(grads.d_weights + grads.d_biases, d_weights + d_biases):
+            assert_close_relative(got, want)
+
+    def test_predictions_are_the_forward_output(self, rng, monkeypatch):
+        outputs = []
+
+        def kept(params, features):
+            outputs.append(forward_cached(params, features)[0])
+            return outputs[-1], None
+
+        params = init_params(tiny_config(num_treatments=3))
+        monkeypatch.setattr(model, "forward_cached", kept)
+        pred = model.forward(params, rng.standard_normal((9, 3)))
+        assert outputs[0].shape == (6, 9) and outputs[0].flags.c_contiguous
+        assert np.shares_memory(pred.revenue, outputs[0])
+        assert np.shares_memory(pred.cost, outputs[0])
+
+
 class TestOptimizer:
     def test_zero_gradient_keeps_parameters_advances_step(self):
         params = init_params(tiny_config())
@@ -202,7 +265,7 @@ class TestOptimizer:
         config = tiny_config(layer_widths=(), num_treatments=1, input_dim=2, seed=1)
         params = init_params(config)
         x = rng.standard_normal((16, 2))
-        target = x @ rng.standard_normal((2, 2)) + rng.standard_normal(2)
+        target = (x @ rng.standard_normal((2, 2)) + rng.standard_normal(2)).T  # (2m, n)
         loss = np.inf
         for _ in range(2000):
             out, _ = forward_cached(params, x)
@@ -210,7 +273,7 @@ class TestOptimizer:
             loss = float(np.sum(diff * diff))
             if loss < 1e-4:
                 break
-            up = GradientPair(2 * diff[:, :1], 2 * diff[:, 1:])
+            up = GradientPair(2 * diff[:1].T, 2 * diff[1:].T)
             optimizer_step(params, backward(params, x, up), lr=1e-2)
         assert loss < 1e-4
 
