@@ -11,8 +11,8 @@ prefix); trailing ``key=value`` arguments override file entries. Each verb
 reads its own section, through ``data.generator_config``,
 ``training.train_config`` or ``evaluate``'s ``eval.*`` table, before any
 data, and ignores other sections. Exit codes: 0 success, 1 usage error, 2
-validation/config error or not enough memory, 3 numeric or infeasibility
-error. Outputs never overwrite existing files unless ``--force`` is given.
+validation/config error or not enough memory, 3 numeric or infeasibility error.
+A verb writes all its outputs or none; only ``--force`` lets it replace a file.
 
 Heavy imports happen inside the verbs so ``--threads`` can cap the worker
 pool before numpy starts its thread pools; ``exceptions`` is stdlib-only.
@@ -21,9 +21,11 @@ pool before numpy starts its thread pools; ``exceptions`` is stdlib-only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .exceptions import (ConfigError, InfeasibleError, NumericError, ParseError, SizeError,
@@ -85,19 +87,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_clobber(force: bool, *paths: str | None, beside: tuple[str, ...] = ()) -> None:
-    """Refuse, before any work, output paths (None: not asked for) of which one names a
-    directory (exit 1) or, without ``--force``, a file, or two resolve to one file (exit 2);
-    ``beside`` are written along with an output and may exist."""
-    paths = (*filter(None, paths), *beside)
-    resolved = [os.path.realpath(path) for path in paths]  # a symlink loop raises no error
-    for i, (path, key) in enumerate(zip(paths, resolved)):
-        if Path(path).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not force and path not in beside and Path(path).exists():
-            raise ValidationError(f"{path} exists; pass --force to overwrite")
-        if key in resolved[:i]:
-            raise ValidationError(f"{paths[resolved.index(key)]} and {path} name one file")
+@contextlib.contextmanager
+def _outputs(force: bool, *paths: str | None):
+    """Yield each output path (None: not asked for) staged beside the file it
+    resolves to; once the body returns, rename each onto that file, and on an
+    exception commit none. An output that exists but is no regular file (a FIFO,
+    a device) is yielded as given and written directly. Before any work, a
+    directory, a symlink loop or a missing or unwritable directory exits 1; an
+    existing file without ``--force``, or two paths to one file, exit 2."""
+    asked = [path for path in paths if path is not None]
+    targets = [os.path.realpath(path) for path in asked]  # a symlink loop raises no error
+    staged: dict[str, str] = {}  # output path -> where the verb writes it
+    folders: dict[str, str] = {}  # target directory -> its staging directory
+    with contextlib.ExitStack() as stack:
+        for i, (path, target) in enumerate(zip(asked, targets)):
+            if Path(path).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if not force and Path(path).exists():
+                raise ValidationError(f"{path} exists; pass --force to overwrite")
+            if target in targets[:i]:
+                raise ValidationError(f"{asked[targets.index(target)]} and {path} name one file")
+            if Path(path).exists() and not Path(path).is_file():
+                staged[path] = path  # a rename would replace the FIFO or device node
+                continue
+            if os.path.islink(target):  # still a link once resolved: a loop
+                raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
+            folder = os.path.dirname(target)
+            if folder not in folders:
+                try:
+                    folders[folder] = stack.enter_context(tempfile.TemporaryDirectory(dir=folder))
+                except OSError as exc:  # name the output, not the staging directory
+                    exc.filename = path
+                    raise
+            staged[path] = os.path.join(folders[folder], os.path.basename(target))
+        yield [staged.get(path) for path in paths]
+        for path, target in zip(asked, targets):
+            if staged[path] != path:
+                os.replace(staged[path], target)
 
 
 def _predictions_for(args, data):
@@ -123,11 +149,11 @@ def _cmd_generate(args) -> None:
     from .data import (generate_synthetic, generator_config, read_config,
                        write_counterfactual_csv, write_csv)
 
-    _check_clobber(args.force, args.out, args.truth)
-    config, seed = generator_config(read_config(args.config, args.overrides))
-    data, truth = generate_synthetic(config, seed)
-    write_csv(args.out, data)
-    write_counterfactual_csv(args.truth, data.ids, truth)
+    with _outputs(args.force, args.out, args.truth) as (out, truth_out):
+        config, seed = generator_config(read_config(args.config, args.overrides))
+        data, truth = generate_synthetic(config, seed)
+        write_csv(out, data)
+        write_counterfactual_csv(truth_out, data.ids, truth)
     print(f"wrote {data.n} samples, {data.num_treatments} treatments -> "
           f"{args.out}, {args.truth}")
 
@@ -137,30 +163,34 @@ def _cmd_train(args) -> None:
     from .model import save_checkpoint
     from .training import train, train_config, write_training_log
 
-    _check_clobber(args.force, args.checkpoint, args.log, args.dump_gradients,
-                   beside=(args.checkpoint + ".manifest",))
-    config = train_config(read_config(args.config, args.overrides))
-    data = load_csv(args.data)
-    eval_data = load_csv(args.eval_data) if args.eval_data else None
-    params, records = train(data, config, eval_data=eval_data)
-    save_checkpoint(args.checkpoint, params, extra={"train_config": config.to_dict()})
-    if args.log:
-        write_training_log(args.log, records)
-    if args.dump_gradients:
-        import numpy as np
+    manifest = os.path.realpath(args.checkpoint) + ".manifest"
+    with _outputs(args.force, args.checkpoint, manifest, args.log,
+                  args.dump_gradients) as (checkpoint, staged_manifest, log, dump):
+        if staged_manifest != checkpoint + ".manifest":  # where save_checkpoint puts it
+            raise ValidationError(f"cannot write {args.checkpoint} and {manifest} side by side"
+                                  " (a symlinked manifest, or a FIFO or device)")
+        config = train_config(read_config(args.config, args.overrides))
+        data = load_csv(args.data)
+        eval_data = load_csv(args.eval_data) if args.eval_data else None
+        params, records = train(data, config, eval_data=eval_data)
+        save_checkpoint(checkpoint, params, extra={"train_config": config.to_dict()})
+        if log is not None:
+            write_training_log(log, records)
+        if dump is not None:
+            import numpy as np
 
-        from .data import _write_table
-        from .losses import _whole
-        from .model import forward
-        from .training import _decision_term
+            from .data import _write_table
+            from .losses import _whole
+            from .model import forward
+            from .training import _decision_term
 
-        n, m, term = data.n, data.num_treatments, _decision_term(config)
-        d_rev = d_cost = np.zeros((n, m))  # two-stage has no decision term
-        if term is not None:
-            _, d_rev, d_cost = term(_whole(data), forward(params, data.features))
-        _write_table(args.dump_gradients, ["id", "treatment", "d_revenue", "d_cost"],
-                     [np.repeat(data.ids, m), np.tile(np.arange(m), n),
-                      d_rev.ravel(), d_cost.ravel()])
+            n, m, term = data.n, data.num_treatments, _decision_term(config)
+            d_rev = d_cost = np.zeros((n, m))  # two-stage has no decision term
+            if term is not None:
+                _, d_rev, d_cost = term(_whole(data), forward(params, data.features))
+            _write_table(dump, ["id", "treatment", "d_revenue", "d_cost"],
+                         [np.repeat(data.ids, m), np.tile(np.arange(m), n),
+                          d_rev.ravel(), d_cost.ravel()])
     print(f"trained {config.epochs} epochs"
           + (f"; final total loss {records[-1].total:.6g}" if records else ""))
 
@@ -169,14 +199,14 @@ def _cmd_solve(args) -> None:
     from .data import _write_table, load_csv
     from .solver import solve_budget
 
-    _check_clobber(args.force, args.out, args.log)
-    data = load_csv(args.data)
-    pred = _predictions_for(args, data)
-    solution = solve_budget(pred, args.budget)
-    _write_table(args.out, ["id", "choice"], [data.ids, solution.allocation.choice])
-    if args.log:
-        lines = [f"lam={lam!r} cost={cost!r}" for lam, cost in solution.trace]
-        Path(args.log).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _outputs(args.force, args.out, args.log) as (out, log):
+        data = load_csv(args.data)
+        pred = _predictions_for(args, data)
+        solution = solve_budget(pred, args.budget)
+        _write_table(out, ["id", "choice"], [data.ids, solution.allocation.choice])
+        if log is not None:
+            lines = [f"lam={lam!r} cost={cost!r}" for lam, cost in solution.trace]
+            Path(log).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"lam={solution.lam:.6g} objective={solution.allocation.objective:.6g} "
           f"cost={solution.allocation.total_cost:.6g}")
 
@@ -189,18 +219,18 @@ def _cmd_evaluate(args) -> None:
     from .evaluation import aucc, cost_curve, default_budget_grid
     from .losses import BudgetGrid
 
-    _check_clobber(args.force, args.out)
-    budgets = config_section(read_config(args.config, args.overrides), "eval",
-                             {"budgets": lambda v: BudgetGrid(_floats(v)) if v else None}
-                             ).get("budgets")  # empty or absent: the default grid
-    data = load_csv(args.data)
-    pred = _predictions_for(args, data)
-    if budgets is None:
-        budgets = default_budget_grid(data, pred)
-    curve = cost_curve(data, pred, budgets)
-    metric = aucc(data, pred) if data.num_treatments == 2 else None  # may raise: before writing
-    _write_table(args.out, CURVE_COLUMNS,
-                 [np.array([getattr(p, name) for p in curve.points]) for name in CURVE_COLUMNS])
+    with _outputs(args.force, args.out) as (out,):
+        budgets = config_section(read_config(args.config, args.overrides), "eval",
+                                 {"budgets": lambda v: BudgetGrid(_floats(v)) if v else None}
+                                 ).get("budgets")  # empty or absent: the default grid
+        data = load_csv(args.data)
+        pred = _predictions_for(args, data)
+        if budgets is None:
+            budgets = default_budget_grid(data, pred)
+        curve = cost_curve(data, pred, budgets)
+        metric = aucc(data, pred) if data.num_treatments == 2 else None
+        _write_table(out, CURVE_COLUMNS,
+                     [np.array([getattr(p, name) for p in curve.points]) for name in CURVE_COLUMNS])
     if metric is not None:
         print(f"aucc={metric:.6f}")
     print(f"wrote {len(curve.points)} curve points -> {args.out}")
@@ -209,29 +239,29 @@ def _cmd_evaluate(args) -> None:
 def _cmd_report(args) -> None:
     from .data import CURVE_COLUMNS, _read_table
 
-    _check_clobber(args.force, args.out)
-    columns: list[float] | None = None
-    rows: list[tuple[str, list[float]]] = []
-    for item in args.curves:
-        if "=" not in item:
-            raise ValidationError(f"expected label=path, got {item!r}")
-        label, _, path = item.partition("=")
-        _, (budgets, _, revenues, _) = _read_table(
-            path, lambda header: header == CURVE_COLUMNS, ", ".join(CURVE_COLUMNS))
-        budgets, revenues = budgets.tolist(), revenues.tolist()
-        if columns is None:
-            columns = budgets
-        elif budgets != columns:
-            raise ValidationError(f"{path}: budget grid differs from first curve")
-        rows.append((label, revenues))
+    with _outputs(args.force, args.out) as (out,):
+        columns: list[float] | None = None
+        rows: list[tuple[str, list[float]]] = []
+        for item in args.curves:
+            if "=" not in item:
+                raise ValidationError(f"expected label=path, got {item!r}")
+            label, _, path = item.partition("=")
+            _, (budgets, _, revenues, _) = _read_table(
+                path, lambda header: header == CURVE_COLUMNS, ", ".join(CURVE_COLUMNS))
+            budgets, revenues = budgets.tolist(), revenues.tolist()
+            if columns is None:
+                columns = budgets
+            elif budgets != columns:
+                raise ValidationError(f"{path}: budget grid differs from first curve")
+            rows.append((label, revenues))
 
-    width = max(len(label) for label, _ in rows)
-    width = max(width, len("model"))
-    header = "model".ljust(width) + "".join(f"  {b:>10.4g}" for b in columns)
-    lines = [header, "-" * len(header)]
-    for label, revenues in rows:
-        lines.append(label.ljust(width) + "".join(f"  {r:>10.4f}" for r in revenues))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        width = max(len(label) for label, _ in rows)
+        width = max(width, len("model"))
+        header = "model".ljust(width) + "".join(f"  {b:>10.4g}" for b in columns)
+        lines = [header, "-" * len(header)]
+        for label, revenues in rows:
+            lines.append(label.ljust(width) + "".join(f"  {r:>10.4f}" for r in revenues))
+        Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote comparison of {len(rows)} models -> {args.out}")
 
 

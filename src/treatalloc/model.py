@@ -32,8 +32,8 @@ both moments share its layout, so the update, its checks and the block sums
 run on whole vectors. A checkpoint (versioned flat binary) holds the 8-byte
 magic ``TACKPT01``, a 4-byte little-endian header length, a JSON header
 echoing the model config, layer shapes and any extra metadata, then the
-body: ``flat`` as little-endian float64. A plain-text manifest with the same
-information is written next to the binary.
+body: ``flat`` as little-endian float64. A plain-text ``<path>.manifest`` with
+the same information goes beside it; both are written in place (``cli`` stages them).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import operator
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -318,7 +317,7 @@ def warm_start(params: ModelParams, data: RctDataset, epochs: int,
 
 def save_checkpoint(path: str | Path, params: ModelParams,
                     extra: dict | None = None) -> None:
-    """Atomic write (temp file + rename) of params plus a text manifest."""
+    """Write params to ``path``, and a text manifest to ``<path>.manifest``, in place."""
     path = Path(path)
     header = {
         "version": 1,
@@ -328,18 +327,11 @@ def save_checkpoint(path: str | Path, params: ModelParams,
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    fh = tmp.open("wb")  # before the try: a path that cannot be opened is not ours to remove
-    try:
-        with fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(params.flat.astype("<f8", copy=False))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with path.open("wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(params.flat.astype("<f8", copy=False))
 
     manifest = [f"format: {_MAGIC.decode()}", "version: 1"]
     manifest.append(f"config: {json.dumps(header['config'], sort_keys=True)}")

@@ -1,5 +1,6 @@
 import csv
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from treatalloc.cli import run
+from treatalloc.model import load_checkpoint
 
 
 def write(path, text):
@@ -530,13 +532,166 @@ class TestSolveAndTrainInputs:
         assert sorted(generated.iterdir()) == before
 
     def test_output_on_a_symlink_loop_exits_one(self, generated, capsys):
-        # resolving the loop to compare outputs must not raise; writing there fails
+        # resolving the loop to compare outputs must not raise, and a rename
+        # onto it would replace the loop: it is refused before any work
         loop = generated / "loop"
         loop.symlink_to(generated / "pool")
         (generated / "pool").symlink_to(loop)
         assert run(["solve", "--data", p(generated / "d.csv"), "--predictions",
                     p(generated / "t.csv"), "--budget", "20", "--out", p(loop)]) == 1
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["generate", "train"])
+    def test_missing_parent_of_a_later_output_exits_before_writing(self, generated, capsys,
+                                                                    verb):
+        # the verb used to write its earlier outputs, then fail on the last one
+        before = sorted(generated.iterdir())
+        argv = {
+            "generate": ["generate", "--config", p(generated / "gen.cfg"),
+                         "--out", p(generated / "new.csv"),
+                         "--truth", p(generated / "nodir" / "t.csv")],
+            "train": ["train", "--data", p(generated / "d.csv"),
+                      "--config", p(generated / "train.cfg"), "--checkpoint",
+                      p(generated / "m.ckpt"), "--log", p(generated / "nodir" / "train.log")],
+        }[verb]
+        assert run(argv) == 1
+        # the message names the output, not the staging directory it could not make
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
+        assert sorted(generated.iterdir()) == before
+
+    @pytest.mark.parametrize("verb, option", [
+        ("generate", "--out"), ("generate", "--truth"), ("train", "--checkpoint"),
+        ("train", "--log"), ("train", "--dump-gradients"), ("solve", "--out"),
+        ("solve", "--log"), ("evaluate", "--out"), ("report", "--out")])
+    def test_empty_output_path_exits_before_any_work(self, generated, capsys, monkeypatch,
+                                                     verb, option):
+        # "" used to count as not asked for: some verbs wrote nothing and exited 0,
+        # others did the whole work first
+        def work(*args, **kwargs):
+            raise AssertionError("the verb started its work")
+        for name in ("generate_synthetic", "load_csv", "_read_table"):
+            monkeypatch.setattr(f"treatalloc.data.{name}", work)
+        outputs = {
+            "generate": {"--out": "x.csv", "--truth": "y.csv"},
+            "train": {"--checkpoint": "m.ckpt"}, "solve": {"--out": "alloc.csv"},
+            "evaluate": {"--out": "curve.csv"}, "report": {"--out": "table.txt"},
+        }[verb]
+        inputs = {
+            "generate": ["--config", p(generated / "gen.cfg")],
+            "train": ["--data", p(generated / "d.csv"), "--config", p(generated / "train.cfg")],
+            "solve": ["--data", p(generated / "d.csv"), "--predictions", p(generated / "t.csv"),
+                      "--budget", "20"],
+            "evaluate": ["--data", p(generated / "d.csv"),
+                         "--predictions", p(generated / "t.csv")],
+            "report": ["a=" + p(generated / "t.csv")],
+        }[verb]
+        argv = [verb, *inputs]
+        for name, value in {**outputs, option: ""}.items():
+            argv += [name, value if value == "" else p(generated / value)]
+        before = sorted(generated.iterdir())
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: ''\n"
+        assert sorted(generated.iterdir()) == before
+
+    def test_hard_linked_outputs_each_get_their_own_file(self, generated):
+        # the second write used to land in the first output through the shared inode
+        (generated / "a.csv").write_text("old\n")
+        os.link(generated / "a.csv", generated / "b.csv")
+        assert self.solve(generated, "20") == 0
+        expected = (generated / "alloc.csv").read_bytes()
+        assert run(["solve", "--data", p(generated / "d.csv"), "--predictions",
+                    p(generated / "t.csv"), "--budget", "20", "--out", p(generated / "a.csv"),
+                    "--log", p(generated / "b.csv"), "--force"]) == 0
+        assert (generated / "a.csv").read_bytes() == expected
+        assert (generated / "b.csv").read_text().startswith("lam=0.0 cost=")
+
+    def test_existing_manifest_needs_force(self, generated, capsys):
+        manifest = generated / "m.ckpt.manifest"
+        manifest.write_text("old\n")
+        assert self.train(generated) == 2
+        assert capsys.readouterr().err == f"error: {manifest} exists; pass --force to overwrite\n"
+        assert manifest.read_text() == "old\n" and not (generated / "m.ckpt").exists()
+        assert self.train(generated, "--force") == 0
+        assert manifest.read_text().startswith("format: TACKPT01")
+
+    @pytest.mark.parametrize("verb", ["generate", "train", "solve"])
+    def test_failed_last_write_leaves_nothing(self, generated, capsys, monkeypatch, verb):
+        # outputs already there keep their bytes; no output or staging directory is left
+        def broken(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        argv, names, last = {
+            "generate": (["generate", "--config", p(generated / "gen.cfg")],
+                         {"--out": "x.csv", "--truth": "y.csv"},
+                         "treatalloc.data.write_counterfactual_csv"),
+            "train": (["train", "--data", p(generated / "d.csv"),
+                       "--config", p(generated / "train.cfg")],
+                      {"--checkpoint": "m.ckpt", "--log": "train.log",
+                       "--dump-gradients": "grad.csv"}, "treatalloc.data._write_table"),
+            "solve": (["solve", "--data", p(generated / "d.csv"),
+                       "--predictions", p(generated / "t.csv"), "--budget", "20"],
+                      {"--out": "alloc.csv", "--log": "lam.log"}, "pathlib.Path.write_text"),
+        }[verb]
+        for option, name in names.items():
+            argv += [option, p(generated / name)]
+        (generated / next(iter(names.values()))).write_text("old\n")
+        before = {path.name: path.read_bytes() for path in generated.iterdir()}
+        monkeypatch.setattr(last, broken)
+        assert run(argv + ["--force"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert {path.name: path.read_bytes() for path in generated.iterdir()} == before
+
+    def test_checkpoint_symlink_is_written_through(self, generated):
+        # the rename used to replace the link; the manifest goes beside the file
+        (generated / "runs").mkdir()
+        (generated / "runs" / "x.ckpt").write_text("old\n")
+        (generated / "m.ckpt").symlink_to(generated / "runs" / "x.ckpt")
+        assert self.train(generated, "--force") == 0
+        assert (generated / "m.ckpt").is_symlink()
+        load_checkpoint(generated / "runs" / "x.ckpt")
+        assert (generated / "runs" / "x.ckpt.manifest").read_text().startswith("format: ")
+        assert sorted(path.name for path in (generated / "runs").iterdir()) == \
+            ["x.ckpt", "x.ckpt.manifest"]
+
+    def test_fifo_output_is_written_through(self, generated):
+        # a rename would replace the FIFO with a regular file
+        fifo = generated / "lam.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open need not wait
+        try:
+            assert self.solve(generated, "20", "--log", p(fifo), "--force") == 0
+            trace = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert trace.startswith("lam=0.0 cost=") and trace.endswith("\n")
+        assert (generated / "alloc.csv").read_text().startswith("id,choice")
+
+    @pytest.mark.parametrize("kind", ["symlinked manifest", "fifo checkpoint"])
+    def test_manifest_not_beside_the_checkpoint_exits_before_any_work(self, generated, capsys,
+                                                                       kind):
+        # a symlinked manifest used to be staged under its target's name, while
+        # save_checkpoint wrote it under the checkpoint's: the commit renamed the
+        # checkpoint, then failed on the manifest
+        if kind == "symlinked manifest":
+            (generated / "other.txt").write_text("keep\n")
+            (generated / "m.ckpt.manifest").symlink_to("other.txt")
+        else:
+            os.mkfifo(generated / "m.ckpt")
+        before = sorted(generated.iterdir())
+        assert self.train(generated, "--force") == 2
+        assert "side by side" in capsys.readouterr().err
+        assert sorted(generated.iterdir()) == before
+        if kind == "symlinked manifest":
+            assert (generated / "other.txt").read_text() == "keep\n"
+        else:
+            assert stat.S_ISFIFO(os.stat(generated / "m.ckpt").st_mode)
+
+    def test_temp_file_beside_the_checkpoint_is_left_alone(self, generated):
+        tmp = generated / "m.ckpt.tmp"
+        tmp.write_text("keep")
+        assert self.train(generated) == 0
+        assert tmp.read_text() == "keep" and (generated / "m.ckpt").is_file()
 
     def test_dataset_not_utf8_exit_code(self, generated, capsys):
         lines = (generated / "d.csv").read_bytes().split(b"\r\n")

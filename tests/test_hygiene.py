@@ -83,3 +83,21 @@ def test_module_imports_form_a_dag():
 def test_solver_imports_only_exceptions():
     # the prediction matrix, and with it the ground truth, sits below ``data``
     assert IMPORTS["solver"] == {"exceptions"}
+
+
+def _stages_files(tree: ast.AST) -> bool:
+    """Whether a module renames files into place or makes or removes temp files."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and \
+                f"{node.value.id}.{node.attr}" in ("os.replace", "os.rename", "shutil.rmtree"):
+            return True
+        if isinstance(node, ast.Import) and any(a.name == "tempfile" for a in node.names) or \
+                isinstance(node, ast.ImportFrom) and node.module == "tempfile":
+            return True
+    return False
+
+
+def test_only_the_cli_commits_outputs():
+    # a verb's outputs are staged and committed together by ``cli._outputs``;
+    # a writer that renames or stages its own file would commit it alone
+    assert {name for name, tree in TREES.items() if _stages_files(tree)} == {"cli.py"}

@@ -26,19 +26,31 @@ differ from the dataset's, exits 2 and writes nothing; any other file exits
 0 (``solve``, whose budget fits every allocation) or 0 or 3 (``evaluate``)
 and an exit 0 writes an output that reads back. The mutations come from the
 fixed seed in ``OUTCOME_SEED``.
+
+The path kind: every output option of every verb (``OUTPUTS``) is given a
+missing parent, a directory, ``""``, an existing file, a symlink to a file, a
+dangling symlink or a symlink loop, and, where the verb has a second output,
+that output names the same file spelt with ``./``, as a symlink or as a hard
+link (``PATH_KINDS``), each with and without ``--force``. No exception escapes
+``cli.run``, the exit code is the README's, a nonzero exit leaves every entry
+of the directory as it was (an old file keeps its bytes under ``--force``),
+and an exit 0 writes outputs that read back, through a symlink that stays one,
+and leaves no staging directory.
 """
 
 import csv
 import dataclasses
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from treatalloc.cli import run
-from treatalloc.data import CURVE_COLUMNS, GeneratorConfig, load_counterfactual_csv
+from treatalloc.data import CURVE_COLUMNS, GeneratorConfig, load_counterfactual_csv, load_csv
 from treatalloc.exceptions import ParseError, ValidationError
-from treatalloc.model import ModelConfig, init_params, save_checkpoint
+from treatalloc.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from treatalloc.losses import LambdaGrid
 from treatalloc.training import TrainConfig, train_config
 
@@ -294,3 +306,125 @@ def test_mutated_outcome_csv_exits_cleanly(inputs, tmp_path, capsys):
                 np.array(rows[1:], dtype=float)  # every cell a number
             target.unlink()
     assert codes["solve"] == {0, 2}
+
+
+def _lines_start(prefix):
+    return lambda path: all(line.startswith(prefix)
+                            for line in Path(path).read_text(encoding="utf-8").splitlines())
+
+
+def _csv_header(header):
+    def read(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == header
+    return read
+
+
+# the path kind: verb -> {output option: (default name, a reader that raises
+# or fails an assertion unless the output reads back)}
+OUTPUTS = {
+    "generate": {"--out": ("d.csv", load_csv),
+                 "--truth": ("t.csv", load_counterfactual_csv)},
+    "train": {"--checkpoint": ("m.ckpt", load_checkpoint),
+              "--log": ("train.log", _lines_start("epoch=")),
+              "--dump-gradients": ("grad.csv",
+                                   _csv_header(["id", "treatment", "d_revenue", "d_cost"]))},
+    "solve": {"--out": ("alloc.csv", _csv_header(["id", "choice"])),
+              "--log": ("lam.log", _lines_start("lam="))},
+    "evaluate": {"--out": ("curve.csv", _csv_header(CURVE_COLUMNS))},
+    "report": {"--out": ("table.txt", _lines_start(""))},
+}
+OPTIONS = [(verb, option) for verb, options in OUTPUTS.items() for option in options]
+# kind -> exit code (without --force, with --force); the last three pair the
+# option with another output of its verb
+PATH_KINDS = {"missing parent": (1, 1), "directory": (1, 1), "empty": (1, 1),
+              "existing file": (2, 0), "symlink to a file": (2, 0),
+              "dangling symlink": (0, 0), "symlink loop": (1, 1),
+              "same file spelt ./": (2, 2), "same file as a symlink": (2, 2),
+              "same file as a hard link": (2, 0)}
+
+
+def _listing(folder):
+    """Every entry under ``folder``: a link's target, a file's bytes, or a directory."""
+    return {str(path.relative_to(folder)): os.readlink(path) if path.is_symlink()
+            else path.read_bytes() if path.is_file() else "dir"
+            for path in sorted(folder.rglob("*"))}
+
+
+def _place(kind, work, name):
+    """Make ``kind`` under ``work``; returns the option's path and the other output's."""
+    target = work / name
+    if kind == "missing parent":
+        return str(work / "nodir" / name), None
+    if kind == "directory":
+        target.mkdir()
+    if kind == "empty":
+        return "", None
+    if kind in ("existing file", "same file as a hard link"):
+        target.write_bytes(b"old\n")
+    if kind == "symlink to a file":
+        (work / "old.bin").write_bytes(b"old\n")
+        target.symlink_to("old.bin")
+    if kind == "dangling symlink":
+        target.symlink_to("gone.bin")
+    if kind == "symlink loop":
+        target.symlink_to("loop")
+        (work / "loop").symlink_to(name)
+    if kind == "same file spelt ./":
+        return str(target), os.path.join(str(work), ".", name)
+    if kind == "same file as a symlink":
+        (work / "alias").symlink_to(name)
+        return str(target), str(work / "alias")
+    if kind == "same file as a hard link":
+        os.link(target, work / "alias")
+        return str(target), str(work / "alias")
+    return str(target), None
+
+
+@pytest.fixture(scope="module")
+def curve(inputs):
+    assert run(["evaluate", "--data", str(inputs / "d.csv"), "--predictions",
+                str(inputs / "t.csv"), "--out", str(inputs / "curve.csv")]) == 0
+    return inputs / "curve.csv"
+
+
+@pytest.mark.parametrize("verb, option", OPTIONS, ids=[f"{v} {o}" for v, o in OPTIONS])
+def test_output_path_exits_cleanly(inputs, curve, tmp_path, capsys, verb, option):
+    outputs = OUTPUTS[verb]
+    others = [o for o in outputs if o != option]
+    base = {"generate": ["--config", str(inputs / "gen.cfg")],
+            "train": ["--data", str(inputs / "d.csv"), "--config", str(inputs / "train.cfg")],
+            "solve": ["--data", str(inputs / "d.csv"), "--predictions", str(inputs / "t.csv"),
+                      "--budget", "1e9"],
+            "evaluate": ["--data", str(inputs / "d.csv"), "--predictions", str(inputs / "t.csv")],
+            "report": [f"a={curve}"]}[verb]
+    for k, (kind, codes) in enumerate(PATH_KINDS.items()):
+        if kind.startswith("same file") and not others:
+            continue  # the verb has one output
+        for force, expected in zip((False, True), codes):
+            case = f"{kind}, {'with' if force else 'without'} --force"
+            work = tmp_path / f"{k}{'f' * force}"
+            work.mkdir()
+            path, second = _place(kind, work, outputs[option][0])
+            paths = {option: path, **{other: str(work / outputs[other][0]) for other in others}}
+            if second is not None:
+                paths[others[0]] = second
+            before = _listing(work)
+            code = run([verb, *base, *(arg for pair in paths.items() for arg in pair)]
+                       + ["--force"] * force)
+            err = capsys.readouterr().err
+            assert code == expected, (case, err)
+            if code:
+                assert err.startswith("error: "), case
+                assert _listing(work) == before, case
+                continue
+            for name, given in paths.items():
+                outputs[name][1](given)
+            written = {Path(given).name for given in paths.values()} | {"gone.bin"}
+            if verb == "train":  # beside the file the checkpoint was written to
+                manifest = Path(os.path.realpath(paths["--checkpoint"]) + ".manifest")
+                written.add(manifest.name)
+                assert manifest.is_file(), case
+            if kind in ("symlink to a file", "dangling symlink"):
+                assert Path(path).is_symlink(), case  # written through, the link kept
+            assert {p.name for p in work.iterdir()} <= set(before) | written, case  # no staging

@@ -477,34 +477,6 @@ class TestCheckpoint:
         save_checkpoint(b, params, extra={"k": 1})
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("failure", ["directory", "write"])
-    def test_failed_save_removes_its_temp_file(self, tmp_path, monkeypatch, failure):
-        path = tmp_path / "m.ckpt"
-        if failure == "directory":  # os.replace cannot put a file over it
-            path.mkdir()
-        else:
-            def broken(*args):
-                raise OSError("disk full")
-            monkeypatch.setattr("treatalloc.model.struct.pack", broken)
-        with pytest.raises(OSError):
-            save_checkpoint(path, init_params(tiny_config()))
-        assert sorted(tmp_path.iterdir()) == ([path] if failure == "directory" else [])
-
-    def test_temp_file_it_cannot_open_is_left_alone(self, tmp_path, monkeypatch):
-        # a read-only file that someone left there; a superuser opens any
-        # file, so the refusal is simulated
-        tmp = tmp_path / "m.ckpt.tmp"
-        tmp.write_text("keep")
-
-        def refuse(self, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(self))
-        monkeypatch.setattr("pathlib.Path.open", refuse)
-        with pytest.raises(PermissionError):
-            save_checkpoint(tmp_path / "m.ckpt", init_params(tiny_config()))
-        monkeypatch.undo()
-        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt.tmp"]
-        assert tmp.read_text() == "keep"
-
 
 def test_config_validation():
     with pytest.raises(ConfigError):
