@@ -29,7 +29,6 @@ _EXPORTS = {
     "max_entropy_loss": "losses",
     "tempered_policy_loss": "losses",
     "oracle_dual_losses": "losses",
-    "GradientPair": "gradients",
     "ips_dual_loss": "gradients",
     "flip_fd_gradient": "gradients",
     "dual_flip_gradient": "gradients",

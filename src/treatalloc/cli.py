@@ -171,7 +171,7 @@ def _cmd_train(args) -> None:
                                   " (a symlinked manifest, or a FIFO or device)")
         config = train_config(read_config(args.config, args.overrides))
         data = load_csv(args.data)
-        eval_data = load_csv(args.eval_data) if args.eval_data else None
+        eval_data = None if args.eval_data is None else load_csv(args.eval_data)
         params, records = train(data, config, eval_data=eval_data)
         save_checkpoint(checkpoint, params, extra={"train_config": config.to_dict()})
         if log is not None:

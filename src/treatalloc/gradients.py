@@ -19,8 +19,9 @@ Two estimators live here:
 
 ``softmax_flip_gradient`` runs the same analysis on row-softmax scores with
 clipped steps and chains the result back through the softmax. Both fast
-estimators return ``(loss, GradientPair)``, the loss being ``ips_dual_loss``
-summed over the grid, read off the allocation each pass has decided.
+estimators return ``(loss, d_revenue, d_cost)``, the contract of every loss
+kernel in ``losses``: the loss is ``ips_dual_loss`` summed over the grid,
+read off the allocation each pass has decided, and the gradients are (n, m).
 
 They share one kernel, ``_flip_gaps``, which maps a score matrix to two
 arrays of its shape. ``gap`` is how far each score must move to flip its
@@ -52,10 +53,11 @@ accumulate in (m, n) and are returned as ``.T`` views; the
 inverse-propensity weights are computed once per call. Training calls the
 private cores (``_dual_flip_gradient``, ``_softmax_flip_gradient``) once per
 row block, with the whole batch's ``n``, propensities and centred baselines
-(see ``losses``); the public estimators run their dataset as one block and
-wrap the plain arrays in a ``GradientPair``, which checks they are finite.
-``flip_fd_gradient`` and ``ips_dual_loss`` stay row-major: the oracle and
-the loss are the references the fast kernels are checked against.
+(see ``losses``); the public estimators check their inputs and run their
+dataset as one block, returning the core's tuple as is. ``flip_fd_gradient``
+(which returns ``(d_revenue, d_cost)``) and ``ips_dual_loss`` stay row-major:
+the oracle and the loss are the references the fast kernels are checked
+against.
 
 ``dual_flip_gradient``, ``softmax_flip_gradient`` and ``flip_fd_gradient``
 take ``centered``: the loss jump of a row is then its reward less the mean
@@ -68,8 +70,6 @@ uses this centred form (see ``losses``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import RctDataset
@@ -78,22 +78,6 @@ from .losses import LambdaGrid, _Block, _check_cover, _softmax, _whole, observed
 from .solver import PredictionMatrix, _check_multiplier, _first
 
 _OVERSHOOT = 1e-6  # flip_fd_gradient's relative extra step, realizing flips at exact ties
-
-
-@dataclass(eq=False)
-class GradientPair:
-    """Loss gradients with respect to predicted revenue and cost."""
-
-    d_revenue: np.ndarray  # (n, m)
-    d_cost: np.ndarray     # (n, m)
-
-    def __post_init__(self):
-        self.d_revenue = np.asarray(self.d_revenue, dtype=np.float64)
-        self.d_cost = np.asarray(self.d_cost, dtype=np.float64)
-        if self.d_revenue.ndim != 2 or self.d_revenue.shape != self.d_cost.shape:
-            raise ValidationError("gradient matrices must share shape (n, m)")
-        if not (np.isfinite(self.d_revenue).all() and np.isfinite(self.d_cost).all()):
-            raise ValidationError("gradient matrices must be finite")
 
 
 def _check_pair(data: RctDataset, pred: PredictionMatrix) -> None:
@@ -138,8 +122,8 @@ def _nominal_step(a: np.ndarray, i: int, j: int, jstar: int,
 
 def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                      step_floor: float = 1e-6, max_cells: int = 4096,
-                     centered: bool = False) -> GradientPair:
-    """Forward differences at per-entry argmax-flipping steps (oracle).
+                     centered: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences at per-entry argmax-flipping steps (oracle): ``(d_revenue, d_cost)``.
 
     Each entry is perturbed by its signed flip step (floored at
     ``step_floor``, slightly overshot so the flip is realized under exact
@@ -180,7 +164,7 @@ def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                     cost = pred.cost.copy()
                     cost[i, j] += h_cost * (1.0 + _OVERSHOOT)
                     d_cost[i, j] += (loss(pred.revenue, cost) - base) / h_cost
-    return GradientPair(d_rev, d_cost)
+    return d_rev, d_cost
 
 
 def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -215,7 +199,7 @@ def _flip_head(xt: np.ndarray, step: np.ndarray, sign: np.ndarray) -> np.ndarray
 
 def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
                        step_floor: float = 1e-6,
-                       centered: bool = False) -> tuple[float, GradientPair]:
+                       centered: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
     """Summed plain dual decision loss and its fast closed-form flip gradients.
 
     Per multiplier and sample, the loss jump of leaving/joining the matched
@@ -229,8 +213,7 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     _check_pair(data, pred)
     if step_floor <= 0:
         raise ValidationError("step_floor must be > 0")
-    loss, d_rev, d_cost = _dual_flip_gradient(_whole(data), pred, grid, step_floor, centered)
-    return loss, GradientPair(d_rev, d_cost)
+    return _dual_flip_gradient(_whole(data), pred, grid, step_floor, centered)
 
 
 def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
@@ -254,17 +237,17 @@ def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
     return loss, d_rev.T, d_cost.T
 
 
-def gradient_inner_loss(pred: PredictionMatrix, grad: GradientPair) -> float:
-    """Inner product of fixed gradient matrices with the predictions.
+def gradient_inner_loss(pred: PredictionMatrix, upstream: tuple[np.ndarray, np.ndarray]) -> float:
+    """Inner product of fixed gradients ``(d_revenue, d_cost)`` with the predictions.
 
     Differentiating this scalar with respect to the predictions returns the
     gradient matrices unchanged, which is how the estimator's gradients are
     routed into a model's backward pass.
     """
-    if grad.d_revenue.shape != pred.revenue.shape:
+    d_rev, d_cost = upstream
+    if d_rev.shape != pred.revenue.shape:
         raise ValidationError("gradient and prediction shapes differ")
-    return float(np.sum(grad.d_revenue * pred.revenue)
-                 + np.sum(grad.d_cost * pred.cost))
+    return float(np.sum(d_rev * pred.revenue) + np.sum(d_cost * pred.cost))
 
 
 def _softmax_flip_scores(a: np.ndarray, t: np.ndarray, xt: np.ndarray,
@@ -279,7 +262,7 @@ def _softmax_flip_scores(a: np.ndarray, t: np.ndarray, xt: np.ndarray,
 def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
                           grid: LambdaGrid, step_floor: float = 1e-6,
                           step_cap: float = 0.5, centered: bool = False
-                          ) -> tuple[float, GradientPair]:
+                          ) -> tuple[float, np.ndarray, np.ndarray]:
     """Smoothed estimator: perturb row-softmax scores, chain back to inputs.
 
     Per multiplier the scores are ``a = softmax(revenue - lam * cost)`` and
@@ -292,9 +275,7 @@ def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
     _check_pair(data, pred)
     if not 0 < step_floor <= step_cap:
         raise ValidationError("need 0 < step_floor <= step_cap")
-    loss, d_rev, d_cost = _softmax_flip_gradient(_whole(data), pred, grid, step_floor,
-                                                 step_cap, centered)
-    return loss, GradientPair(d_rev, d_cost)
+    return _softmax_flip_gradient(_whole(data), pred, grid, step_floor, step_cap, centered)
 
 
 def _softmax_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,

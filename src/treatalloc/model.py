@@ -50,7 +50,6 @@ import numpy as np
 
 from .data import RctDataset, _sigmoid, _unchecked
 from .exceptions import ConfigError, NumericError, ValidationError
-from .gradients import GradientPair
 from .losses import _Block, _blocks, _prediction_loss_grad
 from .solver import PredictionMatrix
 
@@ -199,16 +198,18 @@ def _backprop(params: ModelParams, inputs: list[np.ndarray],
 
 
 def backward(params: ModelParams, features: np.ndarray,
-             upstream: GradientPair) -> ParamGrads:
+             upstream: tuple[np.ndarray, np.ndarray]) -> ParamGrads:
     """Exact reverse-mode gradients of ``<upstream, outputs>``.
 
-    ``upstream`` holds d(loss)/d(revenue) and d(loss)/d(cost), each (n, M);
-    they are stacked into the (2M, n) output gradient.
+    ``upstream`` is ``(d_revenue, d_cost)`` as the loss kernels return them,
+    each (n, M) and finite; they are stacked into the (2M, n) output gradient.
     """
     x = np.asarray(features, dtype=np.float64)
-    if upstream.d_revenue.shape != (x.shape[0], params.config.num_treatments):
-        raise ValidationError("upstream shapes must be (n, M) for each head")
-    return _backprop(params, forward_cached(params, x)[1], (upstream.d_revenue, upstream.d_cost))
+    upstream = tuple(np.asarray(u, dtype=np.float64) for u in upstream)
+    shape = (x.shape[0], params.config.num_treatments)
+    if len(upstream) != 2 or any(u.shape != shape or not np.isfinite(u).all() for u in upstream):
+        raise ValidationError(f"upstream must be two finite {shape} arrays, one per head")
+    return _backprop(params, forward_cached(params, x)[1], upstream)
 
 
 def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float) -> bool:

@@ -77,6 +77,7 @@ class TrainConfig:
     step_cap: float = 0.5
 
     def __post_init__(self):
+        ModelConfig(self.hidden_widths, 1, 1, self.activation)  # the model's own rules
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}")
         for name in ("alpha", "tau", "lr", "step_floor", "step_cap"):

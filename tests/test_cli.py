@@ -179,7 +179,6 @@ class TestPipeline:
         import numpy as np
 
         from treatalloc.data import load_csv, read_config
-        from treatalloc.gradients import GradientPair
         from treatalloc.losses import _whole
         from treatalloc.model import backward, forward, load_checkpoint
         from treatalloc.training import _decision_term, train_config
@@ -206,9 +205,9 @@ class TestPipeline:
         assert [float(r["d_revenue"]) for r in rows] == d_rev.ravel().tolist()
         assert [float(r["d_cost"]) for r in rows] == d_cost.ravel().tolist()
         assert np.any(d_rev) and np.any(d_cost)
-        views = backward(params, data.features, GradientPair(d_rev, d_cost))
-        copies = backward(params, data.features, GradientPair(
-            np.ascontiguousarray(d_rev), np.ascontiguousarray(d_cost)))
+        views = backward(params, data.features, (d_rev, d_cost))
+        copies = backward(params, data.features,
+                          (np.ascontiguousarray(d_rev), np.ascontiguousarray(d_cost)))
         for got, want in zip(views.d_weights + views.d_biases,
                              copies.d_weights + copies.d_biases):
             assert np.array_equal(got, want)
@@ -398,6 +397,28 @@ class TestSolveAndTrainInputs:
         assert code == 2
         assert "eval data has" in capsys.readouterr().err
         assert not (generated / "m.ckpt").exists()
+
+    def test_empty_eval_data_is_a_path_not_an_absent_option(self, generated, capsys):
+        # "" used to count as not given: the run exited 0 with no snapshot
+        before = sorted(generated.iterdir())
+        code = run(["train", "--data", p(generated / "d.csv"), "--eval-data", "",
+                    "--config", p(generated / "train.cfg"),
+                    "--checkpoint", p(generated / "m.ckpt"),
+                    "train.eval_every=1", "train.eval_budgets=0.1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: '.'\n"
+        assert sorted(generated.iterdir()) == before
+
+    @pytest.mark.parametrize("override", ["train.activation=bogus", "train.hidden=0",
+                                          "train.hidden=4,-1"])
+    def test_bad_model_keys_exit_before_the_data_is_read(self, workdir, capsys, override):
+        # the model's rules used to apply only inside train(), after the data
+        code = run(["train", "--data", p(workdir / "nope.csv"),
+                    "--config", p(workdir / "train.cfg"),
+                    "--checkpoint", p(workdir / "m.ckpt"), override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "m.ckpt").exists()
 
     def test_eval_every_below_one_exit_code(self, generated, capsys):
         assert self.train(generated, "train.eval_every=0") == 2

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from treatalloc.exceptions import ValidationError
-from treatalloc.gradients import (GradientPair, dual_flip_gradient,
-                                  flip_fd_gradient, gradient_inner_loss,
-                                  ips_dual_loss, softmax_flip_gradient,
-                                  _flip_gaps, _softmax_flip_scores)
+from treatalloc.gradients import (dual_flip_gradient, flip_fd_gradient,
+                                  gradient_inner_loss, ips_dual_loss,
+                                  softmax_flip_gradient, _flip_gaps, _softmax_flip_scores)
 from treatalloc.losses import LambdaGrid, observed_rewards, row_softmax
 from treatalloc.solver import PredictionMatrix, decide_dual
 
@@ -96,8 +95,8 @@ class TestDualFlipGradient:
         data = make_dataset(treatment=[0], revenue=[2.0], cost=[2.0],
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[3.0, 1.0]], [[0.0, 0.0]])
-        _, g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))  # reward 2-2=0
-        assert not g.d_revenue.any() and not g.d_cost.any()
+        _, d_rev, d_cost = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))  # reward 2-2=0
+        assert not d_rev.any() and not d_cost.any()
 
     def test_hand_trace_single_matching_sample(self):
         # scores [2, 1], observed treatment 0, reward 2 at lam=1; leaving the
@@ -106,29 +105,27 @@ class TestDualFlipGradient:
         data = make_dataset(treatment=[0], revenue=[3.0], cost=[1.0],
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[2.0, 1.0]], [[0.0, 0.0]])
-        _, g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
-        assert g.d_revenue[0].tolist() == [-2.0, 2.0]
-        assert g.d_cost[0].tolist() == [2.0, -2.0]
+        _, d_rev, d_cost = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
+        assert d_rev[0].tolist() == [-2.0, 2.0]
+        assert d_cost[0].tolist() == [2.0, -2.0]
 
     def test_matches_flip_fd_oracle(self, rng):
         grid = LambdaGrid((0.3, 1.1, 2.0))
         for _ in range(20):
             data, pred = random_instance(rng, min_gap=1e-4)
-            _, fast = dual_flip_gradient(data, pred, grid)
-            ref = flip_fd_gradient(data, pred, grid)
-            np.testing.assert_allclose(fast.d_revenue, ref.d_revenue, atol=1e-9)
-            np.testing.assert_allclose(fast.d_cost, ref.d_cost, atol=1e-9)
+            _, *fast = dual_flip_gradient(data, pred, grid)
+            for got, want in zip(fast, flip_fd_gradient(data, pred, grid)):
+                np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_centered_matches_flip_fd_oracle(self, rng):
         grid = LambdaGrid((0.3, 1.1, 2.0))
         for _ in range(20):
             data, pred = random_instance(rng, min_gap=1e-4)
-            _, fast = dual_flip_gradient(data, pred, grid, centered=True)
-            ref = flip_fd_gradient(data, pred, grid, centered=True)
-            np.testing.assert_allclose(fast.d_revenue, ref.d_revenue, atol=1e-9)
-            np.testing.assert_allclose(fast.d_cost, ref.d_cost, atol=1e-9)
-            _, plain = dual_flip_gradient(data, pred, grid)
-            assert not np.allclose(fast.d_revenue, plain.d_revenue)
+            _, *fast = dual_flip_gradient(data, pred, grid, centered=True)
+            for got, want in zip(fast, flip_fd_gradient(data, pred, grid, centered=True)):
+                np.testing.assert_allclose(got, want, atol=1e-9)
+            _, plain, _ = dual_flip_gradient(data, pred, grid)
+            assert not np.allclose(fast[0], plain)
 
     def test_positive_perturbation_of_matched_choice_never_raises_loss(self, rng):
         grid = LambdaGrid((0.7,))
@@ -147,35 +144,35 @@ class TestDualFlipGradient:
     def test_locality_other_rows_unchanged(self, rng):
         grid = LambdaGrid((0.4, 1.5))
         data, pred = random_instance(rng, n=12, m=3, min_gap=1e-4)
-        _, g1 = dual_flip_gradient(data, pred, grid)
+        _, *g1 = dual_flip_gradient(data, pred, grid)
         bumped = pred.revenue.copy()
         bumped[3] = bumped[3] + 0.37  # move one row's predictions
-        _, g2 = dual_flip_gradient(data, PredictionMatrix(bumped, pred.cost), grid)
+        _, *g2 = dual_flip_gradient(data, PredictionMatrix(bumped, pred.cost), grid)
         mask = np.ones(12, dtype=bool)
         mask[3] = False
-        np.testing.assert_array_equal(g1.d_revenue[mask], g2.d_revenue[mask])
-        np.testing.assert_array_equal(g1.d_cost[mask], g2.d_cost[mask])
+        for a, b in zip(g1, g2):
+            np.testing.assert_array_equal(a[mask], b[mask])
 
     def test_grid_additivity_exact(self, rng):
         data, pred = random_instance(rng, n=10, m=3)
-        _, joint = dual_flip_gradient(data, pred, LambdaGrid((0.3, 1.2)))
-        _, a = dual_flip_gradient(data, pred, LambdaGrid((0.3,)))
-        _, b = dual_flip_gradient(data, pred, LambdaGrid((1.2,)))
-        np.testing.assert_array_equal(joint.d_revenue, a.d_revenue + b.d_revenue)
-        np.testing.assert_array_equal(joint.d_cost, a.d_cost + b.d_cost)
+        _, *joint = dual_flip_gradient(data, pred, LambdaGrid((0.3, 1.2)))
+        _, *a = dual_flip_gradient(data, pred, LambdaGrid((0.3,)))
+        _, *b = dual_flip_gradient(data, pred, LambdaGrid((1.2,)))
+        for got, x, y in zip(joint, a, b):
+            np.testing.assert_array_equal(got, x + y)
 
     def test_lambda_zero_skips_cost_gradients(self, rng):
         data, pred = random_instance(rng, n=8, m=3)
-        _, g = dual_flip_gradient(data, pred, LambdaGrid((0.0,)))
-        assert not g.d_cost.any()
+        _, _, d_cost = dual_flip_gradient(data, pred, LambdaGrid((0.0,)))
+        assert not d_cost.any()
 
     def test_step_floor_bounds_gradient_magnitude(self):
         # near-tied scores: gap 1e-9 is floored to 1e-6
         data = make_dataset(treatment=[0], revenue=[3.0], cost=[1.0],
                             num_treatments=2, propensities=[1.0, 0.0])
         pred = PredictionMatrix([[1.0 + 1e-9, 1.0]], [[0.0, 0.0]])
-        _, g = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
-        assert abs(g.d_revenue[0, 0]) == pytest.approx(2.0 / 1e-6)
+        _, d_rev, _ = dual_flip_gradient(data, pred, LambdaGrid((1.0,)))
+        assert abs(d_rev[0, 0]) == pytest.approx(2.0 / 1e-6)
 
 
 class TestKernelLoss:
@@ -204,7 +201,7 @@ class TestKernelLoss:
         pred = PredictionMatrix([[0.0, 1e-17]], [[0.0, 0.0]])
         a = row_softmax(pred.revenue - 1.0 * pred.cost)
         assert a[0, 0] == a[0, 1]
-        loss, _ = softmax_flip_gradient(data, pred, LambdaGrid((1.0,)))
+        loss, _, _ = softmax_flip_gradient(data, pred, LambdaGrid((1.0,)))
         assert loss == ips_dual_loss(data, pred, 1.0) == -4.0
 
 
@@ -222,11 +219,11 @@ class TestInPlaceHeads:
                                 revenue=rng.uniform(0, 5, n),
                                 cost=rng.integers(0, 4, n) / 2.0, num_treatments=m)
             expected = reference_flip_gradients(data, pred, self.GRID, 0.05, 0.5, centered)
-            plain = dual_flip_gradient(data, pred, self.GRID, 0.05, centered)[1]
-            soft = softmax_flip_gradient(data, pred, self.GRID, 0.05, 0.5, centered)[1]
+            plain = dual_flip_gradient(data, pred, self.GRID, 0.05, centered)[1:]
+            soft = softmax_flip_gradient(data, pred, self.GRID, 0.05, 0.5, centered)[1:]
             for got, name in ((plain, "plain"), (soft, "softmax")):
-                assert np.array_equal(got.d_revenue, expected[name][0])
-                assert np.array_equal(got.d_cost, expected[name][1])
+                assert np.array_equal(got[0], expected[name][0])
+                assert np.array_equal(got[1], expected[name][1])
 
 
 class TestTreatmentMajorFlip:
@@ -266,21 +263,21 @@ class TestTreatmentMajorFlip:
             loss = sum(ips_dual_loss(data, pred, lam) for lam in self.GRID)
             for centered in (False, True):
                 want = reference_flip_gradients(data, pred, self.GRID, 0.05, 0.5, centered)
-                got_loss, plain = dual_flip_gradient(data, pred, self.GRID, 0.05, centered)
+                got_loss, *plain = dual_flip_gradient(data, pred, self.GRID, 0.05, centered)
                 assert got_loss == loss
-                assert np.array_equal(plain.d_revenue, want["plain"][0])
-                assert np.array_equal(plain.d_cost, want["plain"][1])
+                assert np.array_equal(plain[0], want["plain"][0])
+                assert np.array_equal(plain[1], want["plain"][1])
                 if m <= 7:
-                    got_loss, soft = softmax_flip_gradient(data, pred, self.GRID, 0.05, 0.5,
-                                                           centered)
+                    got_loss, *soft = softmax_flip_gradient(data, pred, self.GRID, 0.05, 0.5,
+                                                            centered)
                     assert got_loss == loss
-                    assert np.array_equal(soft.d_revenue, want["softmax"][0])
-                    assert np.array_equal(soft.d_cost, want["softmax"][1])
+                    assert np.array_equal(soft[0], want["softmax"][0])
+                    assert np.array_equal(soft[1], want["softmax"][1])
                     continue
                 for lam in self.GRID:  # one multiplier at a time: no sums over the grid
                     grid = LambdaGrid((lam,))
                     want = reference_flip_gradients(data, pred, grid, 0.05, 0.5, centered)
-                    soft = softmax_flip_gradient(data, pred, grid, 0.05, 0.5, centered)[1]
+                    soft = softmax_flip_gradient(data, pred, grid, 0.05, 0.5, centered)[1:]
                     # |g_j - <g, a>| moves by the sum's rounding, at most about
                     # m eps sum_k |g_k a_k|, and by an ulp of each result
                     a = row_softmax(pred.revenue - lam * pred.cost)
@@ -290,20 +287,18 @@ class TestTreatmentMajorFlip:
                         / np.clip(gap, 0.05, 0.5) * sign
                     scale = 2 * m * eps * a * (np.abs(g * a).sum(axis=1, keepdims=True)
                                                + np.abs(g))
-                    assert np.all(np.abs(soft.d_revenue - want["softmax"][0]) <= scale)
-                    assert np.all(np.abs(soft.d_cost - want["softmax"][1]) <= lam * scale)
+                    assert np.all(np.abs(soft[0] - want["softmax"][0]) <= scale)
+                    assert np.all(np.abs(soft[1] - want["softmax"][1]) <= lam * scale)
 
 
 class TestGradientInnerLoss:
     def test_zero_gradient_gives_zero(self, rng):
         _, pred = random_instance(rng, n=5, m=3)
-        g = GradientPair(np.zeros((5, 3)), np.zeros((5, 3)))
-        assert gradient_inner_loss(pred, g) == 0.0
+        assert gradient_inner_loss(pred, (np.zeros((5, 3)), np.zeros((5, 3)))) == 0.0
 
     def test_all_ones_gradient_sums_predictions(self, rng):
         _, pred = random_instance(rng, n=5, m=3)
-        g = GradientPair(np.ones((5, 3)), np.ones((5, 3)))
-        assert gradient_inner_loss(pred, g) == pytest.approx(
+        assert gradient_inner_loss(pred, (np.ones((5, 3)), np.ones((5, 3)))) == pytest.approx(
             pred.revenue.sum() + pred.cost.sum()
         )
 
@@ -315,7 +310,7 @@ class TestGradientInnerLoss:
         config = ModelConfig(layer_widths=(4,), num_treatments=2, input_dim=3, seed=0)
         params = init_params(config)
         x = rng.standard_normal((6, 3))
-        g = GradientPair(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
+        g = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
         grads = backward(params, x, g)
         h = 1e-6
         w = params.weights[0]
@@ -368,9 +363,9 @@ class TestSoftmaxFlip:
     def test_loss_and_gradient_shapes(self, rng):
         data, pred = random_instance(rng, n=9, m=3)
         grid = LambdaGrid((0.5, 1.4))
-        loss, g = softmax_flip_gradient(data, pred, grid)
+        loss, d_rev, d_cost = softmax_flip_gradient(data, pred, grid)
         assert np.isfinite(loss)
-        assert g.d_revenue.shape == (9, 3)
+        assert d_rev.shape == d_cost.shape == (9, 3)
 
     def test_softmax_chain_rule_against_finite_differences(self, rng):
         # the score-space gradients are fixed; the analytic softmax Jacobian
@@ -380,15 +375,8 @@ class TestSoftmaxFlip:
         lam = 0.8
         a = row_softmax(pred.revenue - lam * pred.cost)
         g_fixed = softmax_flip_scores(data, a, lam, 1e-6, 0.5)
-        _, grad = softmax_flip_gradient(data, pred, grid)
+        _, d_rev, _ = softmax_flip_gradient(data, pred, grid)
         for _, i, j, fd in central_differences(
                 pred, ("revenue",), 1e-7,
                 lambda p: float(np.sum(g_fixed * row_softmax(p.revenue - lam * p.cost)))):
-            assert grad.d_revenue[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-
-
-def test_gradient_pair_validation():
-    with pytest.raises(ValidationError):
-        GradientPair(np.zeros((2, 2)), np.zeros((3, 2)))
-    with pytest.raises(ValidationError):
-        GradientPair(np.full((2, 2), np.inf), np.zeros((2, 2)))
+            assert d_rev[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)

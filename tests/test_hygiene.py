@@ -85,6 +85,11 @@ def test_solver_imports_only_exceptions():
     assert IMPORTS["solver"] == {"exceptions"}
 
 
+def test_model_does_not_import_gradients():
+    # a gradient enters the model as the plain (d_revenue, d_cost) pair every kernel returns
+    assert "gradients" not in IMPORTS["model"]
+
+
 def _stages_files(tree: ast.AST) -> bool:
     """Whether a module renames files into place or makes or removes temp files."""
     for node in ast.walk(tree):

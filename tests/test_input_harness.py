@@ -27,6 +27,14 @@ differ from the dataset's, exits 2 and writes nothing; any other file exits
 and an exit 0 writes an output that reads back. The mutations come from the
 fixed seed in ``OUTCOME_SEED``.
 
+The curve-CSV kind: an ``evaluate`` output, mutated as the outcome CSV is
+(with header edits of its own, ``CURVE_HEADERS``) or with its rows in
+another order, is given to ``report``, alone and after the intact curve. No
+exception escapes ``cli.run``; a file the reader refuses, or a second grid
+that differs from the first in length or order, exits 2 and writes nothing;
+any other input exits 0 with a table that reads back. The mutations come
+from the fixed seed in ``CURVE_SEED``.
+
 The path kind: every output option of every verb (``OUTPUTS``) is given a
 missing parent, a directory, ``""``, an existing file, a symlink to a file, a
 dangling symlink or a symlink loop, and, where the verb has a second output,
@@ -48,7 +56,8 @@ import numpy as np
 import pytest
 
 from treatalloc.cli import run
-from treatalloc.data import CURVE_COLUMNS, GeneratorConfig, load_counterfactual_csv, load_csv
+from treatalloc.data import (CURVE_COLUMNS, GeneratorConfig, _read_table, load_counterfactual_csv,
+                            load_csv)
 from treatalloc.exceptions import ParseError, ValidationError
 from treatalloc.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from treatalloc.losses import LambdaGrid
@@ -231,10 +240,11 @@ OUTCOME_HEADERS = (b"", b"ID,r0,r1,r2,c0,c1,c2", b" id , r0 ,r1,r2,c0,c1,c2",
                    b"id,r0,r1,r2,c0,c1,c2,")
 
 
-def _outcome_mutants(raw):
-    """(name, bytes) of every mutation of the outcome CSV ``raw``, drawn
-    from ``OUTCOME_SEED``."""
-    rng = np.random.default_rng(OUTCOME_SEED)
+def _csv_mutants(raw, seed, fields, headers):
+    """(name, bytes) of every mutation of the CSV table ``raw``, drawn from
+    ``seed``: cuts, flipped bytes, dropped or doubled lines and columns, each
+    of ``fields`` in a field and each of ``headers`` in place of the header."""
+    rng = np.random.default_rng(seed)
     lines = raw.split(b"\r\n")[:-1]  # the header and the rows, without line ends
     cells = [line.split(b",") for line in lines]
 
@@ -254,13 +264,13 @@ def _outcome_mutants(raw):
     for j in (0, 1, len(cells[0]) - 1):
         yield f"column {j} dropped", joined(b",".join(row[:j] + row[j + 1:]) for row in cells)
         yield f"column {j} doubled", joined(b",".join(row[:j + 1] + row[j:]) for row in cells)
-    for value in OUTCOME_FIELDS:
-        for j in (0, int(rng.integers(1, len(cells[0])))):  # the id, then a value
+    for value in fields:
+        for j in (0, int(rng.integers(1, len(cells[0])))):  # the first column, then another
             i = int(rng.integers(1, len(lines)))
             edited = [list(row) for row in cells]
             edited[i][j] = value
             yield f"line {i} field {j} = {value!r}", joined(b",".join(row) for row in edited)
-    for header in OUTCOME_HEADERS:
+    for header in headers:
         yield f"header {header!r}", joined([header] + lines[1:])
 
 
@@ -277,7 +287,7 @@ def test_mutated_outcome_csv_exits_cleanly(inputs, tmp_path, capsys):
     raw = (inputs / "t.csv").read_bytes()
     ids, _ = load_counterfactual_csv(inputs / "t.csv")
     codes = {"solve": set(), "evaluate": set()}
-    for name, blob in _outcome_mutants(raw):
+    for name, blob in _csv_mutants(raw, OUTCOME_SEED, OUTCOME_FIELDS, OUTCOME_HEADERS):
         (tmp_path / "t.csv").write_bytes(blob)
         accepted = _reader_accepts(tmp_path / "t.csv", ids, 3)
         out = tmp_path / "out"
@@ -306,6 +316,68 @@ def test_mutated_outcome_csv_exits_cleanly(inputs, tmp_path, capsys):
                 np.array(rows[1:], dtype=float)  # every cell a number
             target.unlink()
     assert codes["solve"] == {0, 2}
+
+
+CURVE_SEED = 29
+CURVE_HEADERS = (b"", b"BUDGET,per_capita_cost,per_capita_revenue,matched_fraction",
+                 b" budget , per_capita_cost ,per_capita_revenue,matched_fraction",
+                 b"budget,per_capita_cost,per_capita_revenue",
+                 b"budget,per_capita_cost,per_capita_revenue,matched_fraction,extra",
+                 b"per_capita_cost,budget,per_capita_revenue,matched_fraction",
+                 b"budget;per_capita_cost;per_capita_revenue;matched_fraction",
+                 b"budget,per_capita_cost,per_capita_revenue,matched_fraction,")
+
+
+def _curve_mutants(raw):
+    """The table mutations of the curve CSV ``raw``, then grids in another
+    order: the rows reversed, and the first two rows swapped."""
+    yield from _csv_mutants(raw, CURVE_SEED, OUTCOME_FIELDS, CURVE_HEADERS)
+    header, *rows = raw.split(b"\r\n")[:-1]
+    for name, order in (("rows reversed", rows[::-1]), ("rows 1 and 2 swapped",
+                                                        [rows[1], rows[0], *rows[2:]])):
+        yield name, b"".join(line + b"\r\n" for line in [header, *order])
+
+
+def _curve_budgets(path):
+    """The budget column of ``path`` as ``report`` reads it, or None if it refuses the file."""
+    try:
+        return _read_table(path, lambda header: header == CURVE_COLUMNS, "")[1][0].tolist()
+    except ParseError:
+        return None
+
+
+def test_mutated_curve_csv_exits_cleanly(curve, tmp_path, capsys):
+    """The curve-CSV kind: ``report`` on a mutated ``evaluate`` output, alone
+    and as the second curve after the intact one. A file the reader refuses,
+    or a second curve whose budget grid is not the first's, exits 2 and
+    writes nothing; any other input exits 0 with a table of one line per
+    curve and one number per budget. A ``nan`` or ``inf`` (``1e400``) field
+    reads as a number, so a lone curve holding one exits 0 and the table
+    prints it: the harness's rules allow that."""
+    grid = _curve_budgets(curve)
+    codes = set()
+    for name, blob in _curve_mutants(curve.read_bytes()):
+        (tmp_path / "c.csv").write_bytes(blob)
+        budgets = _curve_budgets(tmp_path / "c.csv")
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        for curves in ([f"m={tmp_path / 'c.csv'}"], [f"a={curve}", f"m={tmp_path / 'c.csv'}"]):
+            code = run(["report", "--out", str(out / "table.txt"), *curves])
+            err = capsys.readouterr().err
+            codes.add(code)
+            fits = budgets is not None and (len(curves) == 1 or budgets == grid)
+            assert code == (0 if fits else 2), (name, curves, err)
+            if code:
+                assert err.startswith("error: "), name
+                assert not any(out.iterdir()), name
+                continue
+            lines = (out / "table.txt").read_text(encoding="utf-8").splitlines()
+            assert lines[0].split() == ["model", *(f"{b:.4g}" for b in budgets)], name
+            assert [line.split()[0] for line in lines[2:]] == [c[0] for c in curves], name
+            for line in lines[2:]:
+                assert len([float(v) for v in line.split()[1:]]) == len(budgets), name
+            (out / "table.txt").unlink()
+    assert codes == {0, 2}
 
 
 def _lines_start(prefix):

@@ -1,16 +1,21 @@
-"""Exact relations of the allocator under transformations of its input.
+"""Exact relations of the allocator, the estimators and the gradient kernels
+under transformations of their input.
 
 Dyadic instances (``conftest.dyadic_instance``) with dyadic observed costs
 and propensities, and a power-of-two row count, keep every sum of costs
-exact, so each relation holds bit for bit. Each one is checked on cold
-matrices (the first call builds the sweep and the ``lam = 0`` decision) and
-on warm ones (both already cached).
+exact, so each relation holds bit for bit. Each allocator relation is
+checked on cold matrices (the first call builds the sweep and the ``lam =
+0`` decision) and on warm ones (both already cached). The one relation that
+holds only within a rounding bound says so where it is checked.
 """
 
 import numpy as np
 import pytest
 
-from treatalloc.evaluation import allocate_at_budget
+from treatalloc.evaluation import allocate_at_budget, evaluate_policy
+from treatalloc.gradients import dual_flip_gradient, flip_fd_gradient, softmax_flip_gradient
+from treatalloc.losses import (LambdaGrid, observed_rewards, prediction_loss_grad,
+                               tempered_policy_loss_grad)
 from treatalloc.solver import PredictionMatrix, decide_dual, lambda_upper_bound, solve_budget
 
 from conftest import dyadic_instance, exact, make_dataset, tie_heavy_instance
@@ -165,3 +170,105 @@ def test_input_layout_leaves_the_bits(rng, m):
                 exact([getattr(sweep, name) for name in
                        ("rows", "old", "new", "ends", "breaks", "cost_delta", "start_cost")])))
         assert all(result == results[0] for result in results[1:])
+
+
+def coarse_dyadic_instance(rng, n, m):
+    """Multiples of 1/16 below 16: squares of their errors are exact too."""
+    return PredictionMatrix(rng.integers(0, 2 ** 8, (n, m)) / 2 ** 4,
+                            rng.integers(0, 2 ** 6, (n, m)) / 2 ** 4)
+
+
+GRID = LambdaGrid((0.0, 0.5, 1.0, 2.0))
+KERNELS = {  # name -> (data, pred, centered) -> (loss, d_revenue, d_cost)
+    "prediction": lambda data, pred, centered: prediction_loss_grad(data, pred),
+    "policy": lambda data, pred, centered: tempered_policy_loss_grad(
+        data, pred, GRID, 1.0, centered),
+    "entropy": lambda data, pred, centered: tempered_policy_loss_grad(
+        data, pred, GRID, 0.25, centered),
+    "perturb": lambda data, pred, centered: dual_flip_gradient(data, pred, GRID, 0.05, centered),
+    "perturb-softmax": lambda data, pred, centered: softmax_flip_gradient(
+        data, pred, GRID, 0.05, 0.5, centered),
+    "flip-fd": lambda data, pred, centered: (
+        None, *flip_fd_gradient(data, pred, GRID, 0.05, centered=centered)),
+}
+KERNEL_CASES = [(name, centered) for name in KERNELS
+                for centered in ((False,) if name == "prediction" else (False, True))]
+
+
+@pytest.mark.parametrize("builder", [coarse_dyadic_instance, tie_heavy_instance],
+                         ids=["dyadic", "tie-heavy"])
+@pytest.mark.parametrize("name, centered", KERNEL_CASES,
+                         ids=[f"{n}-{'centred' if c else 'plain'}" for n, c in KERNEL_CASES])
+def test_gradient_rows_permute_with_the_data(rng, name, centered, builder):
+    """Rows in another order: each gradient row moves with its row, bit for
+    bit, and the loss stays. The softmax policy's loss (``policy``,
+    ``entropy``) sums softmax weights, which are not dyadic, over the rows, so
+    the order of that sum moves its last bits: it stays within the bound of
+    two recursive sums of the weighted rewards, whose weights are at most 1."""
+    kernel = KERNELS[name]
+    for m in (2, 4):  # 1 / (N p) is exact
+        pred, data = case(rng, m, builder)
+        perm = rng.permutation(N)
+        moved = make_dataset(data.treatment[perm], data.revenue[perm], data.cost[perm], m,
+                             propensities=data.propensities)
+        loss, *grads = kernel(data, pred, centered)
+        loss_p, *grads_p = kernel(moved, PredictionMatrix(pred.revenue[perm], pred.cost[perm]),
+                                  centered)
+        assert exact([g[perm] for g in grads]) == exact(grads_p)
+        if name in ("policy", "entropy"):
+            terms = 0.0  # what the loss adds up: |weight * reward| per row, and each baseline
+            for lam in GRID:
+                reward, baseline = observed_rewards(data, lam, centered)
+                terms += float(np.abs(reward).sum()) * m / N + abs(baseline)
+            assert abs(loss_p - loss) <= 2 * (N + len(GRID)) * np.finfo(float).eps * terms
+        else:
+            assert exact(loss_p) == exact(loss)
+
+
+@pytest.mark.parametrize("state", ["cold", "warm"])
+@pytest.mark.parametrize("builder", [dyadic_instance, tie_heavy_instance],
+                         ids=["dyadic", "tie-heavy"])
+class TestRevenueShift:
+    """A dyadic constant added to all m revenues of each row: every score of
+    the row moves by it, so the choices and the multiplier stay and the
+    objective moves by the shifts of the rows."""
+
+    def shifted(self, rng, state, pred):
+        shift = rng.integers(-2 ** 10, 2 ** 10, N) / 2 ** 6
+        base, moved = matrices(state, pred,
+                               PredictionMatrix(pred.revenue + shift[:, None], pred.cost))
+        return base, moved, float(shift.sum())
+
+    def test_decide_dual(self, rng, state, builder):
+        for m in (2, 3, 5):
+            pred, _ = case(rng, m, builder)
+            base, moved, total = self.shifted(rng, state, pred)
+            for lam in (0.0, 0.25, 1.0, 4.0, lambda_upper_bound(base)):
+                a, b = decide_dual(base, lam), decide_dual(moved, lam)
+                assert np.array_equal(b.choice, a.choice)
+                assert (b.objective, b.total_cost) == (a.objective + total, a.total_cost)
+
+    def test_solve_budget(self, rng, state, builder):
+        for m in (2, 3, 4):
+            pred, _ = case(rng, m, builder)
+            base, moved, total = self.shifted(rng, state, pred)
+            for budget in budgets(pred):
+                a, b = solve_budget(base, budget), solve_budget(moved, budget)
+                assert b.lam == a.lam and b.trace == a.trace
+                assert np.array_equal(b.allocation.choice, a.allocation.choice)
+                assert (b.allocation.objective, b.allocation.total_cost) == (
+                    a.allocation.objective + total, a.allocation.total_cost)
+
+
+@pytest.mark.parametrize("layout", [np.tile, np.repeat], ids=["tile", "repeat"])
+@pytest.mark.parametrize("m", [2, 4])
+def test_replicated_rows_keep_the_estimates(rng, m, layout):
+    """Every row twice, under new ids, with any policy that treats both
+    copies alike: the inverse-propensity estimates stay, bit for bit."""
+    for _ in range(8):
+        pred, data = case(rng, m)
+        twice = make_dataset(*(layout(a, 2) for a in (data.treatment, data.revenue, data.cost)),
+                             m, propensities=data.propensities)
+        for choice in (rng.integers(0, m, N), decide_dual(pred, 0.5).choice, data.treatment):
+            assert exact(evaluate_policy(twice, layout(choice, 2))) == \
+                exact(evaluate_policy(data, choice))

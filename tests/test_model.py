@@ -6,7 +6,6 @@ import pytest
 from treatalloc import model
 from treatalloc.data import GeneratorConfig, generate_synthetic
 from treatalloc.exceptions import ConfigError, NumericError, ValidationError
-from treatalloc.gradients import GradientPair
 from treatalloc.losses import prediction_loss
 from treatalloc.model import (ModelConfig, backward, forward, forward_cached,
                               init_params, load_checkpoint, optimizer_step,
@@ -84,15 +83,28 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, rng):
         params = init_params(tiny_config())
         x = rng.standard_normal((4, 3))
-        grads = backward(params, x, GradientPair(np.zeros((4, 2)), np.zeros((4, 2))))
+        grads = backward(params, x, (np.zeros((4, 2)), np.zeros((4, 2))))
         assert all(not g.any() for g in grads.d_weights)
         assert all(not g.any() for g in grads.d_biases)
+
+    @pytest.mark.parametrize("upstream", [
+        (np.zeros((2, 2)), np.zeros((3, 2))),
+        (np.full((2, 2), np.inf), np.zeros((2, 2))),
+        (np.zeros((2, 2)), np.full((2, 2), np.nan)),
+        (np.zeros((3, 2)), np.zeros((3, 2))),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+        (np.zeros((2, 2)),) * 3,
+    ], ids=["mismatched", "inf", "nan", "rows", "heads", "three"])
+    def test_upstream_validation(self, upstream):
+        # backward is where a gradient from outside the model enters it
+        with pytest.raises(ValidationError):
+            backward(init_params(tiny_config()), np.ones((2, 3)), upstream)
 
     def test_linearity_in_upstream(self, rng):
         params = init_params(tiny_config())
         x = rng.standard_normal((4, 3))
-        up = GradientPair(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
-        doubled = GradientPair(2 * up.d_revenue, 2 * up.d_cost)
+        up = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        doubled = 2 * up[0], 2 * up[1]
         g1 = backward(params, x, up)
         g2 = backward(params, x, doubled)
         for a, b in zip(g1.d_weights, g2.d_weights):
@@ -104,8 +116,8 @@ class TestBackward:
         params = init_params(tiny_config(layer_widths=(4,), num_treatments=3))
         x = rng.standard_normal((300, 3))
         rev, cost = rng.standard_normal((3, 300)), rng.standard_normal((3, 300))
-        views = backward(params, x, GradientPair(rev.T, cost.T))
-        copies = backward(params, x, GradientPair(rev.T.copy(), cost.T.copy()))
+        views = backward(params, x, (rev.T, cost.T))
+        copies = backward(params, x, (rev.T.copy(), cost.T.copy()))
         for got, want in zip(views.d_weights + views.d_biases,
                              copies.d_weights + copies.d_biases):
             assert np.array_equal(got, want)
@@ -115,7 +127,7 @@ class TestBackward:
         config = tiny_config(layer_widths=(6, 4), activation=activation, seed=3)
         params = init_params(config)
         x = rng.standard_normal((8, 3)) + 0.1  # keep relu kinks off the grid
-        up = GradientPair(rng.standard_normal((8, 2)), rng.standard_normal((8, 2)))
+        up = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
         grads = backward(params, x, up)
         h = 1e-5
         for layer in range(len(params.weights)):
@@ -172,8 +184,8 @@ class TestLayoutContract:
                                          activation=activation, seed=7))
         params.flat += 0.1 * rng.standard_normal(params.flat.size)  # biases off zero
         x = rng.standard_normal((rows, 10))
-        up = GradientPair(rng.standard_normal((rows, 5)), rng.standard_normal((rows, 5)))
-        out, d_weights, d_biases = row_major_reference(params, x, (up.d_revenue, up.d_cost))
+        up = rng.standard_normal((rows, 5)), rng.standard_normal((rows, 5))
+        out, d_weights, d_biases = row_major_reference(params, x, up)
         pred = forward(params, x)
         assert_close_relative(pred.revenue, out[:, :5])
         assert_close_relative(pred.cost, out[:, 5:])
@@ -200,8 +212,7 @@ class TestOptimizer:
     def test_zero_gradient_keeps_parameters_advances_step(self):
         params = init_params(tiny_config())
         before = [w.copy() for w in params.weights]
-        grads = backward(params, np.ones((1, 3)),
-                         GradientPair(np.zeros((1, 2)), np.zeros((1, 2))))
+        grads = backward(params, np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
         assert optimizer_step(params, grads, lr=0.1)
         assert params.step == 1
         for w, b in zip(params.weights, before):
@@ -212,8 +223,7 @@ class TestOptimizer:
         w0 = params.weights[0].copy()
         grads_template = None
         for _ in range(50):
-            g = backward(params, np.ones((1, 3)),
-                         GradientPair(np.ones((1, 2)), np.ones((1, 2))))
+            g = backward(params, np.ones((1, 3)), (np.ones((1, 2)), np.ones((1, 2))))
             grads_template = g
             optimizer_step(params, g, lr=0.01)
         moved = params.weights[0] - w0
@@ -221,8 +231,7 @@ class TestOptimizer:
 
     def test_non_finite_gradient_skips_update(self):
         params = init_params(tiny_config())
-        g = backward(params, np.ones((1, 3)),
-                     GradientPair(np.ones((1, 2)), np.ones((1, 2))))
+        g = backward(params, np.ones((1, 3)), (np.ones((1, 2)), np.ones((1, 2))))
         g.d_weights[0][0, 0] = np.nan
         before = [w.copy() for w in params.weights]
         assert not optimizer_step(params, g, lr=0.1)
@@ -238,7 +247,7 @@ class TestOptimizer:
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
         x = rng.standard_normal((9, 3))
         for t in range(1, 6):
-            up = GradientPair(rng.standard_normal((9, 2)), rng.standard_normal((9, 2)))
+            up = rng.standard_normal((9, 2)), rng.standard_normal((9, 2))
             grads = backward(params, x, up)
             assert optimizer_step(params, grads, lr=0.05)
             c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
@@ -254,8 +263,7 @@ class TestOptimizer:
     def test_bias_made_non_finite_raises(self):
         params = init_params(tiny_config())
         params.biases[-1][0] = np.finfo(np.float64).max
-        grads = backward(params, np.ones((1, 3)),
-                         GradientPair(np.zeros((1, 2)), np.zeros((1, 2))))
+        grads = backward(params, np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
         grads.d_biases[-1][0] = -1.0  # Adam's first step moves it by lr: past the largest float
         with pytest.raises(NumericError, match="after update"), np.errstate(over="ignore"):
             optimizer_step(params, grads, lr=1e300)
@@ -273,14 +281,13 @@ class TestOptimizer:
             loss = float(np.sum(diff * diff))
             if loss < 1e-4:
                 break
-            up = GradientPair(2 * diff[:1].T, 2 * diff[1:].T)
+            up = 2 * diff[:1].T, 2 * diff[1:].T
             optimizer_step(params, backward(params, x, up), lr=1e-2)
         assert loss < 1e-4
 
     def test_bad_lr_rejected(self):
         params = init_params(tiny_config())
-        g = backward(params, np.ones((1, 3)),
-                     GradientPair(np.zeros((1, 2)), np.zeros((1, 2))))
+        g = backward(params, np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
         with pytest.raises(ConfigError):
             optimizer_step(params, g, lr=0.0)
 
@@ -339,7 +346,7 @@ class TestWarmStart:
             grad = np.zeros((data.n, 3))
             grad[rows, t] = w * (1.0 / (1.0 + np.exp(-z[rows, t])) - y)
             up.append(grad)
-        optimizer_step(manual, backward(manual, data.features, GradientPair(*up)), 1e-2)
+        optimizer_step(manual, backward(manual, data.features, up), 1e-2)
         for a, b in zip(params.weights + params.biases, manual.weights + manual.biases):
             np.testing.assert_array_equal(a, b)
 
@@ -362,7 +369,7 @@ class TestDeterminismAndHeads:
         params = init_params(tiny_config(layer_widths=(4,)))
         x = rng.standard_normal((5, 3))
         before = forward(params, x)
-        up = GradientPair(rng.standard_normal((5, 2)), np.zeros((5, 2)))
+        up = rng.standard_normal((5, 2)), np.zeros((5, 2))
         grads = backward(params, x, up)
         last = len(params.weights) - 1
         params.weights[last] -= 0.05 * grads.d_weights[last]

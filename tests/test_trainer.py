@@ -9,8 +9,7 @@ from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic, spl
 from treatalloc.evaluation import (_allocator, allocate_at_budget, aucc, cost_curve,
                                    default_budget_grid)
 from treatalloc.exceptions import ConfigError, NumericError, ValidationError
-from treatalloc.gradients import (GradientPair, dual_flip_gradient, ips_dual_loss,
-                                  softmax_flip_gradient)
+from treatalloc.gradients import dual_flip_gradient, ips_dual_loss, softmax_flip_gradient
 from treatalloc.losses import (BudgetGrid, LambdaGrid, _prediction_loss_grad, _whole,
                                prediction_loss_grad,
                                tempered_policy_loss_grad)
@@ -169,10 +168,9 @@ class TestTrainLoop:
         params = init_params(model_config)
         pred = forward(params, tiny_data.features)
         _, pg_rev, pg_cost = prediction_loss_grad(tiny_data, pred)
-        _, est = dual_flip_gradient(tiny_data, pred, config.lambda_grid,
-                                    step_floor=config.step_floor, centered=True)
-        upstream = GradientPair(config.alpha * pg_rev + est.d_revenue,
-                                config.alpha * pg_cost + est.d_cost)
+        _, est_rev, est_cost = dual_flip_gradient(tiny_data, pred, config.lambda_grid,
+                                                  step_floor=config.step_floor, centered=True)
+        upstream = config.alpha * pg_rev + est_rev, config.alpha * pg_cost + est_cost
         grads = backward(params, tiny_data.features, upstream)
         optimizer_step(params, grads, config.lr)
         for a, b in zip(params.weights + params.biases,
@@ -318,20 +316,21 @@ class TestRowBlocks:
 
 class TestTermContract:
     """Every training term is a private core ``(block, pred) -> (loss,
-    d_revenue, d_cost)`` that returns plain arrays; only the public kernels
-    build a ``GradientPair``, whose finiteness check belongs at that entry."""
+    d_revenue, d_cost)`` that returns plain arrays, as the public kernels do;
+    training hands them to ``_backprop``, and only ``backward``, where a
+    gradient from outside enters the model, checks them."""
 
     @pytest.mark.parametrize("objective", WARM_START_OBJECTIVES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_training_builds_no_gradient_pair(self, tiny_data, binary_data, monkeypatch,
-                                              backend, objective):
+    def test_training_calls_no_backward(self, tiny_data, binary_data, monkeypatch,
+                                        backend, objective):
         monkeypatch.setattr(model, "BLOCK_ROWS", 97)
-        builds = count_calls(monkeypatch, GradientPair.__post_init__,
-                             "treatalloc.gradients.GradientPair.__post_init__")
+        calls = count_calls(monkeypatch, backward, "treatalloc.model.backward",
+                            "treatalloc.training.backward", raising=False)
         data = binary_data if objective == "cross-entropy" else tiny_data
         params, _ = train(data, small_config(backend=backend, epochs=3, warm_start_epochs=1,
                                              warm_start_objective=objective))
-        assert params.step == 3 and builds == []
+        assert params.step == 3 and calls == []
 
     def test_two_stage_has_no_decision_term(self):
         assert _decision_term(small_config(backend="two-stage")) is None
@@ -348,8 +347,6 @@ class TestTermContract:
             "perturb-softmax": lambda: softmax_flip_gradient(data, pred, GRID, 0.05, 0.4,
                                                              centered=True),
         }[backend]()
-        if isinstance(public[1], GradientPair):
-            public = (public[0], public[1].d_revenue, public[1].d_cost)
         got = _decision_term(config)(_whole(data), pred)
         assert exact(got) == exact(public)
         for loss, d_rev, d_cost in (got, _prediction_loss_grad(_whole(data), pred)):
@@ -390,10 +387,10 @@ class TestCenteredDecisionGradient:
 
     def plain(self, backend, data, pred):
         if backend == "policy":
-            _, d_rev, d_cost = tempered_policy_loss_grad(data, pred, self.GRID, 1.0)
-            return np.concatenate([d_rev, d_cost])
-        _, g = dual_flip_gradient(data, pred, self.GRID, step_floor=0.05)
-        return np.concatenate([g.d_revenue, g.d_cost])
+            _, *grads = tempered_policy_loss_grad(data, pred, self.GRID, 1.0)
+        else:
+            _, *grads = dual_flip_gradient(data, pred, self.GRID, step_floor=0.05)
+        return np.concatenate(grads)
 
     @pytest.mark.parametrize("backend", ["policy", "perturb"])
     def test_lower_variance_same_mean(self, instance, backend):
