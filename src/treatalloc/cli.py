@@ -247,7 +247,8 @@ def _cmd_report(args) -> None:
                 raise ValidationError(f"expected label=path, got {item!r}")
             label, _, path = item.partition("=")
             _, (budgets, _, revenues, _) = _read_table(
-                path, lambda header: header == CURVE_COLUMNS, ", ".join(CURVE_COLUMNS))
+                path, lambda header: header == CURVE_COLUMNS, ", ".join(CURVE_COLUMNS),
+                finite=True)
             budgets, revenues = budgets.tolist(), revenues.tolist()
             if columns is None:
                 columns = budgets

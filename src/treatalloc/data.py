@@ -22,7 +22,8 @@ header of their layout (surrounding spaces aside). The layouts:
 - outcome matrix (truth or predictions): ``id, r0..r{M-1}, c0..c{M-1}``;
 - allocation (``treatalloc solve``): ``id, choice``;
 - cost curve (``treatalloc evaluate``, read by ``report``): ``CURVE_COLUMNS``,
-  ``budget, per_capita_cost, per_capita_revenue, matched_fraction``;
+  ``budget, per_capita_cost, per_capita_revenue, matched_fraction``, every
+  field finite;
 - gradient dump (``treatalloc train --dump-gradients``):
   ``id, treatment, d_revenue, d_cost``, one row per individual and treatment.
 """
@@ -298,10 +299,12 @@ CSV_BLOCK_ROWS = 4096  # rows formatted per write, so the text never holds a who
 CURVE_COLUMNS = ["budget", "per_capita_cost", "per_capita_revenue", "matched_fraction"]
 
 
-def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: str
-                ) -> tuple[list[str], list[np.ndarray]]:
+def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: str,
+                finite: bool = False) -> tuple[list[str], list[np.ndarray]]:
     """Header and columns of a CSV table, ``id`` and ``treatment`` as int64
     and the rest as float64; ``accepts`` judges the whitespace-stripped header.
+    With ``finite``, a float field that is not finite (``nan``, ``inf``,
+    ``1e400``) is a bad row.
 
     The body is parsed in bulk. Should that fail, the row loop below is what
     the codec accepts: it returns the same columns for what the bulk parse
@@ -327,11 +330,14 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
             except (ValueError, Warning):
                 pass
             else:
-                return header, [table[h].copy() for h in header]
+                columns = [table[h].copy() for h in header]
+                if not finite or all(np.isfinite(c).all() for c in columns):
+                    return header, columns
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        parsers = [(lambda v: np.int64(int(v))) if t is np.int64 else float for t in types]
+        parsers = [(lambda v: np.int64(int(v))) if t is np.int64
+                   else _finite_float if finite else float for t in types]
         columns: list[list] = [[] for _ in header]
         end = reader.line_num  # physical lines read so far
         for row in reader:
@@ -347,6 +353,13 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
             except (ValueError, OverflowError) as exc:  # no number, or past int64
                 raise ParseError(str(exc), line=lineno, path=path) from None
     return header, [np.asarray(c, dtype=t) for c, t in zip(columns, types)]
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _bulk_safe(path: str | Path) -> bool:
@@ -514,7 +527,8 @@ def config_section(values: dict[str, str], section: str,
 
     Section ``""`` holds the keys without a prefix (the generator's); other
     sections are left to their own readers. An unknown key, a missing
-    ``required`` one or a ``ValueError`` of a parser raises ``ConfigError``.
+    ``required`` one or a parser's ``ValueError`` or ``ConfigError`` raises
+    ``ConfigError``, naming the key.
     """
     prefix = f"{section}." if section else ""
     own = {k[len(prefix):]: v for k, v in values.items()
@@ -531,7 +545,7 @@ def config_section(values: dict[str, str], section: str,
         if key in own:
             try:
                 parsed[key] = parse(own[key])
-            except ValueError as exc:
+            except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"bad {prefix}{key}={own[key]!r}: {exc}") from None
     return parsed
 

@@ -18,8 +18,9 @@ prediction-only warm start here and the decision-aware epochs of
 and the optimizer step, and averages the batch losses; callers supply only
 the gradient of their loss with respect to the predictions (the warm start
 through the prediction core). A batch runs in consecutive blocks of
-``BLOCK_ROWS`` rows (views; a smaller batch is one block), so a full-batch
-step holds the data plus one block's temporaries. Each block runs forward
+``BLOCK_ROWS`` rows (``solver``'s, the package's one block size; views; a
+smaller batch is one block), so a full-batch step holds the data plus one
+block's temporaries. Each block runs forward
 once (backward reads the layer inputs that ``forward_cached`` kept), its
 loss gradients and backward; what belongs to the whole batch is computed
 over it (``losses._blocks``). Gradients and losses add up in block order,
@@ -51,11 +52,10 @@ import numpy as np
 from .data import RctDataset, _sigmoid, _unchecked
 from .exceptions import ConfigError, NumericError, ValidationError
 from .losses import _Block, _blocks, _prediction_loss_grad
-from .solver import PredictionMatrix
+from .solver import BLOCK_ROWS, PredictionMatrix
 
 _MAGIC = b"TACKPT01"
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # moment decay rates; denominator guard
-BLOCK_ROWS = 8192  # rows per block of a training step; 4,096 to 16,384 timed alike
 
 ACTIVATIONS = ("relu", "tanh")
 WARM_START_OBJECTIVES = ("squared-error", "cross-entropy")

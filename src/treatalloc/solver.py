@@ -24,6 +24,17 @@ comparisons only (``_first``: the lowest index equal to the maximum, the tie
 rule of ``argmax``; finite multipliers and predictions give no NaN score),
 and single cells are reached through flat indices ``j * n + i`` into a
 raveled (m, n) array.
+
+Each probe and each sweep pass runs on ``BLOCK_ROWS``-column blocks (the
+package's one block size; ``model`` trains on blocks of that many rows), so
+its temporaries are a few (m, BLOCK_ROWS) buffers, reused from block to
+block, not (m, n) arrays. A probe writes each row's choice and chosen
+revenue and cost into (n,) arrays and sums each array once at the end; then
+each row's best score, its chosen revenue less ``lam`` times its chosen
+cost, overwrites the cost array for the dual bound's sum. The sweep
+concatenates its blocks' events pass by pass. So every sum and every field
+has the bits of a pass over all rows at once, and a search reads its dual
+bound off the probe that found its multiplier.
 """
 
 from __future__ import annotations
@@ -37,6 +48,9 @@ import numpy as np
 from .exceptions import InfeasibleError, SizeError, ValidationError
 
 _MAX_ASSIGNMENTS = 2_000_000  # brute_force_oracle's enumeration cap
+# columns per probe or sweep block, rows per training block (Layout); in
+# training, 4,096 to 16,384 timed alike
+BLOCK_ROWS = 8192
 
 
 @dataclass(eq=False)
@@ -131,14 +145,6 @@ def _first(hit: np.ndarray) -> np.ndarray:
     return first
 
 
-def _scores(pred: PredictionMatrix, lam: float) -> np.ndarray:
-    """(m, n) scores ``revenue - lam * cost`` in one fresh array."""
-    _check_multiplier(lam)
-    revenue, cost = pred.revenue.T, pred.cost.T
-    scores = np.multiply(lam, cost)
-    return np.subtract(revenue, scores, out=scores)
-
-
 def _allocation_from_choice(pred: PredictionMatrix, choice: np.ndarray) -> Allocation:
     revenue, cost = pred.revenue.T, pred.cost.T
     cells = np.multiply(choice, pred.n, dtype=np.intp) + np.arange(pred.n)
@@ -149,10 +155,39 @@ def _allocation_from_choice(pred: PredictionMatrix, choice: np.ndarray) -> Alloc
     )
 
 
+def _decide(pred: PredictionMatrix, lam: float) -> tuple[Allocation, float]:
+    """``decide_dual`` and ``sum_i max_j (revenue_ij - lam * cost_ij)`` in one
+    pass of ``BLOCK_ROWS``-column blocks over one reused score buffer (Layout).
+    A row's best score is recomputed from its chosen cells: the score its
+    choice won with, so the column maximum's number (a zero's sign aside)."""
+    _check_multiplier(lam)
+    revenue, cost = pred.revenue.T, pred.cost.T
+    m, n = revenue.shape
+    width = min(n, BLOCK_ROWS)
+    scores, hit = np.empty((m, width)), np.empty((m, width), bool)
+    tops, cells, cols = np.empty(width), np.empty(width, np.intp), np.arange(width)
+    choice, gained, spent = np.empty(n, np.int64), np.empty(n), np.empty(n)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        s, h, flat = scores[:, :hi - lo], hit[:, :hi - lo], cells[:hi - lo]
+        np.multiply(lam, cost[:, lo:hi], out=s)
+        np.subtract(revenue[:, lo:hi], s, out=s)
+        np.equal(s, s.max(axis=0, out=tops[:hi - lo]), out=h)
+        won = _first(h)
+        choice[lo:hi] = won
+        np.multiply(won, n, out=flat, dtype=np.intp)
+        flat += cols[:hi - lo]
+        flat += lo
+        revenue.ravel().take(flat, out=gained[lo:hi], mode="clip")  # "clip" skips a copy
+        cost.ravel().take(flat, out=spent[lo:hi], mode="clip")
+    objective, total_cost = float(gained.sum()), float(spent.sum())
+    best = np.subtract(gained, np.multiply(lam, spent, out=spent), out=spent)
+    return Allocation(choice, objective, total_cost), float(best.sum())
+
+
 def decide_dual(pred: PredictionMatrix, lam: float) -> Allocation:
     """Per-row argmax of ``revenue - lam * cost``; ties go to the lowest index."""
-    scores = _scores(pred, lam)
-    return _allocation_from_choice(pred, _first(scores == scores.max(axis=0)))
+    return _decide(pred, lam)[0]
 
 
 def dual_value(pred: PredictionMatrix, lam: float, budget: float) -> float:
@@ -161,7 +196,7 @@ def dual_value(pred: PredictionMatrix, lam: float, budget: float) -> float:
     if np.isnan(budget):
         raise ValidationError(f"budget must not be NaN, got {budget!r}")
     term = lam * budget if lam > 0 or np.isfinite(budget) else 0.0  # 0 * inf is NaN
-    return float(term + _scores(pred, lam).max(axis=0).sum())
+    return float(term + _decide(pred, lam)[1])
 
 
 def lambda_upper_bound(pred: PredictionMatrix) -> float:
@@ -182,36 +217,45 @@ class _Sweep:
     ``start_cost``, the predicted cost at ``lam = 0``."""
 
     def __init__(self, pred: PredictionMatrix):
-        revenue, cost = r, c = pred.revenue.T, pred.cost.T
-        cur = pred._unconstrained.choice.copy()
+        revenue, cost = pred.revenue.T, pred.cost.T
+        rows_type, index_type = (np.min_scalar_type(k) for k in (pred.n, pred.num_treatments))
         self.start_cost = pred._unconstrained.total_cost
-        at = np.zeros(pred.n)  # multiplier of each row's latest move
-        active = np.arange(pred.n)
-        events = [(np.zeros(0), active[:0], active[:0], active[:0])]
-        for _ in range(pred.num_treatments - 1):
-            j, here = cur[active], np.arange(active.size)
-            gap = c[j, here] - c
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                t = r[j, here] - r
-                t /= gap  # where line k overtakes line j
-            np.maximum(t, at[active], out=t)
-            t[gap <= 0] = np.inf  # only cheaper lines overtake
-            best = t.min(axis=0)
-            # equal crossings: argmax keeps the cheaper line, then the lower index
-            k = np.argmin(np.where(t == best, c, np.inf), axis=0)
-            moved = best < np.inf
-            active = active[moved]
-            events.append((best[moved], active, cur[active], k[moved]))
-            cur[active] = k[moved]
-            at[active] = best[moved]
-            r, c = revenue.take(active, axis=1), cost.take(active, axis=1)
-        lam, rows, old, new = map(np.concatenate, zip(*events))
+        empty = (np.zeros(0), np.zeros(0, rows_type), *2 * [np.zeros(0, index_type)])
+        # per pass, one (lam, rows, old, new) per block; concatenated pass-major,
+        # they are in the order of a pass over all rows at once
+        passes = [[] for _ in range(pred.num_treatments - 1)]
+        for lo in range(0, pred.n, BLOCK_ROWS):
+            cols = slice(lo, lo + BLOCK_ROWS)
+            r, c = block_r, block_c = revenue[:, cols], cost[:, cols]
+            cur = pred._unconstrained.choice[cols].copy()
+            at = np.zeros(r.shape[1])  # multiplier of each row's latest move
+            active = np.arange(r.shape[1])
+            for events in passes:
+                j, here = cur[active], np.arange(active.size)
+                gap = c[j, here] - c
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    t = r[j, here] - r
+                    t /= gap  # where line k overtakes line j
+                np.maximum(t, at[active], out=t)
+                t[gap <= 0] = np.inf  # only cheaper lines overtake
+                best = t.min(axis=0)
+                # equal crossings: argmax keeps the cheaper line, then the lower index
+                k = np.argmin(np.where(t == best, c, np.inf), axis=0)
+                moved = best < np.inf
+                active = active[moved]
+                events.append((best[moved], (active + lo).astype(rows_type),
+                               cur[active].astype(index_type), k[moved].astype(index_type)))
+                cur[active] = k[moved]
+                at[active] = best[moved]
+                if not active.size:
+                    break
+                r, c = block_r.take(active, axis=1), block_c.take(active, axis=1)
+        lam, rows, old, new = map(np.concatenate, zip(empty, *itertools.chain(*passes)))
+        del passes  # the blocks' events go before the sort's copies come
         order = np.argsort(lam)
         lam = lam[order]
         # the cached indices live as long as the matrix: smallest int types
-        self.rows = rows[order].astype(np.min_scalar_type(pred.n))
-        self.old, self.new = (j[order].astype(np.min_scalar_type(pred.num_treatments))
-                              for j in (old, new))
+        self.rows, self.old, self.new = rows[order], old[order], new[order]
         self.n = pred.n
         self.ends = np.flatnonzero(np.diff(lam, append=np.inf)) + 1  # per group
         # twice the last switch point scales with the cost unit; 1 if none is positive
@@ -269,15 +313,17 @@ def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
     trace = [(0.0, top.total_cost)]
 
     def probe(lam):
-        alloc = decide_dual(pred, lam)
+        alloc, best_sum = _decide(pred, lam)
         trace.append((lam, alloc.total_cost))
-        return alloc.total_cost, alloc
+        return alloc.total_cost, (alloc, best_sum)
 
     if top.total_cost <= budget:  # a fresh choice: the cached one is shared
         lam, alloc = 0.0, replace(top, choice=top.choice.astype(np.int64))
-    else:
-        lam, alloc = pred._sweep.cost_search(budget, probe)
-    return DualSolution(lam, alloc, dual_value(pred, lam, budget), tuple(trace))
+        bound = dual_value(pred, lam, budget)
+    else:  # lam > 0 and a finite budget: the bound of the probe that found lam
+        lam, (alloc, best_sum) = pred._sweep.cost_search(budget, probe)
+        bound = float(lam * budget + best_sum)
+    return DualSolution(lam, alloc, bound, tuple(trace))
 
 
 def brute_force_oracle(truth: PredictionMatrix, budget: float) -> Allocation:

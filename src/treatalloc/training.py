@@ -131,8 +131,11 @@ def train_config(values: dict[str, str]) -> TrainConfig:
         "alpha": float, "tau": float, "warm_start_epochs": int,
         "warm_start_objective": str, "lr": float,
         "batch_size": lambda v: int(v) if v else None, "seed": int,
-        "hidden": lambda v: tuple(int(w) for w in v.split(",")) if v else (),
-        "activation": str, "eval_every": int, "eval_budgets": lambda v: _floats(v) if v else (),
+        # the model's own rules, checked here so that their errors name the key
+        "hidden": lambda v: ModelConfig(
+            tuple(int(w) for w in v.split(",")) if v else (), 1, 1).layer_widths,
+        "activation": lambda v: ModelConfig((), 1, 1, v).activation,
+        "eval_every": int, "eval_budgets": lambda v: _floats(v) if v else (),
         "step_floor": float, "step_cap": float,
     }
     own = config_section(values, "train", parsers, required=("epochs", "lambda_grid"))

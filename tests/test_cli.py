@@ -275,7 +275,14 @@ class TestPipeline:
         ("0.1,0.09,1.5,0.33\n0.2,0.19,1.75,0.34\n", 1),
         ("per_capita_cost,budget,per_capita_revenue,matched_fraction\n"
          "0.09,0.1,1.5,0.33\n", 1),
-    ], ids=["non-numeric-value", "column-missing", "no-header", "columns-reordered"])
+        ("budget,per_capita_cost,per_capita_revenue,matched_fraction\n"
+         "nan,0.09,1.5,0.33\n", 2),
+        ("budget,per_capita_cost,per_capita_revenue,matched_fraction\n"
+         "0.1,0.09,1.5,0.33\n0.2,0.19,inf,0.34\n", 3),
+        ("budget,per_capita_cost,per_capita_revenue,matched_fraction\n"
+         "0.1,0.09,1.5,0.33\n\n0.2,0.19,1.75,1e400\n", 4),
+    ], ids=["non-numeric-value", "column-missing", "no-header", "columns-reordered",
+            "nan-budget", "inf-value", "overflow-after-a-blank-line"])
     def test_report_rejects_malformed_curve(self, workdir, capsys, text, line):
         write(workdir / "c.csv", text)
         assert run(["report", "--out", p(workdir / "table.txt"),
@@ -417,7 +424,8 @@ class TestSolveAndTrainInputs:
                     "--config", p(workdir / "train.cfg"),
                     "--checkpoint", p(workdir / "m.ckpt"), override])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and override.partition("=")[0] in err
         assert not (workdir / "m.ckpt").exists()
 
     def test_eval_every_below_one_exit_code(self, generated, capsys):

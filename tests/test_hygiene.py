@@ -106,3 +106,11 @@ def test_only_the_cli_commits_outputs():
     # a verb's outputs are staged and committed together by ``cli._outputs``;
     # a writer that renames or stages its own file would commit it alone
     assert {name for name, tree in TREES.items() if _stages_files(tree)} == {"cli.py"}
+
+
+def test_one_block_size():
+    # probes, sweeps and training blocks share ``solver.BLOCK_ROWS``; ``model`` imports it
+    assigned = [name for name, tree in TREES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "BLOCK_ROWS"
+                and isinstance(node.ctx, ast.Store)]
+    assert assigned == ["solver.py"]

@@ -341,7 +341,8 @@ def _curve_mutants(raw):
 def _curve_budgets(path):
     """The budget column of ``path`` as ``report`` reads it, or None if it refuses the file."""
     try:
-        return _read_table(path, lambda header: header == CURVE_COLUMNS, "")[1][0].tolist()
+        return _read_table(path, lambda header: header == CURVE_COLUMNS, "",
+                           finite=True)[1][0].tolist()
     except ParseError:
         return None
 
@@ -352,8 +353,7 @@ def test_mutated_curve_csv_exits_cleanly(curve, tmp_path, capsys):
     or a second curve whose budget grid is not the first's, exits 2 and
     writes nothing; any other input exits 0 with a table of one line per
     curve and one number per budget. A ``nan`` or ``inf`` (``1e400``) field
-    reads as a number, so a lone curve holding one exits 0 and the table
-    prints it: the harness's rules allow that."""
+    is one the reader refuses, as ``evaluate`` never writes one."""
     grid = _curve_budgets(curve)
     codes = set()
     for name, blob in _curve_mutants(curve.read_bytes()):

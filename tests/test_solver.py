@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from treatalloc import solver
 from treatalloc.exceptions import InfeasibleError, SizeError, ValidationError
 from treatalloc.solver import (DualSolution, PredictionMatrix, _Sweep,
                                brute_force_oracle, decide_dual, dual_value,
@@ -398,50 +401,97 @@ def reference_solve(pred, budget):
     return lam, result, float(bound), trace
 
 
+def reference_sweep(pred):
+    """The six ``_Sweep`` fields as first written: one row-major pass over
+    all rows at once per move, from the ``argmax`` choice at ``lam = 0``."""
+    revenue, cost = pred.revenue, pred.cost
+    cur = np.argmax(revenue, axis=1)
+    at = np.zeros(pred.n)
+    active = np.arange(pred.n)
+    events = [(np.zeros(0), active[:0], active[:0], active[:0])]
+    for _ in range(pred.num_treatments - 1):
+        r, c, j, here = revenue[active], cost[active], cur[active], np.arange(active.size)
+        gap = c[here, j][:, None] - c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (r[here, j][:, None] - r) / gap
+        t = np.maximum(t, at[active][:, None])
+        t[gap <= 0] = np.inf
+        best = t.min(axis=1)
+        k = np.argmin(np.where(t == best[:, None], c, np.inf), axis=1)
+        moved = best < np.inf
+        active = active[moved]
+        events.append((best[moved], active, cur[active], k[moved]))
+        cur[active] = k[moved]
+        at[active] = best[moved]
+    lam, rows, old, new = map(np.concatenate, zip(*events))
+    order = np.argsort(lam)
+    lam = lam[order]
+    rows = rows[order].astype(np.min_scalar_type(pred.n))
+    old, new = (x[order].astype(np.min_scalar_type(pred.num_treatments)) for x in (old, new))
+    ends = np.flatnonzero(np.diff(lam, append=np.inf)) + 1
+    top = lam.max(initial=0.0)
+    return {"rows": rows, "old": old, "new": new, "ends": ends,
+            "breaks": np.append(lam[ends - 1], 2.0 * top if top > 0 else 1.0),
+            "cost_delta": cost[rows, new] - cost[rows, old]}
+
+
+def check_against_references(pred, rng):
+    """``pred``'s sweep, probes, dual bounds and solves, bit for bit against
+    the row-major references."""
+    sweep = pred._sweep
+    for name, want in reference_sweep(pred).items():
+        got = getattr(sweep, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    mids = 0.5 * (sweep.breaks[1:] + sweep.breaks[:-1])
+    lams = [0.0, 0.3, 1.1, *sweep.breaks[:8], *mids[:8], sweep.breaks[-1]]
+    for lam in map(float, lams):
+        choice, objective, cost = reference_decide(pred, lam)
+        alloc = decide_dual(pred, lam)
+        assert alloc.choice.dtype == np.int64
+        assert np.array_equal(alloc.choice, choice)
+        assert (alloc.objective, alloc.total_cost) == (objective, cost)
+        bound = lam * 2.5 + (pred.revenue - lam * pred.cost).max(axis=1).sum()
+        assert dual_value(pred, lam, 2.5) == float(bound)
+    assert sweep.start_cost == reference_decide(pred, 0.0)[2]
+    for groups, lam in enumerate(mids[:8], start=1):
+        assert np.array_equal(replay(sweep, pred, groups), reference_decide(pred, lam)[0])
+    floor = reference_decide(pred, sweep.breaks[-1])[2]
+    budgets = [reference_decide(pred, lam)[2] for lam in lams]
+    budgets += [float(b) for b in rng.uniform(floor, budgets[0], 3)]
+    for budget in (b for b in budgets if b >= 0):
+        sol = solve_budget(pred, budget)
+        lam, (choice, objective, cost), bound, trace = reference_solve(pred, budget)
+        assert sol.lam == lam and sol.trace == tuple(trace)
+        assert np.array_equal(sol.allocation.choice, choice)
+        assert (sol.allocation.objective, sol.allocation.total_cost) == (objective, cost)
+        assert sol.dual_value == bound
+
+
 class TestTreatmentMajorDecisions:
-    """Probes, dual bounds and sweeps read the matrix's (m, n) copy and find
-    each winner with comparisons only; the row-major references above give
-    the same bits, whatever the layout of the arrays handed in. From m = 257
+    """Probes, dual bounds and sweeps read the matrix's (m, n) copy in
+    ``BLOCK_ROWS``-column blocks and find each winner with comparisons only;
+    the row-major references above give the same bits, whatever the layout
+    of the arrays handed in and wherever the block edges fall. From m = 257
     the winner's index needs a uint16 counter."""
 
     @pytest.mark.parametrize("builder", BUILDERS)
     @pytest.mark.parametrize("m", [*range(2, 10), 257, 300])
-    def test_equal_row_major_reference(self, rng, builder, m):
+    def test_equal_row_major_reference(self, rng, builder, m, monkeypatch):
+        # 16-column blocks: n = 40 is two full blocks and a partial one
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 16)
         for n in (1, 7, 40):
             base = planted_ties(BUILDERS[builder](rng, n, m), np.zeros(n, np.int64))[0]
-            sweeps = []
             for pred in layouts(base).values():
-                sweep = pred._sweep
-                sweeps.append(sweep)
-                mids = 0.5 * (sweep.breaks[1:] + sweep.breaks[:-1])
-                lams = [0.0, 0.3, 1.1, *sweep.breaks[:8], *mids[:8], sweep.breaks[-1]]
-                for lam in map(float, lams):
-                    choice, objective, cost = reference_decide(pred, lam)
-                    alloc = decide_dual(pred, lam)
-                    assert alloc.choice.dtype == np.int64
-                    assert np.array_equal(alloc.choice, choice)
-                    assert (alloc.objective, alloc.total_cost) == (objective, cost)
-                    bound = lam * 2.5 + (pred.revenue - lam * pred.cost).max(axis=1).sum()
-                    assert dual_value(pred, lam, 2.5) == float(bound)
-                assert sweep.start_cost == reference_decide(pred, 0.0)[2]
-                for groups, lam in enumerate(mids[:8], start=1):
-                    assert np.array_equal(replay(sweep, pred, groups),
-                                          reference_decide(pred, lam)[0])
-                floor = reference_decide(pred, sweep.breaks[-1])[2]
-                budgets = [reference_decide(pred, lam)[2] for lam in lams]
-                budgets += [float(b) for b in rng.uniform(floor, budgets[0], 3)]
-                for budget in (b for b in budgets if b >= 0):
-                    sol = solve_budget(pred, budget)
-                    lam, (choice, objective, cost), bound, trace = reference_solve(
-                        pred, budget)
-                    assert sol.lam == lam and sol.trace == tuple(trace)
-                    assert np.array_equal(sol.allocation.choice, choice)
-                    assert (sol.allocation.objective, sol.allocation.total_cost) == (
-                        objective, cost)
-                    assert sol.dual_value == bound
-            for sweep in sweeps[1:]:
-                for name in ("rows", "old", "new", "ends", "breaks", "cost_delta"):
-                    assert np.array_equal(getattr(sweep, name), getattr(sweeps[0], name))
+                check_against_references(pred, rng)
+
+    def test_ties_straddle_block_edges(self, rng):
+        # the planted tie rows 0..3 again at rows edge - 2 .. edge + 1 of both edges
+        n = 2 * solver.BLOCK_ROWS + 5
+        base = planted_ties(BUILDERS["tie-heavy"](rng, n, 5), np.zeros(n, np.int64))[0]
+        rows = np.arange(n)
+        for edge in (solver.BLOCK_ROWS, 2 * solver.BLOCK_ROWS):
+            rows[edge - 2:edge + 2] = np.arange(4)
+        check_against_references(base.take(rows), rng)
 
     def test_heads_are_strided_and_copies_contiguous(self, rng):
         # strided heads go in; each field is a .T view of a read-only (m, n)
@@ -454,3 +504,26 @@ class TestTreatmentMajorDecisions:
         for field, given in zip((pred.revenue, pred.cost), (heads[:, :m], heads[:, m:])):
             assert field.T.flags.c_contiguous and not field.T.flags.writeable
             assert np.array_equal(field, given) and not np.shares_memory(field, heads)
+
+
+def traced_peak(call):
+    """Bytes numpy allocates at the peak of ``call()``, above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_probes_and_sweep_work_in_column_blocks(rng):
+    # a probe's temporaries are its (n,) results and a few (m, BLOCK_ROWS)
+    # buffers, the sweep's its events, not (m, n) arrays
+    n, m = 65_536, 5
+    pred = PredictionMatrix(rng.uniform(0, 5, (n, m)), rng.uniform(0, 2, (n, m)))
+    pred._unconstrained
+    matrix = m * n * 8
+    assert traced_peak(lambda: decide_dual(pred, 0.7)) < matrix
+    assert traced_peak(lambda: dual_value(pred, 0.7, 1.0)) < matrix
+    assert traced_peak(lambda: _Sweep(pred)) < 3 * matrix
