@@ -7,8 +7,9 @@ checks it; ``load_csv`` adds only what a file can get wrong besides
 come with a full counterfactual outcome matrix covering every treatment,
 which downstream modules use as a ground-truth oracle. It is a
 ``CounterfactualMatrix``, the name the ground truth gives
-``solver.PredictionMatrix``: truth and predictions are one type, which
-copies the arrays handed to it. Only ``RctDataset`` takes over its arrays.
+``solver.PredictionMatrix``: truth and predictions are one type. Both types
+copy the arrays handed to them; only arrays that the package has just made
+enter uncopied and unchecked, through ``RctDataset._owning``.
 ``config_section`` reads and checks one section of a ``key=value`` config,
 for every reader.
 
@@ -44,12 +45,8 @@ from .solver import PredictionMatrix as CounterfactualMatrix
 GENERATOR_FAMILIES = ("saturating", "linear", "hetero")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """``arr`` marked read-only in place; a view whose base can still be
-    written is copied first, so no write through the base reaches it."""
-    base = arr.base
-    if base is not None and (not isinstance(base, np.ndarray) or base.flags.writeable):
-        arr = arr.copy()
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which nothing else references, marked read-only."""
     arr.flags.writeable = False
     return arr
 
@@ -70,10 +67,9 @@ class RctDataset:
     ``propensities[j]`` is the probability that a sample was assigned
     treatment ``j``; it defaults to the empirical share ``N_j / N`` and is
     overridden when the source file carries an explicit propensity column.
-    It takes over the arrays handed to it: they are marked read-only in place
-    (a view whose base can still be written is copied first), so writing to
-    them through another reference, such as an earlier view, is unsupported.
-    The outcome matrices copy theirs instead (``solver.PredictionMatrix``).
+    It copies the arrays handed to it into read-only storage, as the
+    outcome matrices do (``solver.PredictionMatrix``), so later writes to
+    them or to their views do not reach it.
     """
 
     ids: np.ndarray          # (n,) int64
@@ -86,11 +82,11 @@ class RctDataset:
     propensities: np.ndarray = field(default=None)                # (m,) float64
 
     def __post_init__(self):
-        self.ids = _freeze(np.asarray(self.ids, dtype=np.int64))
-        self.features = _freeze(np.asarray(self.features, dtype=np.float64))
-        self.treatment = _freeze(np.asarray(self.treatment, dtype=np.int64))
-        self.revenue = _freeze(np.asarray(self.revenue, dtype=np.float64))
-        self.cost = _freeze(np.asarray(self.cost, dtype=np.float64))
+        self.ids = _frozen(np.array(self.ids, dtype=np.int64))
+        self.features = _frozen(np.array(self.features, dtype=np.float64))
+        self.treatment = _frozen(np.array(self.treatment, dtype=np.int64))
+        self.revenue = _frozen(np.array(self.revenue, dtype=np.float64))
+        self.cost = _frozen(np.array(self.cost, dtype=np.float64))
 
         n = self.ids.shape[0]
         if self.features.ndim != 2 or self.features.shape[0] != n:
@@ -114,18 +110,29 @@ class RctDataset:
         if n and (self.revenue.min() < 0 or self.cost.min() < 0):
             raise ValidationError("observed revenue and cost must be >= 0")
 
-        counts = self.treatment_counts = _freeze(np.bincount(self.treatment, minlength=m))
+        counts = self.treatment_counts = _frozen(np.bincount(self.treatment, minlength=m))
 
         if self.propensities is None:
             self.propensities = counts / max(n, 1)
-        self.propensities = np.asarray(self.propensities, dtype=np.float64)
+        self.propensities = _frozen(np.array(self.propensities, dtype=np.float64))
         if self.propensities.shape != (m,):
             raise ValidationError("propensities must have one entry per treatment")
         if not abs(float(self.propensities.sum()) - 1.0) <= 1e-9:  # NaN fails too
             raise ValidationError("propensities must sum to 1")
         if np.any((counts > 0) & (self.propensities <= 0.0)):
             raise ValidationError("every present treatment needs propensity > 0")
-        _freeze(self.propensities)
+
+    @classmethod
+    def _owning(cls, num_treatments: int, **columns: np.ndarray) -> RctDataset:
+        """A dataset of fresh arrays that the package has just made, valid by
+        construction and referenced nowhere else: they are frozen in place,
+        neither copied nor checked, and the propensities are ``N_j / n``."""
+        for arr in columns.values():
+            _frozen(arr)
+        counts = _frozen(np.bincount(columns["treatment"], minlength=num_treatments))
+        return _unchecked(cls, **columns, num_treatments=num_treatments,
+                          treatment_counts=counts,
+                          propensities=_frozen(counts / columns["treatment"].size))
 
     @property
     def n(self) -> int:
@@ -141,17 +148,15 @@ class RctDataset:
 
     def take(self, indices: np.ndarray) -> "RctDataset":
         """Subset by row index; ``IndexError`` when one is out of range. The
-        rows were checked with this dataset, so the batch is valid by
-        construction and not checked again: frozen copies, recounted counts
-        and the batch's own propensities ``N_j / n``. It must not be empty."""
+        rows were checked with this dataset, so the gathered copies enter
+        through ``_owning``, with the batch's own propensities ``N_j / n``.
+        It must not be empty."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1 or not idx.size:
             raise ValidationError("a subset needs a nonempty 1-D array of row indices")
-        rows = {name: _freeze(getattr(self, name).take(idx, axis=0))
-                for name in ("ids", "features", "treatment", "revenue", "cost")}
-        counts = _freeze(np.bincount(rows["treatment"], minlength=self.num_treatments))
-        return _unchecked(RctDataset, **rows, num_treatments=self.num_treatments,
-                          treatment_counts=counts, propensities=_freeze(counts / idx.size))
+        return RctDataset._owning(self.num_treatments, **{
+            name: getattr(self, name).take(idx, axis=0)
+            for name in ("ids", "features", "treatment", "revenue", "cost")})
 
 
 @dataclass(frozen=True)
@@ -265,16 +270,10 @@ def generate_synthetic(config: GeneratorConfig, seed: int
 
     t = rng.integers(0, m, size=n)
     cells = t * n + np.arange(n)  # flat (m, n) index of each observed outcome
-    data = RctDataset(
-        ids=np.arange(n, dtype=np.int64),
-        features=x,
-        treatment=t,
-        revenue=revenue.ravel().take(cells),
-        cost=cost.ravel().take(cells),
-        num_treatments=m,
-    )
-    # valid by construction: finite, (m, n) and m >= 2
-    truth = _unchecked(CounterfactualMatrix, revenue=_freeze(revenue).T, cost=_freeze(cost).T)
+    # valid by construction: finite and >= 0, t in [0, m), n >= 1 and m >= 2
+    data = RctDataset._owning(m, ids=np.arange(n, dtype=np.int64), features=x, treatment=t,
+                              revenue=revenue.ravel().take(cells), cost=cost.ravel().take(cells))
+    truth = _unchecked(CounterfactualMatrix, revenue=_frozen(revenue).T, cost=_frozen(cost).T)
     return data, truth
 
 
@@ -330,7 +329,7 @@ def _read_table(path: str | Path, accepts: Callable[[list[str]], bool], want: st
             except (ValueError, Warning):
                 pass
             else:
-                columns = [table[h].copy() for h in header]
+                columns = [table[h] for h in header]  # views: constructors copy
                 if not finite or all(np.isfinite(c).all() for c in columns):
                     return header, columns
     with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -471,8 +470,8 @@ def load_counterfactual_csv(path: str | Path) -> tuple[np.ndarray, Counterfactua
     m = len(header) // 2
     if columns[0].size == 0:
         raise ValidationError("outcome matrix has no data rows")
-    return columns[0], CounterfactualMatrix(np.stack(columns[1:1 + m]).T,
-                                            np.stack(columns[1 + m:]).T)
+    revenue, cost = np.stack(columns[1:1 + m]).T, np.stack(columns[1 + m:]).T
+    return columns[0].copy(), CounterfactualMatrix(revenue, cost)  # ids: not a view of the table
 
 
 def write_counterfactual_csv(path: str | Path, ids: np.ndarray,

@@ -15,8 +15,8 @@ A brute-force enumerator serves as the exact oracle on small instances.
 Layout: numpy reduces a short last axis one row at a time, so a prediction
 matrix stores its data treatment-major: each of revenue and cost is one
 read-only (m, n) C-contiguous array, copied from the input when the matrix
-is built (only ``data.RctDataset`` takes over the arrays handed to it), and
-the (n, m) fields are its ``.T`` views. Every probe, dual bound and sweep,
+is built (as ``data.RctDataset`` copies the arrays handed to it), and the
+(n, m) fields are its ``.T`` views. Every probe, dual bound and sweep,
 and the training kernels in ``losses`` and ``gradients``, read those (m, n)
 arrays, so a per-individual maximum is a reduce over contiguous rows.
 numpy's ``argmax`` has no such reduce, so each winner is found with
@@ -59,8 +59,8 @@ class PredictionMatrix:
     model's predictions or, as ``data.CounterfactualMatrix``, the synthetic
     ground truth.
 
-    It copies the arrays handed to it (Layout), so later writes to them do
-    not reach it or its cached sweep."""
+    It copies the arrays handed to it (Layout), as ``data.RctDataset``
+    does, so later writes to them do not reach it or its cached sweep."""
 
     revenue: np.ndarray  # (n, m), a view of a (m, n) C-contiguous array
     cost: np.ndarray     # (n, m)
@@ -319,7 +319,7 @@ def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
 
     if top.total_cost <= budget:  # a fresh choice: the cached one is shared
         lam, alloc = 0.0, replace(top, choice=top.choice.astype(np.int64))
-        bound = dual_value(pred, lam, budget)
+        bound = float(0.0 + top.objective)  # at lam = 0 a row's best score is its revenue
     else:  # lam > 0 and a finite budget: the bound of the probe that found lam
         lam, (alloc, best_sum) = pred._sweep.cost_search(budget, probe)
         bound = float(lam * budget + best_sum)

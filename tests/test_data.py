@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from treatalloc.data import (CSV_BLOCK_ROWS, CURVE_COLUMNS, CounterfactualMatrix,
-                             GeneratorConfig, RctDataset, _write_table,
+from treatalloc.data import (CSV_BLOCK_ROWS, CURVE_COLUMNS, GENERATOR_FAMILIES,
+                             CounterfactualMatrix, GeneratorConfig, RctDataset, _write_table,
                              config_section, generate_synthetic, generator_config, load_csv,
                              load_counterfactual_csv, read_config, split,
                              write_counterfactual_csv, write_csv)
@@ -318,6 +318,45 @@ def test_truth_copies_the_arrays_handed_to_it(order):
     assert truth.revenue.tolist() == (revenue - 1.0).tolist()
     assert truth.cost.tolist() == np.ones((3, 2)).tolist()
     assert not (truth.revenue.flags.writeable or truth.cost.flags.writeable)
+
+
+def test_a_view_taken_before_the_hand_over_cannot_write_into_the_dataset():
+    rev = np.array([1.0, 2.0, 3.0])
+    alias = rev[:]
+    data = make_dataset(treatment=[0, 1, 0], revenue=rev, cost=np.zeros(3), num_treatments=2)
+    alias[0] = -5.0  # revenue was checked >= 0 when the dataset was built
+    assert data.revenue.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_the_arrays_handed_over_stay_writeable():
+    given = {"ids": np.arange(4), "features": np.ones((4, 2)), "treatment": np.array([0, 1, 1, 0]),
+             "revenue": np.ones(4), "cost": np.zeros(4), "propensities": np.array([0.25, 0.75])}
+    data = RctDataset(**given, num_treatments=2)
+    for name, arr in given.items():
+        assert arr.flags.writeable, name
+        assert not getattr(data, name).flags.writeable, name
+        assert not np.shares_memory(arr, getattr(data, name)), name
+    given["revenue"][:] = -1.0
+    assert data.revenue.tolist() == [1.0] * 4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_generated_dataset_equals_a_checked_construction(family, m, seed):
+    """``generate_synthetic`` builds its dataset through the trusted
+    ``RctDataset._owning``, unchecked; it must be what the checking
+    constructor makes of the same arrays, bit for bit, and read-only."""
+    data, _ = generate_synthetic(GeneratorConfig(n=37, m=m, d=3, noise=0.5, family=family), seed)
+    expected = RctDataset(ids=data.ids, features=data.features, treatment=data.treatment,
+                          revenue=data.revenue, cost=data.cost, num_treatments=m)
+    for name in ("ids", "features", "treatment", "revenue", "cost",
+                 "treatment_counts", "propensities"):
+        got, want = getattr(data, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+    assert data.num_treatments == expected.num_treatments == m
 
 
 def test_truth_and_predictions_are_one_type():

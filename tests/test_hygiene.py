@@ -114,3 +114,25 @@ def test_one_block_size():
                 if isinstance(node, ast.Name) and node.id == "BLOCK_ROWS"
                 and isinstance(node.ctx, ast.Store)]
     assert assigned == ["solver.py"]
+
+
+def _calls_of(name: str, tree: ast.AST, scope: str = ""):
+    """(enclosing qualified name, first argument's source) of every call of ``name``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _calls_of(name, node, f"{scope}{node.name}.")
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            yield scope.rstrip("."), ast.unparse(node.args[0]) if node.args else None
+        yield from _calls_of(name, node, scope)
+
+
+def test_one_trusted_path_past_the_checks():
+    # a dataset or outcome matrix skips its constructor's checks only where the
+    # package has just made its arrays: ``RctDataset._owning`` (which ``take``
+    # and ``generate_synthetic`` share), the generator's truth, the model's output
+    calls = sorted((name, *call) for name, tree in TREES.items()
+                   for call in _calls_of("_unchecked", tree))
+    assert calls == [("data.py", "RctDataset._owning", "cls"),
+                     ("data.py", "generate_synthetic", "CounterfactualMatrix"),
+                     ("model.py", "_predictions", "PredictionMatrix")]

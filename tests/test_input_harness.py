@@ -35,6 +35,21 @@ that differs from the first in length or order, exits 2 and writes nothing;
 any other input exits 0 with a table that reads back. The mutations come
 from the fixed seed in ``CURVE_SEED``.
 
+The dataset-CSV kind: the harness's dataset, mutated as the outcome CSV is
+(with header edits of its own, ``DATASET_HEADERS``, and each probe value of
+``OUTCOME_FIELDS`` in every column), or with a ``propensity`` column that
+disagrees within a treatment, does not sum to 1, is 0 for a present
+treatment or is another valid assignment, is given to ``solve --data`` and
+``evaluate --data`` with ``--predictions``, and in a few cases to ``train
+--data`` and ``--eval-data`` (one epoch). No exception escapes ``cli.run``;
+a file ``load_csv`` refuses, or whose ids or treatment count differ from the
+outcome matrix's (or, for ``train``, the other dataset's), exits 2 and
+writes nothing; any other file exits 0 (``solve``) or 0 or 3 (``evaluate``)
+and an exit 0 writes outputs that read back. A finite revenue near the top
+of the float range is a dataset ``load_csv`` accepts, but its squared error
+overflows: ``train`` exits 3 naming the non-finite loss, after numpy warns
+of the overflow. The mutations come from the fixed seed in ``DATASET_SEED``.
+
 The path kind: every output option of every verb (``OUTPUTS``) is given a
 missing parent, a directory, ``""``, an existing file, a symlink to a file, a
 dangling symlink or a symlink loop, and, where the verb has a second output,
@@ -378,6 +393,141 @@ def test_mutated_curve_csv_exits_cleanly(curve, tmp_path, capsys):
                 assert len([float(v) for v in line.split()[1:]]) == len(budgets), name
             (out / "table.txt").unlink()
     assert codes == {0, 2}
+
+
+DATASET_SEED = 31
+DATASET_HEADERS = (b"", b"ID,f0,f1,treatment,revenue,cost,propensity",
+                   b" id , f0 ,f1,treatment,revenue,cost,propensity",
+                   b"id,f0,f1,treatment,revenue,cost", b"id,f0,f1,treatment,revenue,cost,weight",
+                   b"id,f1,f0,treatment,revenue,cost,propensity",
+                   b"id,f0,f1,revenue,treatment,cost,propensity",
+                   b"id,f0,f1,f2,treatment,revenue,cost", b"id;f0;f1;treatment;revenue;cost;propensity",
+                   b"id,f0,f1,treatment,revenue,cost,propensity,")
+
+
+def _dataset_mutants(raw):
+    """The table mutations of the dataset CSV ``raw``, each probe value in
+    every column, and propensity columns that disagree within a treatment,
+    do not sum to 1, give a present treatment 0 or swap two treatments'."""
+    yield from _csv_mutants(raw, DATASET_SEED, (), DATASET_HEADERS)
+    rng = np.random.default_rng(DATASET_SEED)
+    header, *rows = [line.split(b",") for line in raw.split(b"\r\n")[:-1]]
+
+    def joined(table):
+        return b"".join(b",".join(row) + b"\r\n" for row in [header, *table])
+
+    for value in OUTCOME_FIELDS:
+        for j, name in enumerate(header):
+            i = int(rng.integers(0, len(rows)))
+            edited = [list(row) for row in rows]
+            edited[i][j] = value
+            yield f"row {i} {name.decode()} = {value!r}", joined(edited)
+    share = {row[3]: row[6] for row in rows}  # treatment -> its propensity text
+    for name, given in (("disagreeing", {}), ("not summing to 1", {b"0": b"0.5"}),
+                        ("0 for treatment 1", {b"1": b"0", b"0": b"0.6"}),
+                        ("swapped for 0 and 1", {b"0": share[b"1"], b"1": share[b"0"]})):
+        edited = [[*row[:6], given.get(row[3], row[6])] for row in rows]
+        if not given:
+            edited[int(rng.integers(0, len(rows)))][6] = b"0.5"
+        yield f"propensity {name}", joined(edited)
+
+
+def _dataset_accepts(path, ids, m):
+    """Whether ``path`` reads as a dataset with these ids and ``m`` treatments."""
+    try:
+        data = load_csv(path)
+    except (ParseError, ValidationError):
+        return False
+    return np.array_equal(data.ids, ids) and data.num_treatments == m
+
+
+def test_mutated_dataset_csv_exits_cleanly(inputs, tmp_path, capsys):
+    ids, _ = load_counterfactual_csv(inputs / "t.csv")
+    codes = {"solve": set(), "evaluate": set()}
+    for name, blob in _dataset_mutants((inputs / "d.csv").read_bytes()):
+        (tmp_path / "d.csv").write_bytes(blob)
+        accepted = _dataset_accepts(tmp_path / "d.csv", ids, 3)
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        for verb, extra, allowed in (("solve", ["--budget", "1e9"], {0}),
+                                     ("evaluate", [], {0, 3})):
+            target = out / f"{verb}.csv"
+            code = run([verb, "--data", str(tmp_path / "d.csv"),
+                        "--predictions", str(inputs / "t.csv"), "--out", str(target), *extra])
+            err = capsys.readouterr().err
+            codes[verb].add(code)
+            assert code in (allowed if accepted else {2}), (verb, name, err)
+            if code:
+                assert err.startswith("error: "), (verb, name)
+                assert not any(out.iterdir()), (verb, name)
+                continue
+            with open(target, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            if verb == "solve":
+                assert rows[0] == ["id", "choice"], name
+                assert [int(i) for i, _ in rows[1:]] == ids.tolist(), name
+                assert all(0 <= int(choice) < 3 for _, choice in rows[1:]), name
+            else:
+                assert rows[0] == CURVE_COLUMNS and len(rows) > 1, name
+                np.array(rows[1:], dtype=float)  # every cell a number
+            target.unlink()
+    assert codes["solve"] == {0, 2} and codes["evaluate"] == {0, 2}
+
+
+def _train_cases(raw):
+    """(name, --data bytes, --eval-data bytes, exit code): one mutation of
+    each class ``train`` reads differently from ``solve``."""
+    header, *rows = raw.split(b"\r\n")[:-1]
+    cells = [row.split(b",") for row in rows]
+
+    def table(first, body):
+        return b"".join(line + b"\r\n" for line in [first, *body])
+
+    def with_field(i, j, value):
+        edited = [list(row) for row in cells]
+        edited[i][j] = value
+        return table(header, [b",".join(row) for row in edited])
+
+    no_propensity = table(header.rsplit(b",", 1)[0], [row.rsplit(b",", 1)[0] for row in rows])
+    two_treatments = table(header.rsplit(b",", 1)[0], [row.rsplit(b",", 1)[0]
+                                                       for row, c in zip(rows, cells)
+                                                       if c[3] != b"2"])
+    return [("intact", raw, raw, 0),
+            ("no propensity column", no_propensity, no_propensity, 0),
+            ("non-ASCII digit in f0", with_field(4, 1, "\u0661".encode()), raw, 0),
+            ("-0 cost", with_field(4, 5, b"-0"), raw, 0),
+            ("column dropped in the eval data", raw,
+             table(header, [b",".join(c[:2] + c[3:]) for c in cells]), 2),
+            ("eval data with two treatments", raw, two_treatments, 2),
+            ("disagreeing propensity", with_field(4, 6, b"0.5"), raw, 2),
+            ("nan revenue", with_field(4, 4, b"nan"), raw, 2),
+            ("revenue 1e300", with_field(4, 4, b"1e300"), raw, 3)]
+
+
+def test_mutated_dataset_csv_trains_or_exits_cleanly(inputs, tmp_path, capsys):
+    for name, data, eval_data, expected in _train_cases((inputs / "d.csv").read_bytes()):
+        (tmp_path / "d.csv").write_bytes(data)
+        (tmp_path / "e.csv").write_bytes(eval_data)
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        argv = ["train", "--data", str(tmp_path / "d.csv"), "--eval-data", str(tmp_path / "e.csv"),
+                "--config", str(inputs / "train.cfg"), "--checkpoint", str(out / "m.ckpt"),
+                "--log", str(out / "train.log"), "train.epochs=1", "train.warm_start_epochs=0"]
+        if expected == 3:  # the squares overflow before the loss check names it
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                code = run(argv)
+        else:
+            code = run(argv)
+        err = capsys.readouterr().err
+        assert code == expected, (name, err)
+        if code:
+            assert err.startswith("error: "), name
+            assert not any(out.iterdir()), name
+            continue
+        load_checkpoint(out / "m.ckpt")
+        assert _lines_start("epoch=0 ")(out / "train.log"), name
+        for path in out.iterdir():
+            path.unlink()
 
 
 def _lines_start(prefix):

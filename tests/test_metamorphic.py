@@ -259,6 +259,37 @@ class TestRevenueShift:
                 assert (b.allocation.objective, b.allocation.total_cost) == (
                     a.allocation.objective + total, a.allocation.total_cost)
 
+    def test_allocate_at_budget(self, rng, state, builder):
+        # the estimate reads the observed outcomes, which the shift leaves alone
+        for m in (2, 4):
+            pred, data = case(rng, m, builder)
+            base, moved, _ = self.shifted(rng, state, pred)
+            for budget in per_capita_budgets(data, pred):
+                lam, choice, est = allocate_at_budget(data, base, budget)
+                lam_s, choice_s, est_s = allocate_at_budget(data, moved, budget)
+                assert lam_s == lam
+                assert np.array_equal(choice_s, choice)
+                assert exact(est_s) == exact(est)
+
+
+@pytest.mark.parametrize("state", ["cold", "warm"])
+@pytest.mark.parametrize("builder", [dyadic_instance, tie_heavy_instance],
+                         ids=["dyadic", "tie-heavy"])
+def test_replicated_rows_at_twice_the_budget_keep_the_multiplier(rng, state, builder):
+    """The matrix tiled twice, at twice the total budget: every switch point
+    and every exact total doubles with its rows, so the search finds the
+    same multiplier and each copy the same choice."""
+    for m in (2, 3, 4):
+        pred, _ = case(rng, m, builder)
+        base, twice = matrices(state, pred, PredictionMatrix(np.tile(pred.revenue, (2, 1)),
+                                                             np.tile(pred.cost, (2, 1))))
+        for budget in budgets(pred):
+            a, b = solve_budget(base, budget), solve_budget(twice, 2 * budget)
+            assert b.lam == a.lam
+            assert np.array_equal(b.allocation.choice, np.tile(a.allocation.choice, 2))
+            assert (b.allocation.objective, b.allocation.total_cost) == (
+                2 * a.allocation.objective, 2 * a.allocation.total_cost)
+
 
 @pytest.mark.parametrize("layout", [np.tile, np.repeat], ids=["tile", "repeat"])
 @pytest.mark.parametrize("m", [2, 4])

@@ -9,8 +9,8 @@ from treatalloc.solver import (DualSolution, PredictionMatrix, _Sweep,
                                brute_force_oracle, decide_dual, dual_value,
                                lambda_upper_bound, solve_budget)
 
-from conftest import (BUILDERS, instances, interval_points, planted_ties, replay,
-                      tie_heavy_instance)
+from conftest import (BUILDERS, count_calls, exact, instances, interval_points, planted_ties,
+                      replay, tie_heavy_instance)
 
 
 def pm(revenue, cost):
@@ -268,6 +268,24 @@ class TestBudgetValues:
         assert solve_budget(pred, float("inf")).dual_value == 2.0
         assert dual_value(pred, 0.0, float("inf")) == 2.0
         assert dual_value(pred, 0.5, float("inf")) == float("inf")
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_a_budget_that_fits_at_lambda_zero_reads_its_bound_off_the_decision(
+            self, rng, builder, monkeypatch):
+        # at lam = 0 each row's best score is its chosen revenue, so a warm
+        # solve makes no second pass for the bound, which keeps dual_value's bits
+        preds = [BUILDERS[builder](rng, 40, 4),
+                 pm([[-0.0, -0.0], [-0.0, 0.0]], [[0.0, -1.0], [-1.0, 2.0]])]  # signed zeros
+        for pred in preds:
+            top = pred._unconstrained  # warm: made once per matrix
+            budgets = [max(top.total_cost, 0.0), abs(top.total_cost) + 1.0, float("inf")]
+            calls = count_calls(monkeypatch, solver._decide, "treatalloc.solver._decide")
+            sols = [solve_budget(pred, budget) for budget in budgets]
+            assert calls == []
+            monkeypatch.undo()
+            for budget, sol in zip(budgets, sols):
+                assert sol.lam == 0.0
+                assert exact(sol.dual_value) == exact(dual_value(pred, 0.0, budget))
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_nan_budget_rejected_by_dual_value(self, lam):
