@@ -41,23 +41,18 @@ floored for cost, clipped for softmax scores (Vlastelica et al. 2020 describe
 this jump-over-step structure). At ``lam = 0`` cost perturbations cannot
 move any score, so cost gradients are zero there.
 
-Layout: the fast estimators work treatment-major, as the softmax kernels in
-``losses`` and the solver's probes do: they read the (m, n) arrays that a
-prediction matrix stores (``pred.revenue.T``; see ``solver``), so every
-score matrix holds one individual per column. Each multiplier's scores go
-into one buffer per call, in which ``_flip_gaps`` computes the gaps. It
-finds each winner with comparisons only (about 60 us at 8,192 x 5 for the
-maximum, one comparison and ``solver._first``, against about 250 us for
-``argmax``) and reaches single cells through flat indices. The gradients
-accumulate in (m, n) and are returned as ``.T`` views; the
-inverse-propensity weights are computed once per call. Training calls the
-private cores (``_dual_flip_gradient``, ``_softmax_flip_gradient``) once per
-row block, with the whole batch's ``n``, propensities and centred baselines
-(see ``losses``); the public estimators check their inputs and run their
-dataset as one block, returning the core's tuple as is. ``flip_fd_gradient``
-(which returns ``(d_revenue, d_cost)``) and ``ips_dual_loss`` stay row-major:
-the oracle and the loss are the references the fast kernels are checked
-against.
+Layout: the fast estimators work treatment-major, on the (m, n) arrays that
+a prediction matrix stores (see ``losses``), one individual per column.
+Their private cores (``_dual_flip_gradient``, ``_softmax_flip_gradient``,
+run per row block as in ``losses``) give the grid loop
+``losses._per_multiplier`` their per-multiplier heads. ``_flip_gaps``
+computes the gaps in its score buffer, or the softmax scores' in a copy in
+its spare buffer, where ``dual_flip_gradient``'s cost steps go; it finds
+each winner with comparisons only (about 60 us at 8,192 x 5 for the maximum,
+one comparison and ``solver._first``, against about 250 us for ``argmax``)
+and reaches single cells through flat indices. ``flip_fd_gradient`` (which
+returns ``(d_revenue, d_cost)``) and ``ips_dual_loss`` stay row-major: the
+oracle and the loss are the references the fast kernels are checked against.
 
 ``dual_flip_gradient``, ``softmax_flip_gradient`` and ``flip_fd_gradient``
 take ``centered``: the loss jump of a row is then its reward less the mean
@@ -74,7 +69,8 @@ import numpy as np
 
 from .data import RctDataset
 from .exceptions import SizeError, ValidationError
-from .losses import LambdaGrid, _Block, _check_cover, _softmax, _whole, observed_rewards
+from .losses import (LambdaGrid, _Block, _check_cover, _per_multiplier, _softmax, _whole,
+                     observed_rewards)
 from .solver import PredictionMatrix, _check_multiplier, _first
 
 _OVERSHOOT = 1e-6  # flip_fd_gradient's relative extra step, realizing flips at exact ties
@@ -220,21 +216,15 @@ def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
                         step_floor: float, centered: bool
                         ) -> tuple[float, np.ndarray, np.ndarray]:
     inv_np = 1.0 / (block.n * block.propensity)
-    revenue, cost = pred.revenue.T, pred.cost.T
-    d_rev = np.zeros_like(revenue)
-    d_cost = np.zeros_like(cost)
-    scores = np.empty_like(revenue)  # each multiplier's scores, then gaps
-    loss = 0.0
-    for lam in grid:
-        np.subtract(revenue, np.multiply(lam, cost, out=scores), out=scores)
+    def head(lam, scores, spare, d_rev, d_cost):
         gap, sign, choice = _flip_gaps(scores, block.treatment)
-        loss += _loss_arrays(block, choice, lam, inv_np)
         xt = block.reward(lam, centered)[0] * inv_np
         if lam > 0:  # first, as the revenue head works in gap
-            step = gap / lam
+            step = np.divide(gap, lam, out=spare)
             d_cost -= _flip_head(xt, np.maximum(step, step_floor, out=step), sign)
         d_rev += _flip_head(xt, np.maximum(gap, step_floor, out=gap), sign)
-    return loss, d_rev.T, d_cost.T
+        return _loss_arrays(block, choice, lam, inv_np)
+    return _per_multiplier(pred, grid, head)
 
 
 def gradient_inner_loss(pred: PredictionMatrix, upstream: tuple[np.ndarray, np.ndarray]) -> float:
@@ -248,15 +238,6 @@ def gradient_inner_loss(pred: PredictionMatrix, upstream: tuple[np.ndarray, np.n
     if d_rev.shape != pred.revenue.shape:
         raise ValidationError("gradient and prediction shapes differ")
     return float(np.sum(d_rev * pred.revenue) + np.sum(d_cost * pred.cost))
-
-
-def _softmax_flip_scores(a: np.ndarray, t: np.ndarray, xt: np.ndarray,
-                         step_floor: float, step_cap: float) -> np.ndarray:
-    """Flip gradients (m, n) treating the softmax scores ``a`` (m, n)
-    themselves as the inputs, for observed treatments ``t`` and weighted
-    loss jumps ``xt``."""
-    gap, sign, _ = _flip_gaps(a.copy(), t)
-    return _flip_head(xt, np.clip(gap, step_floor, step_cap, out=gap), sign)
 
 
 def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,
@@ -283,22 +264,18 @@ def _softmax_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGr
                            ) -> tuple[float, np.ndarray, np.ndarray]:
     n_p = block.n * block.propensity
     inv_np = 1.0 / n_p
-    revenue, cost = pred.revenue.T, pred.cost.T
-    d_rev = np.zeros_like(revenue)
-    d_cost = np.zeros_like(cost)
-    scores = np.empty_like(revenue)
-    loss = 0.0
-    for lam in grid:
-        np.subtract(revenue, np.multiply(lam, cost, out=scores), out=scores)
+    def head(lam, scores, spare, d_rev, d_cost):
         top = scores.max(axis=0)
-        loss += _loss_arrays(block, _first(scores == top), lam, inv_np)
+        loss = _loss_arrays(block, _first(scores == top), lam, inv_np)
         a = _softmax(scores, top)
+        spare[...] = a  # the flip analysis of the softmax scores, in their copy
+        gap, sign, _ = _flip_gaps(spare, block.treatment)
         xt = block.reward(lam, centered)[0] / n_p  # `* inv_np` rounds otherwise
-        ds = _softmax_flip_scores(a, block.treatment, xt, step_floor, step_cap)
+        ds = _flip_head(xt, np.clip(gap, step_floor, step_cap, out=gap), sign)
         ds -= np.sum(ds * a, axis=0)  # g - <g, a> per column, in place
         ds *= a
         d_rev += ds
         ds *= -lam
         d_cost += ds
-    return loss, d_rev.T, d_cost.T
-
+        return loss
+    return _per_multiplier(pred, grid, head)

@@ -29,8 +29,15 @@ prediction and softmax kernels here, the flip kernels in ``gradients``)
 reads the (m, n) arrays that a prediction matrix stores (``pred.revenue.T``;
 see ``solver``) and returns its gradients as ``.T`` views. Single cells, such
 as each row's observed treatment, are reached through flat indices
-``t * n + i``.
-Up to m = 7 both layouts give the same bits.
+``t * n + i``. Up to m = 7 both layouts give the same bits.
+
+The three decision cores (policy here, two flip cores in ``gradients``)
+run their per-multiplier heads in one loop, ``_per_multiplier``. It makes
+the (m, n) accumulators, a score buffer and a spare buffer once per call
+and writes each multiplier's scores into the score buffer. The heads
+compute in those buffers (the softmax in place); the one (m, n) float array
+a head still makes, the softmax-flip head's product for its column sums, is
+freed within its multiplier, so a call's memory does not grow with the grid.
 
 Training runs each kernel per row block (``_Block``, ``model.BLOCK_ROWS``
 rows), on the predictions of that block: the (m, n) copy and every
@@ -167,16 +174,16 @@ def _whole(data: RctDataset) -> _Block:
 
 
 def _softmax(scores: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over axis 0 of (m, n) scores, whose column maxima ``top`` are
-    taken here unless given; large logits do not overflow."""
-    e = scores - (scores.max(axis=0) if top is None else top)
+    """Softmax over axis 0 of (m, n) scores, in place, with column maxima
+    ``top`` taken here unless given; large logits do not overflow."""
+    e = np.subtract(scores, scores.max(axis=0) if top is None else top, out=scores)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=0), out=e)
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (n, m) scores, computed treatment-major."""
-    return _softmax(np.ascontiguousarray(scores.T)).T.copy()
+    """Row-wise softmax of (n, m) scores, computed treatment-major in a copy."""
+    return _softmax(scores.T.copy()).T.copy()
 
 
 def prediction_loss(data: RctDataset, pred: PredictionMatrix) -> float:
@@ -266,26 +273,37 @@ def tempered_policy_loss_grad(data: RctDataset, pred: PredictionMatrix,
     return _tempered_policy_loss_grad(_whole(data), pred, grid, tau, centered)
 
 
+def _per_multiplier(pred: PredictionMatrix, grid: LambdaGrid, head
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Every decision core's grid loop (module docstring): per multiplier,
+    ``head(lam, scores, spare, d_rev, d_cost)`` may overwrite both (m, n)
+    buffers, adds its gradients into the accumulators and returns its loss."""
+    revenue, cost = pred.revenue.T, pred.cost.T
+    d_rev, d_cost = np.zeros((2, *revenue.shape))
+    scores, spare = np.empty((2, *revenue.shape))
+    loss = 0.0
+    for lam in grid:
+        np.subtract(revenue, np.multiply(lam, cost, out=scores), out=scores)
+        loss += head(lam, scores, spare, d_rev, d_cost)
+    return loss, d_rev.T, d_cost.T
+
+
 def _tempered_policy_loss_grad(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
                                tau: float, centered: bool
                                ) -> tuple[float, np.ndarray, np.ndarray]:
     obs = block.treatment * pred.n + np.arange(pred.n)  # flat (m, n) index of the observed cells
     weight = 1.0 / (block.n * block.propensity)
-    revenue, cost = pred.revenue.T, pred.cost.T
-    d_rev = np.zeros_like(revenue)
-    d_cost = np.zeros_like(cost)
-    total = 0.0
-    for lam in grid:
-        ds = _softmax((revenue - lam * cost) / tau)  # the weights w, then d/ds in place
+    def head(lam, scores, spare, d_rev, d_cost):
+        ds = _softmax(np.divide(scores, tau, out=scores))  # the weights w, then d/ds in place
         reward, baseline = block.reward(lam, centered)
         beta_w = weight * reward * ds.ravel().take(obs)  # beta_i * w[i, t_i]
-        total += -float(np.sum(beta_w)) - baseline
         ds *= beta_w
         ds.ravel()[obs] -= beta_w
-        d_rev += ds / tau
+        d_rev += np.divide(ds, tau, out=spare)
         ds *= -lam / tau
         d_cost += ds
-    return total, d_rev.T, d_cost.T
+        return -float(np.sum(beta_w)) - baseline
+    return _per_multiplier(pred, grid, head)
 
 
 def oracle_dual_losses(truth: PredictionMatrix, pred: PredictionMatrix,

@@ -215,13 +215,14 @@ def backward(params: ModelParams, features: np.ndarray,
 def optimizer_step(params: ModelParams, grads: ParamGrads, lr: float) -> bool:
     """One adaptive-moment update with bias correction, in place.
 
-    Returns False (and leaves parameters untouched, advancing nothing) when
-    the gradients contain non-finite entries.
+    Returns False, touching nothing, when a gradient entry or its square is
+    not finite: an infinite second moment would freeze its parameter.
     """
     if lr <= 0:
         raise ConfigError("learning rate must be > 0")
-    if not np.isfinite(grads.flat).all():
-        return False
+    with np.errstate(over="ignore"):  # a square that overflows is inf, and refused
+        if not np.isfinite(grads.flat * grads.flat).all():
+            return False
     params.step += 1
     c1, c2 = 1.0 - _BETA1 ** params.step, 1.0 - _BETA2 ** params.step
     (m, v), g = params.moments, grads.flat

@@ -4,7 +4,7 @@ import pytest
 from treatalloc.exceptions import ValidationError
 from treatalloc.gradients import (dual_flip_gradient, flip_fd_gradient,
                                   gradient_inner_loss, ips_dual_loss,
-                                  softmax_flip_gradient, _flip_gaps, _softmax_flip_scores)
+                                  softmax_flip_gradient, _flip_gaps, _flip_head)
 from treatalloc.losses import LambdaGrid, observed_rewards, row_softmax
 from treatalloc.solver import PredictionMatrix, decide_dual
 
@@ -327,9 +327,10 @@ class TestGradientInnerLoss:
 
 
 def softmax_flip_scores(data, a, lam, step_floor, step_cap):
-    """``_softmax_flip_scores`` of row-major softmax scores ``a`` at ``lam``."""
+    """The softmax-flip head's flip gradients of row-major softmax scores ``a`` at ``lam``."""
     xt = observed_rewards(data, lam)[0] / (data.n * data.sample_propensity())
-    return _softmax_flip_scores(a.T, data.treatment, xt, step_floor, step_cap).T
+    gap, sign, _ = _flip_gaps(a.T.copy(), data.treatment)
+    return _flip_head(xt, np.clip(gap, step_floor, step_cap, out=gap), sign).T
 
 
 class TestSoftmaxFlip:

@@ -136,3 +136,26 @@ def test_one_trusted_path_past_the_checks():
     assert calls == [("data.py", "RctDataset._owning", "cls"),
                      ("data.py", "generate_synthetic", "CounterfactualMatrix"),
                      ("model.py", "_predictions", "PredictionMatrix")]
+
+
+def _grid_loops(tree: ast.AST):
+    """Name of every function that loops, or builds a comprehension, over one
+    of its ``LambdaGrid`` parameters; a nested function's loop over its
+    enclosing function's grid counts for the enclosing one."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            grids = {a.arg for a in fn.args.args + fn.args.kwonlyargs
+                     if a.annotation is not None and ast.unparse(a.annotation) == "LambdaGrid"}
+            if any(isinstance(node, (ast.For, ast.comprehension))
+                   and ast.unparse(node.iter).removesuffix(".values") in grids
+                   for node in ast.walk(fn)):
+                yield fn.name
+
+
+def test_one_loop_over_the_multiplier_grid():
+    # the decision cores run the grid through ``losses._per_multiplier``; only
+    # the references the kernels are checked against keep loops of their own
+    loops = sorted((name, fn) for name in ("losses.py", "gradients.py")
+                   for fn in _grid_loops(TREES[name]))
+    assert loops == [("gradients.py", "flip_fd_gradient"), ("losses.py", "_per_multiplier"),
+                     ("losses.py", "oracle_dual_losses")]

@@ -65,7 +65,7 @@ class TestTreatmentMajorKernels:
         for n in (1, 7, 300):
             for scores in self.scores(rng, builder, n, m):
                 expected = reference_softmax(scores)
-                assert np.array_equal(_softmax(np.ascontiguousarray(scores.T)).T, expected)
+                assert np.array_equal(_softmax(scores.T.copy()).T, expected)
                 got = row_softmax(scores)
                 assert np.array_equal(got, expected) and got.flags.c_contiguous
 
@@ -383,3 +383,13 @@ def test_row_softmax_is_stable_for_huge_logits():
     assert np.isfinite(w).all()
     assert w[0, 0] == pytest.approx(1.0)
     assert w[1, 1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (6, 1), (6, 4)], ids=["1xm", "nx1", "nxm"])
+def test_row_softmax_leaves_its_input(rng, shape):
+    # the kernel computes in place, and the transpose of a (1, m) or (n, 1)
+    # input is already contiguous: only an explicit copy keeps it unchanged
+    scores = rng.standard_normal(shape)
+    keep = scores.copy()
+    row_softmax(scores)
+    assert scores.tobytes() == keep.tobytes()

@@ -225,6 +225,33 @@ def test_gradient_rows_permute_with_the_data(rng, name, centered, builder):
             assert exact(loss_p) == exact(loss)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_revenue_constant_leaves_the_centred_gradients(rng, m):
+    """8.0 added to every observed revenue: each row's centred reward stays,
+    bit for bit, and with it every centred gradient, while the plain flip
+    jumps, and so the plain flip gradients, move. The centred policy loss adds
+    the baseline back, so it moves by -8 per multiplier, within the rounding
+    of the sums it is made of (bounded as in the row-permutation test)."""
+    for _ in range(25):
+        pred, data = case(rng, m)
+        moved = make_dataset(data.treatment, data.revenue + 8.0, data.cost, m,
+                             propensities=data.propensities)
+        for name in ("policy", "entropy", "perturb", "perturb-softmax"):
+            loss, *grads = KERNELS[name](data, pred, True)
+            loss_s, *grads_s = KERNELS[name](moved, pred, True)
+            assert exact(grads_s) == exact(grads)
+            if name in ("policy", "entropy"):
+                terms = 0.0
+                for lam in GRID:
+                    reward, baseline = observed_rewards(moved, lam, True)
+                    terms += float(np.abs(reward).sum()) * m / N + abs(baseline)
+                assert abs(loss_s - (loss - 8.0 * len(GRID))) <= \
+                    2 * (N + len(GRID)) * np.finfo(float).eps * terms
+            else:
+                assert exact(KERNELS[name](moved, pred, False)[1:]) != \
+                    exact(KERNELS[name](data, pred, False)[1:])
+
+
 @pytest.mark.parametrize("state", ["cold", "warm"])
 @pytest.mark.parametrize("builder", [dyadic_instance, tie_heavy_instance],
                          ids=["dyadic", "tie-heavy"])

@@ -239,6 +239,19 @@ class TestOptimizer:
         for w, b in zip(params.weights, before):
             np.testing.assert_array_equal(w, b)
 
+    def test_gradient_whose_square_overflows_skips_update(self):
+        # 1e160 is finite but its square is not: the second moment would turn
+        # inf, and the parameter's update m / inf = 0 from then on
+        params = init_params(tiny_config())
+        g = backward(params, np.ones((1, 3)), (np.ones((1, 2)), np.ones((1, 2))))
+        assert optimizer_step(params, g, lr=0.1)
+        before = [a.copy() for a in (params.flat, *params.moments)]
+        g.flat[0] = 1e160
+        assert not optimizer_step(params, g, lr=0.1)
+        assert params.step == 1
+        for got, want in zip((params.flat, *params.moments), before):
+            assert got.tobytes() == want.tobytes()
+
     def test_matches_a_per_layer_reference_bit_for_bit(self, rng):
         # Adam written per layer, as in Kingma & Ba (2015), on a 3-layer tanh
         # model: the whole-vector update must give the same bits

@@ -356,6 +356,34 @@ class TestTermContract:
                 assert grad.T.flags.c_contiguous
 
 
+class TestGridBuffers:
+    """A decision core runs the multiplier grid on (m, n) buffers made once
+    per call, so one call's traced peak does not grow with the grid beyond
+    the per-row (n,) vectors of a multiplier: at most half an (m, n) float
+    array from one multiplier to four."""
+
+    N, M = 8192, 5
+
+    @pytest.mark.parametrize("backend, tau", [("policy", 1.0), ("entropy", 0.1),
+                                              ("perturb", 1.0), ("perturb-softmax", 1.0)])
+    def test_traced_peak_does_not_grow_with_the_grid(self, backend, tau):
+        data, _ = generate_synthetic(GeneratorConfig(n=self.N, m=self.M, d=2, noise=0.2), seed=4)
+        rng = np.random.default_rng(4)
+        pred = PredictionMatrix(rng.uniform(0, 5, (self.N, self.M)),
+                                rng.uniform(0, 2, (self.N, self.M)))
+        peaks = []
+        for grid in (LambdaGrid((0.5,)), LambdaGrid((0.0, 0.5, 1.0, 2.0))):
+            term = _decision_term(small_config(backend=backend, tau=tau, lambda_grid=grid))
+            block = _whole(data)
+            tracemalloc.start()
+            try:
+                term(block, pred)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 0.5 * self.N * self.M * 8
+
+
 class TestCenteredDecisionGradient:
     """The trainer's decision gradients against the plain IPS estimates.
 
