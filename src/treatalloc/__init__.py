@@ -20,19 +20,14 @@ _EXPORTS = {
     "decide_dual": "solver",
     "solve_budget": "solver",
     "dual_value": "solver",
-    "brute_force_oracle": "solver",
     "LambdaGrid": "losses",
     "BudgetGrid": "losses",
     "prediction_loss": "losses",
-    "full_mse": "losses",
     "policy_learning_loss": "losses",
     "max_entropy_loss": "losses",
     "tempered_policy_loss": "losses",
-    "oracle_dual_losses": "losses",
     "ips_dual_loss": "gradients",
-    "flip_fd_gradient": "gradients",
     "dual_flip_gradient": "gradients",
-    "gradient_inner_loss": "gradients",
     "softmax_flip_gradient": "gradients",
     "OutcomeEstimate": "evaluation",
     "CostCurve": "evaluation",

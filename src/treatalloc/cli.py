@@ -28,8 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .exceptions import (ConfigError, InfeasibleError, NumericError, ParseError, SizeError,
-                         ValidationError)
+from .exceptions import ConfigError, InfeasibleError, NumericError, ParseError, ValidationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,7 +287,7 @@ def run(argv: list[str]) -> int:
     }
     try:
         handlers[args.verb](args)
-    except (ParseError, ValidationError, ConfigError, SizeError) as exc:
+    except (ParseError, ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InfeasibleError, NumericError) as exc:

@@ -5,7 +5,7 @@ plus per-treatment assignment propensities. ``RctDataset``'s constructor
 checks it; ``load_csv`` adds only what a file can get wrong besides
 (duplicate ids, a treatment without samples). Synthetic datasets additionally
 come with a full counterfactual outcome matrix covering every treatment,
-which downstream modules use as a ground-truth oracle. It is a
+the ground truth that allocations can be scored against. It is a
 ``CounterfactualMatrix``, the name the ground truth gives
 ``solver.PredictionMatrix``: truth and predictions are one type. Both types
 copy the arrays handed to them; only arrays that the package has just made

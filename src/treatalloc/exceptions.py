@@ -38,9 +38,5 @@ class InfeasibleError(TreatallocError):
         self.floor_cost = floor_cost
 
 
-class SizeError(TreatallocError):
-    """Instance exceeds the cap of an enumeration-based reference routine."""
-
-
 class NumericError(TreatallocError):
     """A computation produced non-finite values."""

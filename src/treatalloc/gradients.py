@@ -5,17 +5,11 @@ whose observed treatment equals the allocation's choice contribute their
 inverse-propensity-weighted reward ``r - lam * c``. The loss is piecewise
 constant in the predictions, so gradients come from perturbation analysis.
 
-Two estimators live here:
-
-- ``flip_fd_gradient``: forward differences where each entry is perturbed
-  by the smallest signed step that flips that row's argmax, re-evaluating
-  the loss from scratch. Quadratic cost; the reference oracle for the fast
-  estimators, sharing with them only the matched loss of an allocation.
-- ``dual_flip_gradient``: the fast estimator. Because rows decide
-  independently, the loss change of any single-entry perturbation is known
-  in closed form: the sample either leaves or joins the matched set. The
-  gradient is that jump divided by the signed flip step, floored to bound
-  magnitudes near ties. Linear cost; scales to millions of rows.
+``dual_flip_gradient`` is the fast estimator. Because rows decide
+independently, the loss change of any single-entry perturbation is known in
+closed form: the sample either leaves or joins the matched set. The
+gradient is that jump divided by the signed flip step, floored to bound
+magnitudes near ties. Linear cost; scales to millions of rows.
 
 ``softmax_flip_gradient`` runs the same analysis on row-softmax scores with
 clipped steps and chains the result back through the softmax. Both fast
@@ -50,12 +44,10 @@ computes the gaps in its score buffer, or the softmax scores' in a copy in
 its spare buffer, where ``dual_flip_gradient``'s cost steps go; it finds
 each winner with comparisons only (about 60 us at 8,192 x 5 for the maximum,
 one comparison and ``solver._first``, against about 250 us for ``argmax``)
-and reaches single cells through flat indices. ``flip_fd_gradient`` (which
-returns ``(d_revenue, d_cost)``) and ``ips_dual_loss`` stay row-major: the
-oracle and the loss are the references the fast kernels are checked against.
+and reaches single cells through flat indices. ``ips_dual_loss`` stays
+row-major: it is the loss whose sum over the grid the fast kernels return.
 
-``dual_flip_gradient``, ``softmax_flip_gradient`` and ``flip_fd_gradient``
-take ``centered``: the loss jump of a row is then its reward less the mean
+``dual_flip_gradient`` and ``softmax_flip_gradient`` take ``centered``: the loss jump of a row is then its reward less the mean
 reward of the rows in the call. Under randomized assignment the baseline's
 share of the leaving and joining jumps cancels in expectation, but on
 base-dominated rewards it is most of each jump; taking it out cuts the
@@ -68,12 +60,9 @@ from __future__ import annotations
 import numpy as np
 
 from .data import RctDataset
-from .exceptions import SizeError, ValidationError
-from .losses import (LambdaGrid, _Block, _check_cover, _per_multiplier, _softmax, _whole,
-                     observed_rewards)
+from .exceptions import ValidationError
+from .losses import LambdaGrid, _Block, _check_cover, _per_multiplier, _softmax, _whole
 from .solver import PredictionMatrix, _check_multiplier, _first
-
-_OVERSHOOT = 1e-6  # flip_fd_gradient's relative extra step, realizing flips at exact ties
 
 
 def _check_pair(data: RctDataset, pred: PredictionMatrix) -> None:
@@ -96,71 +85,9 @@ def ips_dual_loss(data: RctDataset, pred: PredictionMatrix, lam: float) -> float
 
 
 def _loss_arrays(data: RctDataset, choice: np.ndarray, lam: float,
-                 inv_np: np.ndarray, centered: bool = False) -> float:
+                 inv_np: np.ndarray) -> float:
     w = np.where(choice == data.treatment, inv_np, 0.0)
-    if centered:
-        reward, baseline = observed_rewards(data, lam, centered=True)
-        return -float(np.sum(w * reward)) - baseline
     return -(float(np.sum(w * data.revenue)) - lam * float(np.sum(w * data.cost)))
-
-
-def _nominal_step(a: np.ndarray, i: int, j: int, jstar: int,
-                  amax: float, second: float) -> float:
-    """Signed score-space step that flips row i's argmax via column j.
-
-    Signed zeros carry the structural direction (down for the winner, up
-    for everyone else) so flooring keeps the right sign at exact ties.
-    """
-    if j == jstar:
-        return -(amax - second)    # lower the winner to the runner-up
-    return amax - a[i, j]          # raise column j to the winner
-
-
-def flip_fd_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGrid,
-                     step_floor: float = 1e-6, max_cells: int = 4096,
-                     centered: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences at per-entry argmax-flipping steps (oracle): ``(d_revenue, d_cost)``.
-
-    Each entry is perturbed by its signed flip step (floored at
-    ``step_floor``, slightly overshot so the flip is realized under exact
-    ties), the single-multiplier loss is re-evaluated from scratch, and the
-    quotient uses the nominal floored step. Gradients accumulate over the
-    grid. Cost entries are skipped at ``lam = 0``. ``centered`` differences
-    the loss whose matched rewards have their row mean taken out.
-    """
-    _check_pair(data, pred)
-    n, m = pred.revenue.shape
-    if n * m > max_cells:
-        raise SizeError(f"{n * m} cells exceed fd cap {max_cells}")
-    d_rev = np.zeros((n, m))
-    d_cost = np.zeros((n, m))
-    rows = np.arange(n)
-    inv_np = 1.0 / (data.n * data.sample_propensity())
-    for lam in grid:
-        def loss(revenue, cost):
-            return _loss_arrays(data, np.argmax(revenue - lam * cost, axis=1), lam,
-                                inv_np, centered)
-        a = pred.revenue - lam * pred.cost
-        jstar = np.argmax(a, axis=1)
-        masked = a.copy()
-        masked[rows, jstar] = -np.inf
-        second = a[rows, np.argmax(masked, axis=1)]
-        base = loss(pred.revenue, pred.cost)
-        for i in range(n):
-            for j in range(m):
-                raw = _nominal_step(a, i, j, int(jstar[i]),
-                                    float(a[i, jstar[i]]), float(second[i]))
-                h_rev = float(np.copysign(max(abs(raw), step_floor), raw))
-                rev = pred.revenue.copy()
-                rev[i, j] += h_rev * (1.0 + _OVERSHOOT)
-                d_rev[i, j] += (loss(rev, pred.cost) - base) / h_rev
-                if lam > 0:
-                    step = -raw / lam  # cost moves the score the opposite way
-                    h_cost = float(np.copysign(max(abs(step), step_floor), step))
-                    cost = pred.cost.copy()
-                    cost[i, j] += h_cost * (1.0 + _OVERSHOOT)
-                    d_cost[i, j] += (loss(pred.revenue, cost) - base) / h_cost
-    return d_rev, d_cost
 
 
 def _flip_gaps(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -202,9 +129,9 @@ def dual_flip_gradient(data: RctDataset, pred: PredictionMatrix, grid: LambdaGri
     set is divided by the signed flip step of each entry; steps are floored
     at ``step_floor`` so near-ties cannot blow up the quotient. A cost
     entry moves its score ``lam`` times as fast and the other way, so its
-    step is the gap over ``lam``, floored in cost space. Matches
-    ``flip_fd_gradient`` (with the same ``centered``) entrywise on tie-free
-    instances. The loss is the plain one, whatever ``centered`` is.
+    step is the gap over ``lam``, floored in cost space. Matches forward
+    differences at each entry's flip step (with the same ``centered``)
+    entrywise on tie-free instances. The loss is the plain one, whatever ``centered`` is.
     """
     _check_pair(data, pred)
     if step_floor <= 0:
@@ -220,24 +147,12 @@ def _dual_flip_gradient(block: _Block, pred: PredictionMatrix, grid: LambdaGrid,
         gap, sign, choice = _flip_gaps(scores, block.treatment)
         xt = block.reward(lam, centered)[0] * inv_np
         if lam > 0:  # first, as the revenue head works in gap
-            step = np.divide(gap, lam, out=spare)
+            with np.errstate(over="ignore"):  # a step past the float range is inf: gradient 0
+                step = np.divide(gap, lam, out=spare)
             d_cost -= _flip_head(xt, np.maximum(step, step_floor, out=step), sign)
         d_rev += _flip_head(xt, np.maximum(gap, step_floor, out=gap), sign)
         return _loss_arrays(block, choice, lam, inv_np)
     return _per_multiplier(pred, grid, head)
-
-
-def gradient_inner_loss(pred: PredictionMatrix, upstream: tuple[np.ndarray, np.ndarray]) -> float:
-    """Inner product of fixed gradients ``(d_revenue, d_cost)`` with the predictions.
-
-    Differentiating this scalar with respect to the predictions returns the
-    gradient matrices unchanged, which is how the estimator's gradients are
-    routed into a model's backward pass.
-    """
-    d_rev, d_cost = upstream
-    if d_rev.shape != pred.revenue.shape:
-        raise ValidationError("gradient and prediction shapes differ")
-    return float(np.sum(d_rev * pred.revenue) + np.sum(d_cost * pred.cost))
 
 
 def softmax_flip_gradient(data: RctDataset, pred: PredictionMatrix,

@@ -1,4 +1,4 @@
-"""Decision-aware training losses and their full-information counterparts.
+"""Decision-aware training losses.
 
 Observed data reveal one treatment per individual, so squared error over the
 full outcome matrix cannot be computed directly. The losses here reweight
@@ -118,17 +118,6 @@ def _check_cover(data: RctDataset, pred) -> None:
         )
 
 
-def observed_rewards(data: RctDataset, lam: float, centered: bool = False
-                     ) -> tuple[np.ndarray, float]:
-    """Observed dual reward ``r - lam * c`` per row, less the baseline.
-
-    Returns ``(reward - baseline, baseline)``. With ``centered`` the baseline
-    is the mean reward over the rows; otherwise it is 0 and the rewards are
-    returned unchanged.
-    """
-    return _whole(data).reward(lam, centered)
-
-
 class _Block:
     """A slice of a batch's rows, as views, with what belongs to the whole
     batch: its row count ``n``, each row's treatment propensity (sliced from
@@ -146,9 +135,10 @@ class _Block:
         self._batch, self._baselines = batch, baselines
 
     def reward(self, lam: float, centered: bool) -> tuple[np.ndarray, float]:
-        """``observed_rewards`` of these rows, centred on the batch's mean
-        reward, and the block's share of that baseline in a loss value: all
-        of it in the first block, none in the others."""
+        """The observed dual reward ``r - lam * c`` of these rows, with
+        ``centered`` less the batch's mean reward, and the block's share of
+        that baseline in a loss value: all of it in the first block, none in
+        the others (0 when not ``centered``)."""
         reward = self.revenue - lam * self.cost
         if not centered:
             return reward, 0.0
@@ -179,11 +169,6 @@ def _softmax(scores: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
     e = np.subtract(scores, scores.max(axis=0) if top is None else top, out=scores)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=0), out=e)
-
-
-def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (n, m) scores, computed treatment-major in a copy."""
-    return _softmax(scores.T.copy()).T.copy()
 
 
 def prediction_loss(data: RctDataset, pred: PredictionMatrix) -> float:
@@ -219,15 +204,6 @@ def _prediction_loss_grad(block: _Block, pred: PredictionMatrix, link=None
     d_rev.ravel()[obs] = scale * dr
     d_cost.ravel()[obs] = scale * dc
     return float(np.sum(w * (dr * dr + dc * dc))), d_rev.T, d_cost.T
-
-
-def full_mse(truth: PredictionMatrix, pred: PredictionMatrix) -> float:
-    """Mean squared error over the whole outcome matrix (synthetic only)."""
-    if truth.revenue.shape != pred.revenue.shape:
-        raise ValidationError("truth and prediction shapes differ")
-    dr = truth.revenue - pred.revenue
-    dc = truth.cost - pred.cost
-    return float(np.mean(dr * dr + dc * dc))
 
 
 def tempered_policy_loss(data: RctDataset, pred: PredictionMatrix,
@@ -304,29 +280,3 @@ def _tempered_policy_loss_grad(block: _Block, pred: PredictionMatrix, grid: Lamb
         d_cost += ds
         return -float(np.sum(beta_w)) - baseline
     return _per_multiplier(pred, grid, head)
-
-
-def oracle_dual_losses(truth: PredictionMatrix, pred: PredictionMatrix,
-                       grid: LambdaGrid, tau: float) -> tuple[float, float, float]:
-    """Full-information decision losses (synthetic verification references).
-
-    Returns, per-individual and summed over the grid:
-    - hard: negative true reward of the per-row argmax of predicted scores;
-    - soft: negative true reward under the softmax policy of those scores;
-    - tempered: the same with scores divided by ``tau``.
-    """
-    if tau <= 0:
-        raise ConfigError("temperature must be > 0")
-    if truth.revenue.shape != pred.revenue.shape:
-        raise ValidationError("truth and prediction shapes differ")
-    n = truth.n
-    rows = np.arange(n)
-    hard = soft = tempered = 0.0
-    for lam in grid:
-        scores = pred.revenue - lam * pred.cost
-        reward = truth.revenue - lam * truth.cost
-        choice = np.argmax(scores, axis=1)
-        hard += -float(reward[rows, choice].sum()) / n
-        soft += -float(np.sum(reward * row_softmax(scores))) / n
-        tempered += -float(np.sum(reward * row_softmax(scores / tau))) / n
-    return hard, soft, tempered

@@ -10,7 +10,6 @@ step function of ``lam``, so the multiplier for a budget is a lookup (the
 greedy LP solution of the multiple-choice knapsack). Switch points depend on
 the predictions only: a (read-only) prediction matrix builds its sweep once,
 and makes its ``lam = 0`` decision, where every search starts, once.
-A brute-force enumerator serves as the exact oracle on small instances.
 
 Layout: numpy reduces a short last axis one row at a time, so a prediction
 matrix stores its data treatment-major: each of revenue and cost is one
@@ -45,9 +44,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import InfeasibleError, SizeError, ValidationError
+from .exceptions import InfeasibleError, ValidationError
 
-_MAX_ASSIGNMENTS = 2_000_000  # brute_force_oracle's enumeration cap
 # columns per probe or sweep block, rows per training block (Layout); in
 # training, 4,096 to 16,384 timed alike
 BLOCK_ROWS = 8192
@@ -143,16 +141,6 @@ def _first(hit: np.ndarray) -> np.ndarray:
         first += ~seen
         seen |= row
     return first
-
-
-def _allocation_from_choice(pred: PredictionMatrix, choice: np.ndarray) -> Allocation:
-    revenue, cost = pred.revenue.T, pred.cost.T
-    cells = np.multiply(choice, pred.n, dtype=np.intp) + np.arange(pred.n)
-    return Allocation(
-        choice=choice.astype(np.int64),
-        objective=float(revenue.ravel().take(cells).sum()),
-        total_cost=float(cost.ravel().take(cells).sum()),
-    )
 
 
 def _decide(pred: PredictionMatrix, lam: float) -> tuple[Allocation, float]:
@@ -324,46 +312,3 @@ def solve_budget(pred: PredictionMatrix, budget: float) -> DualSolution:
         lam, (alloc, best_sum) = pred._sweep.cost_search(budget, probe)
         bound = float(lam * budget + best_sum)
     return DualSolution(lam, alloc, bound, tuple(trace))
-
-
-def brute_force_oracle(truth: PredictionMatrix, budget: float) -> Allocation:
-    """Exact optimum by enumerating all M^N assignments (tiny instances only).
-
-    Assignments costing more than the budget are skipped; the feasible
-    assignment with maximum revenue wins. The winning choice is scored
-    through the same reduction as the dual allocations so objective values
-    of identical choices agree bitwise.
-    """
-    revenue, cost = truth.revenue, truth.cost
-    n, m = revenue.shape
-    if n == 0:
-        return Allocation(choice=np.zeros(0, dtype=np.int64), objective=0.0,
-                          total_cost=0.0)
-    if n > 15:
-        raise SizeError(f"brute force capped at n <= 15, got {n}")
-    total = m ** n
-    if total > _MAX_ASSIGNMENTS:
-        raise SizeError(f"{total} assignments exceed cap {_MAX_ASSIGNMENTS}")
-
-    # Level-by-level partial sums: after row i the arrays hold the cost and
-    # revenue of every assignment of rows 0..i.
-    costs = cost[0].copy()
-    revs = revenue[0].copy()
-    for i in range(1, n):
-        costs = (costs[:, None] + cost[i][None, :]).ravel()
-        revs = (revs[:, None] + revenue[i][None, :]).ravel()
-
-    feasible = costs <= budget
-    if not feasible.any():
-        raise InfeasibleError(
-            f"no assignment fits budget {budget}; cheapest costs {costs.min()}",
-            floor_cost=float(costs.min()),
-        )
-    masked = np.where(feasible, revs, -np.inf)
-    best = int(np.argmax(masked))
-
-    choice = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        choice[i] = best % m
-        best //= m
-    return _allocation_from_choice(truth, choice)

@@ -25,6 +25,12 @@ the block (so each multiplier is decided once); ``_decision_term`` picks the
 backend's once per run. A batch of at most ``model.BLOCK_ROWS`` rows gets the
 public kernels' bits.
 
+``train`` runs under ``np.errstate(over="raise")``: an overflow in the warm
+start, an epoch or a snapshot is one ``NumericError`` naming where, not a
+warning and then a non-finite value. The deliberate overflows (the sweep's
+divisions, the logistic link, the flip head's cost steps, the optimizer's
+check of squared gradients) are ignored where they happen.
+
 Every decision backend trains on the centred estimates (``centered=True``
 in ``losses`` and ``gradients``): the mean observed reward of the batch (of
 all its blocks) is taken out of each row's reward before inverse-propensity
@@ -193,13 +199,6 @@ def train(data: RctDataset, config: TrainConfig,
     )
     params = init_params(model_config)
     rng = np.random.default_rng(config.seed)
-
-    if config.warm_start_epochs:
-        warm_start(params, data, config.warm_start_epochs,
-                   objective=config.warm_start_objective, lr=config.lr,
-                   batch_size=config.batch_size,
-                   shuffle_seed=config.seed)
-
     decision = _decision_term(config)
 
     def batch_grad(block: _Block, pred):
@@ -214,30 +213,41 @@ def train(data: RctDataset, config: TrainConfig,
                 (p_loss, d_loss))
 
     records: list[EpochRecord] = []
-    for epoch in range(config.epochs - config.warm_start_epochs):
-        start = time.perf_counter()
-        p_epoch, d_epoch = _fit_epoch(params, data, batch_grad, config.lr, rng,
-                                      config.batch_size, optimizer_step)
+    epoch = None
+    try:
+        with np.errstate(over="raise"):
+            if config.warm_start_epochs:
+                warm_start(params, data, config.warm_start_epochs,
+                           objective=config.warm_start_objective, lr=config.lr,
+                           batch_size=config.batch_size,
+                           shuffle_seed=config.seed)
+            for epoch in range(config.epochs - config.warm_start_epochs):
+                start = time.perf_counter()
+                p_epoch, d_epoch = _fit_epoch(params, data, batch_grad, config.lr, rng,
+                                              config.batch_size, optimizer_step)
 
-        snapshot = None
-        if (eval_data is not None and config.eval_budgets
-                and (epoch + 1) % config.eval_every == 0):
-            allocate = _allocator(eval_data, forward(params, eval_data.features))
-            values = []
-            for b in config.eval_budgets:
-                try:
-                    values.append(allocate(b)[2].per_capita_revenue)
-                except InfeasibleError:
-                    values.append(float("nan"))  # budget below the model's floor
-            snapshot = tuple(values)
-        records.append(EpochRecord(
-            epoch=epoch,
-            prediction=p_epoch,
-            decision=d_epoch,
-            total=config.alpha * p_epoch + d_epoch,
-            wall_seconds=time.perf_counter() - start,
-            snapshot=snapshot,
-        ))
+                snapshot = None
+                if (eval_data is not None and config.eval_budgets
+                        and (epoch + 1) % config.eval_every == 0):
+                    allocate = _allocator(eval_data, forward(params, eval_data.features))
+                    values = []
+                    for b in config.eval_budgets:
+                        try:
+                            values.append(allocate(b)[2].per_capita_revenue)
+                        except InfeasibleError:
+                            values.append(float("nan"))  # budget below the model's floor
+                    snapshot = tuple(values)
+                records.append(EpochRecord(
+                    epoch=epoch,
+                    prediction=p_epoch,
+                    decision=d_epoch,
+                    total=config.alpha * p_epoch + d_epoch,
+                    wall_seconds=time.perf_counter() - start,
+                    snapshot=snapshot,
+                ))
+    except FloatingPointError as exc:
+        where = "in the warm start" if epoch is None else f"at epoch {epoch}"
+        raise NumericError(f"non-finite loss {where}: {exc}") from None
     return params, records
 
 

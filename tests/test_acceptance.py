@@ -16,15 +16,15 @@ from treatalloc.data import GeneratorConfig, RctDataset, generate_synthetic, spl
 from treatalloc.evaluation import (allocate_at_budget, aucc, bootstrap_policy_se,
                                    evaluate_policy)
 from treatalloc.exceptions import InfeasibleError
-from treatalloc.gradients import dual_flip_gradient, flip_fd_gradient, gradient_inner_loss
-from treatalloc.losses import (LambdaGrid, full_mse, max_entropy_loss,
-                               oracle_dual_losses, policy_learning_loss,
+from treatalloc.gradients import dual_flip_gradient
+from treatalloc.losses import (LambdaGrid, max_entropy_loss, policy_learning_loss,
                                prediction_loss)
 from treatalloc.model import ModelConfig, backward, forward, init_params
-from treatalloc.solver import (PredictionMatrix, brute_force_oracle, decide_dual,
-                               lambda_upper_bound, solve_budget)
+from treatalloc.solver import PredictionMatrix, decide_dual, lambda_upper_bound, solve_budget
 from treatalloc.training import TrainConfig, train
 
+from oracles import (brute_force_oracle, flip_fd_gradient, full_mse, gradient_inner_loss,
+                     oracle_dual_losses)
 from conftest import random_instance
 
 

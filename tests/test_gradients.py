@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from treatalloc.exceptions import ValidationError
-from treatalloc.gradients import (dual_flip_gradient, flip_fd_gradient,
-                                  gradient_inner_loss, ips_dual_loss,
+from treatalloc.gradients import (dual_flip_gradient, ips_dual_loss,
                                   softmax_flip_gradient, _flip_gaps, _flip_head)
-from treatalloc.losses import LambdaGrid, observed_rewards, row_softmax
+from treatalloc.losses import LambdaGrid
 from treatalloc.solver import PredictionMatrix, decide_dual
 
+from oracles import flip_fd_gradient, gradient_inner_loss, observed_rewards, row_softmax
 from conftest import (BUILDERS, central_differences, instances, make_dataset,
                       planted_ties, random_instance)
 
@@ -164,6 +164,14 @@ class TestDualFlipGradient:
     def test_lambda_zero_skips_cost_gradients(self, rng):
         data, pred = random_instance(rng, n=8, m=3)
         _, _, d_cost = dual_flip_gradient(data, pred, LambdaGrid((0.0,)))
+        assert not d_cost.any()
+
+    def test_subnormal_lambda_gives_zero_cost_gradients(self, rng):
+        # gap / lam overflows to an infinite cost step, which moves no choice;
+        # training raises on overflow, so the head must not warn or raise
+        data, pred = random_instance(rng, n=8, m=3)
+        with np.errstate(over="raise"):
+            _, _, d_cost = dual_flip_gradient(data, pred, LambdaGrid((1e-320,)))
         assert not d_cost.any()
 
     def test_step_floor_bounds_gradient_magnitude(self):

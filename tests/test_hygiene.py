@@ -1,14 +1,17 @@
 """Static hygiene of ``src/treatalloc``, read with ``ast``: no unused import,
-no module-level private function or class that only tests reach, and the
-layering of the modules' top-level imports."""
+no module-level function or class that only tests reach, the layering of the
+modules' top-level imports, and test-side references (``tests/oracles.py``)
+that use only the package's public names."""
 
 import ast
 import graphlib
+import re
 from pathlib import Path
 
 import treatalloc
 
 SRC = Path(treatalloc.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(SRC.glob("*.py"))}
 
@@ -153,9 +156,59 @@ def _grid_loops(tree: ast.AST):
 
 
 def test_one_loop_over_the_multiplier_grid():
-    # the decision cores run the grid through ``losses._per_multiplier``; only
-    # the references the kernels are checked against keep loops of their own
+    # the decision cores run the grid through ``losses._per_multiplier``; the
+    # references the kernels are checked against live in ``tests/oracles.py``
     loops = sorted((name, fn) for name in ("losses.py", "gradients.py")
                    for fn in _grid_loops(TREES[name]))
-    assert loops == [("gradients.py", "flip_fd_gradient"), ("losses.py", "_per_multiplier"),
-                     ("losses.py", "oracle_dual_losses")]
+    assert loops == [("losses.py", "_per_multiplier")]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """``_names_read``, plus every attribute read and every name imported."""
+    refs = _names_read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+# public definitions that only the tests read, each kept for its reason
+TEST_READ_API = {
+    "dual_value": "the bound of test_01's duality sandwich",
+    "policy_learning_loss": "the temperature-1 surrogate that test_04 and test_05 name",
+    "max_entropy_loss": "the tempered surrogate of test_05's bitwise equivalence",
+    "bootstrap_policy_se": "an estimator of the package's API that no CLI verb runs",
+}
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # the references only tests read live with them (``tests/oracles.py``); a
+    # public definition is read by other package code, named by the benchmark
+    # or in the README's code, or listed above. The export table is no reader.
+    named = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        named |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for code in re.findall(r"```.*?```|`[^`\n]+`", readme, re.DOTALL):
+        named.update(re.findall(r"\w+", code))
+    nodes = [node for name, tree in TREES.items() if name != "__init__.py" for node in tree.body]
+    refs = [(node, _references(node)) for node in nodes]
+    unread = {node.name for node in nodes
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in named
+              and not any(node.name in read for other, read in refs if other is not node)}
+    assert unread == set(TEST_READ_API)
+
+
+def test_oracles_read_no_private_name_of_the_package():
+    # a reference that shares a private kernel with what it checks shares its defects
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    private = [f"{node.lineno} {alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("treatalloc")
+               for alias in node.names if alias.name.startswith("_")]
+    private += [f"{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")]
+    assert private == []

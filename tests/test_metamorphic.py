@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from treatalloc.evaluation import allocate_at_budget, evaluate_policy
-from treatalloc.gradients import dual_flip_gradient, flip_fd_gradient, softmax_flip_gradient
-from treatalloc.losses import (LambdaGrid, observed_rewards, prediction_loss_grad,
-                               tempered_policy_loss_grad)
+from treatalloc.gradients import dual_flip_gradient, softmax_flip_gradient
+from treatalloc.losses import LambdaGrid, prediction_loss_grad, tempered_policy_loss_grad
 from treatalloc.solver import PredictionMatrix, decide_dual, lambda_upper_bound, solve_budget
 
-from conftest import dyadic_instance, exact, make_dataset, tie_heavy_instance
+from oracles import flip_fd_gradient, observed_rewards
+from conftest import (BUILDERS, dyadic_instance, exact, interval_points, make_dataset,
+                      tie_heavy_instance)
 
 N = 16
 SHARES = (0.0, 0.2, 0.45, 0.7, 0.95, 1.0)  # budgets between the floor and the top
@@ -139,6 +140,102 @@ class TestRowPermutation:
                 assert lam_p == lam
                 assert np.array_equal(choice_p, choice[perm])
                 assert est_p.per_capita_cost == est.per_capita_cost
+
+
+@pytest.mark.parametrize("state", ["cold", "warm"])
+class TestTreatmentRelabelling:
+    """Columns of revenue and cost in another order, and the observed
+    treatments and propensities relabelled with them: every choice maps
+    through the relabelling, and the multiplier, the objective, the cost and
+    the estimates stay, bit for bit. The instances are tie-free (continuous
+    random predictions, multipliers inside the intervals between switch
+    points). Under a tie the lowest index wins, and a relabelling moves the
+    lowest index: that is the deliberate exception, pinned by
+    ``test_tied_row_keeps_the_lowest_index``."""
+
+    def relabelled(self, rng, state, m):
+        pred, data = case(rng, m, BUILDERS["random"])
+        pi = rng.permutation(m)  # new column k is old column pi[k]
+        new = np.argsort(pi)  # old label j is new label new[j]
+        base, moved = matrices(state, pred,
+                               PredictionMatrix(pred.revenue[:, pi], pred.cost[:, pi]))
+        data_r = make_dataset(new[data.treatment], data.revenue, data.cost, m,
+                              propensities=data.propensities[pi])
+        return base, moved, data, data_r, new
+
+    def test_decide_dual(self, rng, state):
+        for m in (2, 3, 5):
+            base, moved, _, _, new = self.relabelled(rng, state, m)
+            for lam in interval_points(base):
+                a, b = decide_dual(base, float(lam)), decide_dual(moved, float(lam))
+                assert np.array_equal(b.choice, new[a.choice])
+                assert (b.objective, b.total_cost) == (a.objective, a.total_cost)
+
+    def test_solve_budget(self, rng, state):
+        for m in (2, 3, 4):
+            base, moved, _, _, new = self.relabelled(rng, state, m)
+            for budget in budgets(base):
+                a, b = solve_budget(base, budget), solve_budget(moved, budget)
+                assert b.lam == a.lam and b.dual_value == a.dual_value
+                assert np.array_equal(b.allocation.choice, new[a.allocation.choice])
+                assert (b.allocation.objective, b.allocation.total_cost) == (
+                    a.allocation.objective, a.allocation.total_cost)
+
+    def test_allocate_at_budget(self, rng, state):
+        for m in (2, 4):
+            base, moved, data, data_r, new = self.relabelled(rng, state, m)
+            for budget in per_capita_budgets(data, base):
+                lam, choice, est = allocate_at_budget(data, base, budget)
+                lam_r, choice_r, est_r = allocate_at_budget(data_r, moved, budget)
+                assert lam_r == lam
+                assert np.array_equal(choice_r, new[choice])
+                assert exact(est_r) == exact(est)
+
+    def test_tied_row_keeps_the_lowest_index(self, rng, state):
+        # both columns score alike at every multiplier: column 0 wins either way
+        pred = PredictionMatrix(np.ones((1, 2)), np.ones((1, 2)))
+        base, swapped = matrices(state, pred, PredictionMatrix(pred.revenue[:, ::-1],
+                                                               pred.cost[:, ::-1]))
+        for lam in (0.0, 1.0):
+            assert decide_dual(base, lam).choice.tolist() == [0]
+            assert decide_dual(swapped, lam).choice.tolist() == [0]  # not the relabelled 1
+
+
+def dataset_with_counts(rng, counts):
+    """Dyadic outcomes and empirical propensities, treatment ``j`` on
+    ``counts[j]`` rows in random order."""
+    treatment = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    return make_dataset(treatment, rng.integers(0, 2 ** 10, treatment.size) / 2 ** 6,
+                        rng.integers(0, 2 ** 10, treatment.size) / 2 ** 8, len(counts))
+
+
+@pytest.mark.parametrize("counts", [(8, 8), (8, 4, 4), (2, 4, 8, 2),
+                                    (3, 13), (5, 5, 6), (1, 3, 5, 7)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_estimates_permute_with_the_rows(rng, counts):
+    """Rows and the choice in another order: the matched fraction is a count
+    over the rows and stays. The per-capita revenue and cost add their
+    weighted rows in another order. When every treatment count is a power of
+    two (of N = 16 rows) each weight ``1 / (N p_j)`` is dyadic, every sum is
+    exact and they stay bit for bit; otherwise each is within the bound of
+    two recursive sums, ``2 N eps`` times the sum of the terms' magnitudes."""
+    dyadic = all(c & (c - 1) == 0 for c in counts)
+    m = len(counts)
+    for _ in range(8):
+        data = dataset_with_counts(rng, counts)
+        perm = rng.permutation(N)
+        moved = make_dataset(data.treatment[perm], data.revenue[perm], data.cost[perm], m)
+        pred = dyadic_instance(rng, N, m)
+        for choice in (rng.integers(0, m, N), decide_dual(pred, 0.5).choice, data.treatment):
+            est, est_p = evaluate_policy(data, choice), evaluate_policy(moved, choice[perm])
+            assert est_p.matched_fraction == est.matched_fraction
+            w = np.where(choice == data.treatment, 1.0 / data.sample_propensity(), 0.0) / N
+            for field, x in (("per_capita_revenue", data.revenue), ("per_capita_cost", data.cost)):
+                got, want = getattr(est_p, field), getattr(est, field)
+                if dyadic:
+                    assert exact(got) == exact(want)
+                else:
+                    assert abs(got - want) <= 2 * N * np.finfo(float).eps * float(np.sum(w * x))
 
 
 def input_layouts(pred):

@@ -21,7 +21,7 @@ def tiny_config(**kw):
 
 
 def flat_loss(params, x, upstream):
-    from treatalloc.gradients import gradient_inner_loss
+    from oracles import gradient_inner_loss
 
     return gradient_inner_loss(forward(params, x), upstream)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from treatalloc import solver
-from treatalloc.exceptions import InfeasibleError, SizeError, ValidationError
-from treatalloc.solver import (DualSolution, PredictionMatrix, _Sweep,
-                               brute_force_oracle, decide_dual, dual_value,
+from treatalloc.exceptions import InfeasibleError, ValidationError
+from treatalloc.solver import (DualSolution, PredictionMatrix, _Sweep, decide_dual, dual_value,
                                lambda_upper_bound, solve_budget)
 
+from oracles import SizeError, brute_force_oracle
 from conftest import (BUILDERS, count_calls, exact, instances, interval_points, planted_ties,
                       replay, tie_heavy_instance)
 

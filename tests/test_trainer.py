@@ -211,6 +211,15 @@ class TestTrainLoop:
                 pytest.raises(NumericError, match="non-finite loss at epoch 0"):
             train(huge, small_config(epochs=2, backend="entropy", batch_size=batch_size))
 
+    def test_overflow_in_the_warm_start_raises_numeric_error(self):
+        # no outer errstate: ``train`` turns numpy's overflow into its own error
+        data, _ = generate_synthetic(GeneratorConfig(n=200, m=3, d=4), seed=5)
+        huge = RctDataset(ids=data.ids, features=data.features, treatment=data.treatment,
+                          revenue=data.revenue * 1e200, cost=data.cost,
+                          num_treatments=data.num_treatments)
+        with pytest.raises(NumericError, match="non-finite loss in the warm start"):
+            train(huge, small_config(epochs=2, warm_start_epochs=1, backend="entropy"))
+
     def test_all_backends_run_and_record(self, tiny_data):
         for backend in BACKENDS:
             config = small_config(backend=backend, epochs=3)
